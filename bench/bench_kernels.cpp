@@ -1,8 +1,9 @@
-// Metric-kernel microbench: times every rewritten hot-path kernel against
-// the retained reference implementation on a fixed seeded workload, checks
-// the outputs are bit-identical, and writes BENCH_kernels.json (host
-// fingerprint + old-vs-new speedup ratios) to the working directory.
-// Rerunning overwrites the file with fresh numbers for the same workload —
+// Kernel microbench: times every rewritten hot-path kernel — the metric
+// kernels and the block-arrow mixed-model fits — against the retained
+// reference implementation on a fixed seeded workload, checks the outputs
+// are bit-identical, and writes BENCH_kernels.json (host fingerprint +
+// old-vs-new speedup ratios) to the working directory. Rerunning
+// overwrites the file with fresh numbers for the same workload —
 // idempotent by construction. Build with -DDECOMPEVAL_NO_SIMD to watch the
 // ratios collapse to ~1x (both sides run the reference).
 #include <algorithm>
@@ -13,10 +14,13 @@
 #include <utility>
 #include <vector>
 
+#include "analysis/rq1_correctness.h"
 #include "bench/bench_common.h"
 #include "embed/corpus.h"
 #include "metrics/bertscore.h"
 #include "metrics/codebleu.h"
+#include "mixed/glmm.h"
+#include "mixed/lmm.h"
 #include "text/bleu.h"
 #include "text/similarity.h"
 #include "util/rng.h"
@@ -66,6 +70,9 @@ struct KernelReading {
   double fast_ms = 0.0;
   double reference_ms = 0.0;
   bool bit_identical = true;
+  // Per-fit search work of the mixed-model rows (-1 = not a fit).
+  long nm_evaluations = -1;
+  long pirls_iterations = -1;
 };
 
 KernelReading read_kernel(const std::string& name,
@@ -113,6 +120,41 @@ token_pairs() {
     return pairs;
   }();
   return kPairs;
+}
+
+void push_criterion(const mixed::GlmmFit& fit, std::vector<double>* sink) {
+  sink->insert(sink->end(),
+               {fit.deviance, static_cast<double>(fit.pirls_iterations)});
+}
+
+void push_criterion(const mixed::LmmFit& fit, std::vector<double>* sink) {
+  sink->insert(sink->end(), {fit.sigma_residual, fit.reml_criterion});
+}
+
+// Every numeric field of a fit, for the bitwise comparison.
+template <class Fit>
+void push_fit(const Fit& fit, std::vector<double>* sink) {
+  push_criterion(fit, sink);
+  for (const mixed::Coefficient& c : fit.coefficients)
+    sink->insert(sink->end(),
+                 {c.estimate, c.std_error, c.z_value, c.p_value});
+  sink->insert(sink->end(), {fit.sigma_user, fit.sigma_question, fit.aic,
+                             fit.bic, fit.r2_marginal, fit.r2_conditional,
+                             fit.converged ? 1.0 : 0.0});
+  sink->insert(sink->end(), fit.random_user.begin(), fit.random_user.end());
+  sink->insert(sink->end(), fit.random_question.begin(),
+               fit.random_question.end());
+  sink->insert(sink->end(), fit.multi_start.start_values.begin(),
+               fit.multi_start.start_values.end());
+  for (const int evals : fit.multi_start.start_evaluations)
+    sink->push_back(static_cast<double>(evals));
+  sink->push_back(static_cast<double>(fit.multi_start.best_start));
+}
+
+long nm_evaluations(const mixed::MultiStartReport& report) {
+  long total = 0;
+  for (const int evals : report.start_evaluations) total += evals;
+  return total;
 }
 
 const embed::EmbeddingModel& small_model() {
@@ -218,7 +260,44 @@ int main(int argc, char** argv) {
         [&](std::vector<double>* sink) { train_sink(false, sink); },
         [&](std::vector<double>* sink) { train_sink(true, sink); }));
 
-    std::cout << "Metric kernel microbench (fast vs retained reference):\n";
+    // Mixed-model fits on the default study (the Table I GLMM and Table II
+    // LMM model data), one thread, the default 10-start search: the
+    // block-arrow evaluators vs the dense reference, compared on every
+    // numeric field of the fit. This is also the per-phase "fit" split:
+    // Nelder–Mead evaluations and, for the GLMM, PIRLS steps per fit.
+    const auto glmm_data = analysis::build_model_data(bench::cached_study(),
+                                                      /*timing_model=*/false);
+    const auto lmm_data = analysis::build_model_data(bench::cached_study(),
+                                                     /*timing_model=*/true);
+    mixed::FitOptions serial;
+    serial.threads = 1;
+    mixed::GlmmFit glmm;
+    readings.push_back(read_kernel(
+        "glmm_fit",
+        [&](std::vector<double>* sink) {
+          glmm = mixed::fit_logistic_glmm(glmm_data, serial);
+          push_fit(glmm, sink);
+        },
+        [&](std::vector<double>* sink) {
+          push_fit(mixed::fit_logistic_glmm_reference(glmm_data, serial), sink);
+        }));
+    readings.back().nm_evaluations = nm_evaluations(glmm.multi_start);
+    readings.back().pirls_iterations =
+        static_cast<long>(glmm.pirls_iterations);
+    mixed::LmmFit lmm;
+    readings.push_back(read_kernel(
+        "lmm_fit",
+        [&](std::vector<double>* sink) {
+          lmm = mixed::fit_lmm(lmm_data, serial);
+          push_fit(lmm, sink);
+        },
+        [&](std::vector<double>* sink) {
+          push_fit(mixed::fit_lmm_reference(lmm_data, serial), sink);
+        }));
+    readings.back().nm_evaluations = nm_evaluations(lmm.multi_start);
+    readings.back().pirls_iterations = 0;  // REML is profiled in closed form
+
+    std::cout << "Kernel microbench (fast vs retained reference):\n";
     bool all_identical = true;
     for (const auto& r : readings) {
       all_identical = all_identical && r.bit_identical;
@@ -228,6 +307,15 @@ int main(int argc, char** argv) {
                 << format_fixed(r.reference_ms / r.fast_ms, 2)
                 << "x  bit-identical: "
                 << (r.bit_identical ? "yes" : "NO — BUG") << "\n";
+    }
+    std::cout << "Fit phases (per fit, " << glmm_data.n_observations()
+              << " observations, " << glmm_data.n_users << " users, "
+              << glmm_data.n_questions << " questions):\n";
+    for (const auto& r : readings) {
+      if (r.nm_evaluations < 0) continue;
+      std::cout << "  " << r.name << ": " << r.nm_evaluations
+                << " Nelder-Mead evaluations, " << r.pirls_iterations
+                << " PIRLS iterations\n";
     }
 
     std::ofstream json("BENCH_kernels.json");
@@ -242,7 +330,11 @@ int main(int argc, char** argv) {
            << format_fixed(r.reference_ms, 3) << ", \"speedup\": "
            << format_fixed(r.reference_ms / r.fast_ms, 3)
            << ", \"bit_identical\": "
-           << (r.bit_identical ? "true" : "false") << "}";
+           << (r.bit_identical ? "true" : "false");
+      if (r.nm_evaluations >= 0)
+        json << ", \"nm_evaluations\": " << r.nm_evaluations
+             << ", \"pirls_iterations\": " << r.pirls_iterations;
+      json << "}";
     }
     json << "\n  },\n  \"all_bit_identical\": "
          << (all_identical ? "true" : "false") << "\n}\n";

@@ -145,6 +145,15 @@ cmake -B build-ubsan-nosimd -S . -DDECOMPEVAL_SANITIZE=undefined \
 cmake --build build-ubsan-nosimd -j "$JOBS" --target test_kernels
 ./build-ubsan-nosimd/tests/test_kernels
 
+echo "=== UBSan mixed-model oracles, forced-scalar ==="
+# The escape hatch also puts both fitters on the dense reference
+# factorization, so the frozen GLMM/LMM oracles run here against the
+# dense path, as the tier-1 sweep ran them against the block-arrow one.
+cmake --build build-ubsan-nosimd -j "$JOBS" \
+  --target test_oracle_mixed test_mixed_models
+./build-ubsan-nosimd/tests/test_oracle_mixed
+./build-ubsan-nosimd/tests/test_mixed_models
+
 echo "=== UBSan annotate differentials, forced-scalar ==="
 # The annotate op carries its own differential contracts — served
 # responses bit-identical to offline lint at every thread count, warm

@@ -1,11 +1,14 @@
 #include "mixed/glmm.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <memory>
 #include <numbers>
+#include <span>
 #include <utility>
 
+#include "linalg/arrow_cholesky.h"
 #include "linalg/matrix.h"
 #include "mixed/moment_starts.h"
 #include "mixed/nelder_mead.h"
@@ -28,16 +31,36 @@ double binomial_deviance(const linalg::Vector& y, const linalg::Vector& mu) {
   return dev;
 }
 
-struct PirlsResult {
-  linalg::Vector u;          // conditional modes (spherical scale)
-  double laplace_deviance;   // devres + ‖u‖² + log|H|
-  bool converged;
+// Scratch of one Laplace objective, reused across its evaluations so no
+// evaluation allocates: the conditional modes (also the next
+// evaluation's PIRLS warm start), H = ΛᵀZᵀWZΛ + I in block-arrow layout,
+// and the Newton step vectors. The dense reference uses only the modes.
+struct PirlsWorkspace {
+  linalg::Vector u;
+  linalg::Vector u_new;
+  linalg::Vector delta;
+  linalg::Vector xbeta;
+  linalg::Vector mu;  // logistic(η) of the last penalized-deviance call
+  linalg::ArrowCholesky h;
 };
 
-// Finds the conditional modes of u for fixed beta and theta, returning the
-// Laplace-approximate deviance.
-PirlsResult pirls(const MixedModelData& d, const std::vector<double>& beta,
-                  double theta_u, double theta_q, linalg::Vector u_start) {
+struct PirlsOutcome {
+  double laplace_deviance;  // devres + ‖u‖² + log|H|
+  bool converged;
+  int iterations;           // penalized least-squares steps taken
+};
+
+// A PIRLS implementation: conditional modes of u for fixed beta and theta,
+// started from w.u (zeros when its size is not q) and left there.
+using PirlsSolver = PirlsOutcome (*)(const MixedModelData&,
+                                     std::span<const double>, double, double,
+                                     PirlsWorkspace&);
+
+// The retained dense implementation: bit-identical to pirls() below,
+// refactoring the whole q×q H with linalg::Cholesky at every step.
+PirlsOutcome pirls_reference(const MixedModelData& d,
+                             std::span<const double> beta, double theta_u,
+                             double theta_q, PirlsWorkspace& work) {
   const std::size_t n = d.n_observations();
   const std::size_t p = d.n_fixed_effects();
   const std::size_t q = d.n_users + d.n_questions;
@@ -59,13 +82,15 @@ PirlsResult pirls(const MixedModelData& d, const std::vector<double>& beta,
     return binomial_deviance(d.y, mu) + linalg::dot(u, u);
   };
 
-  linalg::Vector u = std::move(u_start);
+  linalg::Vector u = std::move(work.u);
   if (u.size() != q) u.assign(q, 0.0);
   double pdev = penalized_deviance(u);
 
   linalg::Matrix h(q, q);
   bool converged = false;
+  int iterations = 0;
   for (int iter = 0; iter < 100; ++iter) {
+    ++iterations;
     // Weights and score at the current modes.
     linalg::Vector score(q, 0.0);
     h = linalg::Matrix(q, q);
@@ -124,17 +149,130 @@ PirlsResult pirls(const MixedModelData& d, const std::vector<double>& beta,
   h_final.add_diagonal(1.0);
   const linalg::Cholesky chol_final(h_final);
 
-  PirlsResult out;
+  PirlsOutcome out;
   out.laplace_deviance = pdev + chol_final.log_det();
-  out.u = std::move(u);
   out.converged = converged;
+  out.iterations = iterations;
+  work.u = std::move(u);
   return out;
 }
 
-}  // namespace
+// Accumulates H and the score at modes w.u into w.h and w.delta, from
+// w.mu holding logistic(η) at those modes: the lower-triangle terms of the
+// dense reference in the same per-entry order, then the identity.
+void accumulate_h(const MixedModelData& d, double theta_u, double theta_q,
+                  PirlsWorkspace& w) {
+  const std::size_t n = d.n_observations();
+  const std::size_t q = d.n_users + d.n_questions;
+  w.h.reset(d.n_users, q);
+  w.delta.assign(q, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t cu = d.user[i];
+    const std::size_t cq = d.n_users + d.question[i];
+    const double mu = w.mu[i];
+    const double wt = std::max(mu * (1.0 - mu), 1e-10);
+    const double resid = d.y[i] - mu;
+    w.delta[cu] += theta_u * resid;
+    w.delta[cq] += theta_q * resid;
+    w.h.at(cu, cu) += theta_u * theta_u * wt;
+    w.h.at(cq, cq) += theta_q * theta_q * wt;
+    w.h.at(cq, cu) += theta_u * theta_q * wt;
+  }
+  for (std::size_t j = 0; j < q; ++j) {
+    w.delta[j] -= w.u[j];
+    w.h.at(j, j) += 1.0;
+  }
+}
 
-GlmmFit fit_logistic_glmm(const MixedModelData& data,
-                          const FitOptions& options) {
+// PIRLS on the block-arrow factorization of H, bit-identical to
+// pirls_reference.
+PirlsOutcome pirls(const MixedModelData& d, std::span<const double> beta,
+                   double theta_u, double theta_q, PirlsWorkspace& w) {
+  const std::size_t n = d.n_observations();
+  const std::size_t p = d.n_fixed_effects();
+  const std::size_t q = d.n_users + d.n_questions;
+
+  w.xbeta.resize(n);
+  w.mu.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    double v = 0.0;
+    for (std::size_t j = 0; j < p; ++j) v += d.x(i, j) * beta[j];
+    w.xbeta[i] = v;
+  }
+  // binomial_deviance(y, mu) + ‖u‖², keeping mu in w.mu. The modes PIRLS
+  // moves to are always the last ones evaluated here, so accumulate_h
+  // reuses these values instead of recomputing the same logistic(η).
+  const auto penalized_deviance = [&](const linalg::Vector& u) {
+    double dev = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      w.mu[i] = logistic(w.xbeta[i] + theta_u * u[d.user[i]] +
+                         theta_q * u[d.n_users + d.question[i]]);
+      const double m = std::clamp(w.mu[i], 1e-12, 1.0 - 1e-12);
+      dev += d.y[i] > 0.5 ? -2.0 * std::log(m) : -2.0 * std::log1p(-m);
+    }
+    return dev + linalg::dot(u, u);
+  };
+
+  if (w.u.size() != q) w.u.assign(q, 0.0);
+  double pdev = penalized_deviance(w.u);
+
+  bool converged = false;
+  int iterations = 0;
+  for (int iter = 0; iter < 100; ++iter) {
+    ++iterations;
+    accumulate_h(d, theta_u, theta_q, w);
+    w.h.factorize();
+    w.h.solve_in_place(w.delta);
+
+    // Step halving to guarantee descent of the penalized deviance.
+    double step = 1.0;
+    w.u_new = w.u;
+    double pdev_new = pdev;
+    for (int half = 0; half < 20; ++half) {
+      for (std::size_t j = 0; j < q; ++j)
+        w.u_new[j] = w.u[j] + step * w.delta[j];
+      pdev_new = penalized_deviance(w.u_new);
+      if (pdev_new <= pdev + 1e-12) break;
+      step *= 0.5;
+    }
+    const double improvement = pdev - pdev_new;
+    std::swap(w.u, w.u_new);
+    pdev = pdev_new;
+    if (std::abs(improvement) < 1e-10 &&
+        linalg::norm2(w.delta) * step < 1e-8) {
+      converged = true;
+      break;
+    }
+  }
+
+  // Recompute H at the final modes for the determinant term.
+  accumulate_h(d, theta_u, theta_q, w);
+  w.h.factorize();
+  return {pdev + w.h.log_det(), converged, iterations};
+}
+
+#ifdef DECOMPEVAL_NO_SIMD
+constexpr PirlsSolver kPirls = pirls_reference;
+#else
+constexpr PirlsSolver kPirls = pirls;
+#endif
+
+double laplace_deviance_with(PirlsSolver solver, const MixedModelData& data,
+                             const std::vector<double>& params,
+                             std::vector<double>& modes) {
+  data.validate();
+  DE_EXPECTS(params.size() == 2 + data.n_fixed_effects());
+  PirlsWorkspace w;
+  w.u = modes;
+  const PirlsOutcome r =
+      solver(data, std::span<const double>(params).subspan(2),
+             std::abs(params[0]), std::abs(params[1]), w);
+  modes = std::move(w.u);
+  return r.laplace_deviance;
+}
+
+GlmmFit fit_glmm_with(PirlsSolver solver, const MixedModelData& data,
+                      const FitOptions& options) {
   // The deadline gate precedes validation so an already-expired service
   // request costs nothing and touches no model state.
   options.deadline.check("fit_logistic_glmm entry");
@@ -147,16 +285,19 @@ GlmmFit fit_logistic_glmm(const MixedModelData& data,
   const std::size_t q = data.n_users + data.n_questions;
 
   // Outer parameter vector: [theta_u, theta_q, beta...]. Each objective
-  // instance owns its PIRLS warm start (it speeds the outer optimization
+  // instance owns its PIRLS workspace, whose modes are the next
+  // evaluation's warm start (it speeds the outer optimization
   // considerably), so concurrent multi-start simplices never share state.
-  const auto objective_factory = [&data, q]() {
-    auto warm_u = std::make_shared<linalg::Vector>(q, 0.0);
-    return [&data, warm_u](const std::vector<double>& v) {
-      const double theta_u = std::abs(v[0]);
-      const double theta_q = std::abs(v[1]);
-      const std::vector<double> beta(v.begin() + 2, v.end());
-      PirlsResult r = pirls(data, beta, theta_u, theta_q, *warm_u);
-      *warm_u = std::move(r.u);
+  std::atomic<std::size_t> pirls_iterations{0};
+  const auto objective_factory = [&data, q, solver, &pirls_iterations]() {
+    auto w = std::make_shared<PirlsWorkspace>();
+    w->u.assign(q, 0.0);
+    return [&data, solver, w, &pirls_iterations](const std::vector<double>& v) {
+      const PirlsOutcome r =
+          solver(data, std::span<const double>(v).subspan(2),
+                 std::abs(v[0]), std::abs(v[1]), *w);
+      pirls_iterations.fetch_add(static_cast<std::size_t>(r.iterations),
+                                 std::memory_order_relaxed);
       return r.laplace_deviance;
     };
   };
@@ -187,20 +328,25 @@ GlmmFit fit_logistic_glmm(const MixedModelData& data,
   const double theta_u = std::abs(opt.x[0]);
   const double theta_q = std::abs(opt.x[1]);
   std::vector<double> beta(opt.x.begin() + 2, opt.x.end());
-  PirlsResult final_fit =
-      pirls(data, beta, theta_u, theta_q, linalg::Vector(q, 0.0));
+  PirlsWorkspace w;
+  w.u.assign(q, 0.0);
+  const PirlsOutcome final_fit = solver(data, beta, theta_u, theta_q, w);
+  const linalg::Vector final_u = w.u;
 
   GlmmFit fit;
   fit.converged = opt.converged && final_fit.converged;
   fit.multi_start = std::move(search.report);
+  fit.pirls_iterations = pirls_iterations.load();
   fit.n_observations = n;
   fit.deviance = final_fit.laplace_deviance;
   fit.sigma_user = theta_u;
   fit.sigma_question = theta_q;
 
-  // Wald covariance from the numerical Hessian of the deviance in beta.
+  // Wald covariance from the numerical Hessian of the deviance in beta,
+  // every evaluation warm-started from the final modes.
   const auto dev_of_beta = [&](const std::vector<double>& b) {
-    return pirls(data, b, theta_u, theta_q, final_fit.u).laplace_deviance;
+    w.u = final_u;
+    return solver(data, b, theta_u, theta_q, w).laplace_deviance;
   };
   linalg::Matrix hessian(p, p);
   const double base = fit.deviance;
@@ -256,10 +402,10 @@ GlmmFit fit_logistic_glmm(const MixedModelData& data,
 
   fit.random_user.resize(data.n_users);
   for (std::size_t j = 0; j < data.n_users; ++j)
-    fit.random_user[j] = theta_u * final_fit.u[j];
+    fit.random_user[j] = theta_u * final_u[j];
   fit.random_question.resize(data.n_questions);
   for (std::size_t j = 0; j < data.n_questions; ++j)
-    fit.random_question[j] = theta_q * final_fit.u[data.n_users + j];
+    fit.random_question[j] = theta_q * final_u[data.n_users + j];
 
   // Nakagawa R² with the logit-link distribution-specific residual π²/3.
   linalg::Vector fitted_fixed(n, 0.0);
@@ -286,6 +432,30 @@ GlmmFit fit_logistic_glmm(const MixedModelData& data,
   fit.aic = fit.deviance + 2.0 * n_params;
   fit.bic = fit.deviance + std::log(static_cast<double>(n)) * n_params;
   return fit;
+}
+
+}  // namespace
+
+GlmmFit fit_logistic_glmm(const MixedModelData& data,
+                          const FitOptions& options) {
+  return fit_glmm_with(kPirls, data, options);
+}
+
+GlmmFit fit_logistic_glmm_reference(const MixedModelData& data,
+                                    const FitOptions& options) {
+  return fit_glmm_with(pirls_reference, data, options);
+}
+
+double laplace_deviance(const MixedModelData& data,
+                        const std::vector<double>& params,
+                        std::vector<double>& modes) {
+  return laplace_deviance_with(kPirls, data, params, modes);
+}
+
+double laplace_deviance_reference(const MixedModelData& data,
+                                  const std::vector<double>& params,
+                                  std::vector<double>& modes) {
+  return laplace_deviance_with(pirls_reference, data, params, modes);
 }
 
 std::vector<double> warm_start_from(const GlmmFit& fit) {

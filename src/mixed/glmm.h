@@ -32,6 +32,9 @@ struct GlmmFit {
   bool converged = false;
   /// Multi-start diagnostics (n_starts, winning start, per-start deviance).
   MultiStartReport multi_start;
+  /// PIRLS (penalized least-squares) steps summed over every Nelder–Mead
+  /// evaluation of the multi-start search.
+  std::size_t pirls_iterations = 0;
 };
 
 /// Fits the logistic GLMM. `data.y` must contain only 0.0 and 1.0.
@@ -40,6 +43,27 @@ struct GlmmFit {
 /// (options.n_starts = 1); the result is identical at every thread count.
 GlmmFit fit_logistic_glmm(const MixedModelData& data,
                           const FitOptions& options = {});
+
+/// fit_logistic_glmm through the retained dense evaluator, which refactors
+/// the whole (n_users + n_questions)² PIRLS system with linalg::Cholesky.
+/// Bit-identical to fit_logistic_glmm, which factors the same system
+/// through linalg::ArrowCholesky (its user×user block is diagonal);
+/// `-DDECOMPEVAL_NO_SIMD` forces the reference path.
+GlmmFit fit_logistic_glmm_reference(const MixedModelData& data,
+                                    const FitOptions& options = {});
+
+/// One evaluation of the Nelder–Mead objective: the Laplace deviance at
+/// `params` = [theta_user, theta_question, beta...], with PIRLS started from
+/// `modes` (zeros unless it holds n_users + n_questions values) and
+/// leaving the conditional modes there.
+double laplace_deviance(const MixedModelData& data,
+                        const std::vector<double>& params,
+                        std::vector<double>& modes);
+
+/// laplace_deviance through the dense reference evaluator; bit-identical.
+double laplace_deviance_reference(const MixedModelData& data,
+                                  const std::vector<double>& params,
+                                  std::vector<double>& modes);
 
 /// Packs a previous fit into the outer parameter vector
 /// [sigma_user, sigma_question, beta...] for FitOptions::warm_start of a

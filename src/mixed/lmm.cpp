@@ -1,9 +1,11 @@
 #include "mixed/lmm.h"
 
 #include <cmath>
+#include <memory>
 #include <numbers>
 #include <utility>
 
+#include "linalg/arrow_cholesky.h"
 #include "linalg/matrix.h"
 #include "mixed/moment_starts.h"
 #include "mixed/nelder_mead.h"
@@ -14,21 +16,66 @@ namespace decompeval::mixed {
 
 namespace {
 
+// The profiled quantities at one (theta_u, theta_q). Ordering of the
+// solution: users, questions, betas.
+struct ProfiledSolve {
+  linalg::Vector solution;  // [u; beta]
+  double penalized_rss = 0.0;
+  double logdet_l = 0.0;    // log |L_Z|² (random-effect block)
+  double logdet_rx = 0.0;   // log |R_X|² (fixed-effect Schur block)
+  linalg::Matrix lower_x;   // trailing p×p block of the factor, R_Xᵀ
+};
+
+// Scratch of one REML objective, reused across its evaluations so no
+// evaluation allocates the m×m system: the bordered system in
+// block-arrow layout (factored in place), its right-hand side, and the
+// profiled result. The dense reference uses only the result.
+struct PlsWorkspace {
+  linalg::ArrowCholesky a;
+  linalg::Vector rhs;
+  ProfiledSolve s;
+};
+
+// A profiled-solve implementation, leaving its result in w.s.
+using ProfiledSolver = void (*)(const MixedModelData&, double, double,
+                                PlsWorkspace&);
+
+// Shared tail of both solvers: penalized RSS and the log-determinant terms
+// from the factor's diagonal, and the factor's fixed-effect block.
+template <class Lower>
+void finish_solve(const MixedModelData& d, const linalg::Vector& rhs,
+                  const Lower& l, ProfiledSolve& out) {
+  const std::size_t q = d.n_users + d.n_questions;
+  const std::size_t p = d.n_fixed_effects();
+  double yty = 0.0;
+  for (const double v : d.y) yty += v * v;
+  out.penalized_rss = yty - linalg::dot(out.solution, rhs);
+  // Guard against cancellation for near-perfect fits.
+  if (out.penalized_rss < 1e-12) out.penalized_rss = 1e-12;
+  out.logdet_l = 0.0;
+  out.logdet_rx = 0.0;
+  for (std::size_t i = 0; i < q; ++i) out.logdet_l += 2.0 * std::log(l(i, i));
+  for (std::size_t i = q; i < q + p; ++i)
+    out.logdet_rx += 2.0 * std::log(l(i, i));
+  if (out.lower_x.rows() != p) out.lower_x = linalg::Matrix(p, p);
+  for (std::size_t i = 0; i < p; ++i)
+    for (std::size_t j = 0; j < p; ++j) out.lower_x(i, j) = l(q + i, q + j);
+}
+
 // Builds the bordered penalized-least-squares system for given relative
-// covariance factors (theta_u, theta_q). Ordering: users, questions, betas.
+// covariance factors (theta_u, theta_q), densely. Reference path only.
 struct PlsSystem {
   linalg::Matrix a;
   linalg::Vector rhs;
-  std::size_t q;  // number of random-effect columns
 };
 
-PlsSystem build_system(const MixedModelData& d, double theta_u,
-                       double theta_q) {
+PlsSystem build_system_reference(const MixedModelData& d, double theta_u,
+                                 double theta_q) {
   const std::size_t n = d.n_observations();
   const std::size_t p = d.n_fixed_effects();
   const std::size_t q = d.n_users + d.n_questions;
   const std::size_t m = q + p;
-  PlsSystem sys{linalg::Matrix(m, m), linalg::Vector(m, 0.0), q};
+  PlsSystem sys{linalg::Matrix(m, m), linalg::Vector(m, 0.0)};
 
   for (std::size_t i = 0; i < n; ++i) {
     const std::size_t cu = d.user[i];
@@ -57,42 +104,77 @@ PlsSystem build_system(const MixedModelData& d, double theta_u,
   return sys;
 }
 
-struct ProfiledSolve {
-  linalg::Vector solution;  // [u; beta]
-  double penalized_rss = 0.0;
-  double logdet_l = 0.0;    // log |L_Z|² (random-effect block)
-  double logdet_rx = 0.0;   // log |R_X|² (fixed-effect Schur block)
-  linalg::Matrix chol_lower;
-};
-
-ProfiledSolve profiled_solve(const MixedModelData& d, double theta_u,
-                             double theta_q) {
-  const PlsSystem sys = build_system(d, theta_u, theta_q);
+// The retained dense implementation: bit-identical to profiled_solve().
+void profiled_solve_reference(const MixedModelData& d, double theta_u,
+                              double theta_q, PlsWorkspace& w) {
+  const PlsSystem sys = build_system_reference(d, theta_u, theta_q);
   const linalg::Cholesky chol(sys.a);
-  ProfiledSolve out;
-  out.solution = chol.solve(sys.rhs);
-  double yty = 0.0;
-  for (const double v : d.y) yty += v * v;
-  out.penalized_rss = yty - linalg::dot(out.solution, sys.rhs);
-  // Guard against cancellation for near-perfect fits.
-  if (out.penalized_rss < 1e-12) out.penalized_rss = 1e-12;
-  const linalg::Matrix& l = chol.lower();
-  for (std::size_t i = 0; i < sys.q; ++i)
-    out.logdet_l += 2.0 * std::log(l(i, i));
-  for (std::size_t i = sys.q; i < l.rows(); ++i)
-    out.logdet_rx += 2.0 * std::log(l(i, i));
-  out.chol_lower = l;
-  return out;
+  w.s.solution = chol.solve(sys.rhs);
+  finish_solve(d, sys.rhs, chol.lower(), w.s);
 }
 
-double reml_criterion(const MixedModelData& d, double theta_u,
-                      double theta_q) {
+// The same system accumulated straight into the block-arrow layout: its
+// lower-triangle terms in the reference's per-entry order (the user×user
+// block is diagonal because each observation has one user).
+void build_system(const MixedModelData& d, double theta_u, double theta_q,
+                  PlsWorkspace& w) {
+  const std::size_t n = d.n_observations();
+  const std::size_t p = d.n_fixed_effects();
+  const std::size_t q = d.n_users + d.n_questions;
+  const std::size_t m = q + p;
+  w.a.reset(d.n_users, m);
+  w.rhs.assign(m, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t cu = d.user[i];
+    const std::size_t cq = d.n_users + d.question[i];
+    w.a.at(cu, cu) += theta_u * theta_u;
+    w.a.at(cq, cq) += theta_q * theta_q;
+    w.a.at(cq, cu) += theta_u * theta_q;
+    for (std::size_t j = 0; j < p; ++j) {
+      const double xij = d.x(i, j);
+      w.a.at(q + j, cu) += theta_u * xij;
+      w.a.at(q + j, cq) += theta_q * xij;
+      for (std::size_t k = 0; k <= j; ++k)
+        w.a.at(q + j, q + k) += xij * d.x(i, k);
+      w.rhs[q + j] += xij * d.y[i];
+    }
+    w.rhs[cu] += theta_u * d.y[i];
+    w.rhs[cq] += theta_q * d.y[i];
+  }
+  for (std::size_t i = 0; i < q; ++i) w.a.at(i, i) += 1.0;
+}
+
+void profiled_solve(const MixedModelData& d, double theta_u, double theta_q,
+                    PlsWorkspace& w) {
+  build_system(d, theta_u, theta_q, w);
+  w.a.factorize();
+  w.s.solution = w.rhs;
+  w.a.solve_in_place(w.s.solution);
+  finish_solve(
+      d, w.rhs,
+      [&w](std::size_t i, std::size_t j) { return w.a.lower(i, j); }, w.s);
+}
+
+#ifdef DECOMPEVAL_NO_SIMD
+constexpr ProfiledSolver kProfiledSolve = profiled_solve_reference;
+#else
+constexpr ProfiledSolver kProfiledSolve = profiled_solve;
+#endif
+
+double reml_from(const MixedModelData& d, const ProfiledSolve& s) {
   const double n = static_cast<double>(d.n_observations());
   const double p = static_cast<double>(d.n_fixed_effects());
-  const ProfiledSolve s = profiled_solve(d, theta_u, theta_q);
   const double nmp = n - p;
   return s.logdet_l + s.logdet_rx +
          nmp * (1.0 + std::log(2.0 * std::numbers::pi * s.penalized_rss / nmp));
+}
+
+double reml_criterion_with(ProfiledSolver solver, const MixedModelData& d,
+                           double theta_u, double theta_q) {
+  d.validate();
+  PlsWorkspace w;
+  solver(d, theta_u, theta_q, w);
+  return reml_from(d, w.s);
 }
 
 }  // namespace
@@ -109,7 +191,10 @@ void MixedModelData::validate() const {
   for (const std::size_t q : question) DE_EXPECTS(q < n_questions);
 }
 
-LmmFit fit_lmm(const MixedModelData& data, const FitOptions& options) {
+namespace {
+
+LmmFit fit_lmm_with(ProfiledSolver solver, const MixedModelData& data,
+                    const FitOptions& options) {
   // The deadline gate precedes validation so an already-expired service
   // request costs nothing and touches no model state.
   options.deadline.check("fit_lmm entry");
@@ -118,10 +203,13 @@ LmmFit fit_lmm(const MixedModelData& data, const FitOptions& options) {
   const std::size_t p = data.n_fixed_effects();
   DE_EXPECTS_MSG(n > p + 2, "too few observations for the model");
 
-  // The profiled criterion is stateless, so every start can share it.
-  const auto objective_factory = [&data]() {
-    return [&data](const std::vector<double>& t) {
-      return reml_criterion(data, std::abs(t[0]), std::abs(t[1]));
+  // Each objective instance owns its solve workspace, so concurrent
+  // multi-start simplices never share state.
+  const auto objective_factory = [&data, solver]() {
+    auto w = std::make_shared<PlsWorkspace>();
+    return [&data, solver, w](const std::vector<double>& t) {
+      solver(data, std::abs(t[0]), std::abs(t[1]), *w);
+      return reml_from(data, w->s);
     };
   };
   NelderMeadOptions opts;
@@ -138,7 +226,9 @@ LmmFit fit_lmm(const MixedModelData& data, const FitOptions& options) {
 
   const double theta_u = std::abs(opt.x[0]);
   const double theta_q = std::abs(opt.x[1]);
-  const ProfiledSolve s = profiled_solve(data, theta_u, theta_q);
+  PlsWorkspace w;
+  solver(data, theta_u, theta_q, w);
+  const ProfiledSolve& s = w.s;
 
   LmmFit fit;
   fit.converged = opt.converged;
@@ -159,7 +249,7 @@ LmmFit fit_lmm(const MixedModelData& data, const FitOptions& options) {
     for (std::size_t j = 0; j <= i; ++j) {
       double v = 0.0;
       for (std::size_t k = 0; k <= j; ++k)
-        v += s.chol_lower(q + i, q + k) * s.chol_lower(q + j, q + k);
+        v += s.lower_x(i, k) * s.lower_x(j, k);
       schur(i, j) = v;
       schur(j, i) = v;
     }
@@ -206,6 +296,29 @@ LmmFit fit_lmm(const MixedModelData& data, const FitOptions& options) {
   fit.aic = fit.reml_criterion + 2.0 * n_params;
   fit.bic = fit.reml_criterion + std::log(static_cast<double>(n)) * n_params;
   return fit;
+}
+
+}  // namespace
+
+LmmFit fit_lmm(const MixedModelData& data, const FitOptions& options) {
+  return fit_lmm_with(kProfiledSolve, data, options);
+}
+
+LmmFit fit_lmm_reference(const MixedModelData& data,
+                         const FitOptions& options) {
+  return fit_lmm_with(profiled_solve_reference, data, options);
+}
+
+double reml_criterion(const MixedModelData& data, double theta_user,
+                      double theta_question) {
+  return reml_criterion_with(kProfiledSolve, data, theta_user,
+                             theta_question);
+}
+
+double reml_criterion_reference(const MixedModelData& data,
+                                double theta_user, double theta_question) {
+  return reml_criterion_with(profiled_solve_reference, data, theta_user,
+                             theta_question);
 }
 
 std::vector<double> warm_start_from(const LmmFit& fit) {

@@ -43,6 +43,23 @@ struct LmmFit {
 /// result is identical at every thread count.
 LmmFit fit_lmm(const MixedModelData& data, const FitOptions& options = {});
 
+/// fit_lmm through the retained dense evaluator, which refactors the whole
+/// bordered (n_users + n_questions + p)² system with linalg::Cholesky.
+/// Bit-identical to fit_lmm, which factors the same system through
+/// linalg::ArrowCholesky (its user×user block is diagonal);
+/// `-DDECOMPEVAL_NO_SIMD` forces the reference path.
+LmmFit fit_lmm_reference(const MixedModelData& data,
+                         const FitOptions& options = {});
+
+/// One evaluation of the Nelder–Mead objective: the profiled REML
+/// criterion at relative covariance factors (theta_user, theta_question).
+double reml_criterion(const MixedModelData& data, double theta_user,
+                      double theta_question);
+
+/// reml_criterion through the dense reference evaluator; bit-identical.
+double reml_criterion_reference(const MixedModelData& data,
+                                double theta_user, double theta_question);
+
 /// Packs a previous fit into the outer parameter vector
 /// [sigma_user/sigma_residual, sigma_question/sigma_residual] (the REML
 /// profile optimizes relative covariance factors only) for

@@ -4,7 +4,8 @@
 // two crossed random intercept factors, user and question —
 //   response ~ fixed effects + (1|user) + (1|question)
 // so the fitters are specialized to exactly that design, which keeps the
-// penalized-least-squares system small and dense (dimension p + nU + nQ).
+// penalized-least-squares system small (dimension p + nU + nQ) with a
+// diagonal user×user block (see linalg/arrow_cholesky.h).
 #pragma once
 
 #include <string>

@@ -105,6 +105,8 @@ void set_correlation(Json& out, const std::vector<double>& x,
 void set_wilcoxon(Json& out, const std::vector<double>& x,
                   const std::vector<double>& y) {
   if (x.empty() || y.empty()) return;
+  // An all-tied pooled sample has no rank variance to test against.
+  if (!nonconstant(x) && !nonconstant(y) && x[0] == y[0]) return;
   const stats::WilcoxonResult w = stats::wilcoxon_rank_sum(x, y);
   out.set("w", Json::number(w.w));
   out.set("p", Json::number(w.p_value));

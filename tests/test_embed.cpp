@@ -4,6 +4,9 @@
 // maximally distant).
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "embed/corpus.h"
 #include "embed/embedding.h"
 #include "util/check.h"
@@ -58,8 +61,12 @@ TEST_F(EmbeddingTest, SynonymsAreCloserThanCrossCluster) {
   EXPECT_GT(size_length, 0.3);
 }
 
-class SynonymSweep
-    : public ::testing::TestWithParam<std::pair<const char*, const char*>> {};
+// std::string, not const char*: the parameter's printed value becomes the
+// discovered CTest name, and a pointer prints as its (ASLR-randomized)
+// address, which would give the case a different name on every build.
+using NamePair = std::pair<std::string, std::string>;
+
+class SynonymSweep : public ::testing::TestWithParam<NamePair> {};
 
 TEST_P(SynonymSweep, IntraClusterSimilarityIsHigh) {
   static const EmbeddingModel model = EmbeddingModel::train_default(8000, 42);
@@ -69,14 +76,10 @@ TEST_P(SynonymSweep, IntraClusterSimilarityIsHigh) {
 
 INSTANTIATE_TEST_SUITE_P(
     Pairs, SynonymSweep,
-    ::testing::Values(std::make_pair("size", "len"),
-                      std::make_pair("buffer", "buf"),
-                      std::make_pair("index", "idx"),
-                      std::make_pair("dest", "dst"),
-                      std::make_pair("source", "src"),
-                      std::make_pair("result", "ret"),
-                      std::make_pair("callback", "cmp"),
-                      std::make_pair("tree", "node")));
+    ::testing::Values(NamePair("size", "len"), NamePair("buffer", "buf"),
+                      NamePair("index", "idx"), NamePair("dest", "dst"),
+                      NamePair("source", "src"), NamePair("result", "ret"),
+                      NamePair("callback", "cmp"), NamePair("tree", "node")));
 
 TEST_F(EmbeddingTest, MultiwordNamesCompose) {
   const double sim =

@@ -1,21 +1,30 @@
-// Differential tests for the hot-path metric kernels: every rewritten
-// kernel (bit-parallel Levenshtein, hashed n-gram BLEU, sorted-range
-// weighted unigram match, matrix BERTScore, blocked PPMI projection) is
-// pitted against its retained reference implementation on randomized
-// inputs and the documented edge cases, demanding *bitwise* equality —
-// the service-layer caches and the disk cache both depend on responses
-// being byte-identical across kernel generations. Also covers the arena
-// reuse-after-reset contract and the canonical request key.
+// Differential tests for the hot-path kernels: every rewritten kernel
+// (bit-parallel Levenshtein, hashed n-gram BLEU, sorted-range weighted
+// unigram match, matrix BERTScore, blocked PPMI projection, block-arrow
+// Cholesky and the mixed-model evaluators built on it) is pitted against
+// its retained reference implementation on randomized inputs and the
+// documented edge cases, demanding *bitwise* equality — the service-layer
+// caches and the disk cache both depend on responses being byte-identical
+// across kernel generations. Also covers the arena reuse-after-reset
+// contract and the canonical request key.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "analysis/rq1_correctness.h"
 #include "embed/embedding.h"
+#include "linalg/arrow_cholesky.h"
+#include "linalg/matrix.h"
 #include "metrics/bertscore.h"
 #include "metrics/codebleu.h"
+#include "mixed/glmm.h"
+#include "mixed/lmm.h"
+#include "oracle_mixed_data.h"
 #include "service/json.h"
+#include "study/engine.h"
 #include "text/bleu.h"
 #include "text/similarity.h"
 #include "util/arena.h"
@@ -290,6 +299,270 @@ TEST(EmbeddingKernel, EmbedTokenIntoMatchesEmbedToken) {
               0)
         << token;
   }
+}
+
+// -- Block-arrow Cholesky --------------------------------------------------
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+void expect_same_bits(const std::vector<double>& a,
+                      const std::vector<double>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i)
+    ASSERT_TRUE(same_bits(a[i], b[i])) << "index " << i << ": " << a[i]
+                                       << " vs " << b[i];
+}
+
+// A random symmetric, strictly diagonally dominant (hence SPD) m×m matrix
+// whose leading k×k block is diagonal, filled into both layouts. Half the
+// coupling entries are zero, as for user-question pairs nobody answered.
+void random_arrow_spd(util::Rng& rng, std::size_t k, std::size_t m,
+                      linalg::Matrix& dense, linalg::ArrowCholesky& arrow) {
+  dense = linalg::Matrix(m, m);
+  arrow.reset(k, m);
+  for (std::size_t i = k; i < m; ++i)
+    for (std::size_t j = 0; j < i; ++j) {
+      if (j < k && rng.bernoulli(0.5)) continue;
+      const double v = rng.uniform(-1.0, 1.0);
+      dense(i, j) = v;
+      dense(j, i) = v;
+    }
+  for (std::size_t i = 0; i < m; ++i) {
+    double row = 0.0;
+    for (std::size_t j = 0; j < m; ++j)
+      if (j != i) row += std::abs(dense(i, j));
+    dense(i, i) = (1.0 + row) * rng.uniform(1.0, 2.0);
+  }
+  for (std::size_t i = 0; i < m; ++i)
+    for (std::size_t j = 0; j <= i; ++j)
+      if (i >= k || i == j) arrow.at(i, j) = dense(i, j);
+}
+
+void expect_arrow_matches_dense(util::Rng& rng, std::size_t k,
+                                std::size_t m) {
+  SCOPED_TRACE("k=" + std::to_string(k) + " m=" + std::to_string(m));
+  linalg::Matrix dense;
+  linalg::ArrowCholesky arrow;
+  random_arrow_spd(rng, k, m, dense, arrow);
+  const linalg::Cholesky chol(dense);
+  arrow.factorize();
+  for (std::size_t i = 0; i < m; ++i)
+    for (std::size_t j = 0; j < m; ++j)
+      ASSERT_TRUE(same_bits(chol.lower()(i, j), arrow.lower(i, j)))
+          << "L(" << i << ", " << j << ")";
+  linalg::Vector b(m);
+  for (double& v : b) v = rng.normal();
+  linalg::Vector x = b;
+  arrow.solve_in_place(x);
+  expect_same_bits(chol.solve(b), x);
+  EXPECT_TRUE(same_bits(chol.log_det(), arrow.log_det()));
+}
+
+TEST(ArrowCholeskyKernel, MatchesDenseCholeskyBitwise) {
+  const util::Rng root(20261017);
+  std::uint64_t stream = 0;
+  // Diagonal prefixes k = 0 (fully dense), 1 and m (fully diagonal).
+  for (const std::size_t m : {1u, 2u, 5u, 13u, 30u}) {
+    for (const std::size_t k : {std::size_t{0}, std::size_t{1}, m}) {
+      util::Rng rng = root.split(stream++);
+      expect_arrow_matches_dense(rng, k, m);
+    }
+  }
+  // The fitters' shapes: users + questions for the GLMM's H, plus the
+  // LMM's 4-column fixed-effect border, at the study's 40 users and the
+  // stream's 64-participant population.
+  for (const std::size_t users : {40u, 64u}) {
+    for (const std::size_t border : {0u, 4u}) {
+      util::Rng rng = root.split(stream++);
+      expect_arrow_matches_dense(rng, users, users + 8 + border);
+    }
+  }
+}
+
+TEST(ArrowCholeskyKernel, NonPositiveDefiniteThrows) {
+  // A non-positive pivot in the diagonal block.
+  linalg::ArrowCholesky arrow(2, 3);
+  arrow.at(0, 0) = 1.0;
+  arrow.at(1, 1) = -1.0;
+  arrow.at(2, 2) = 1.0;
+  EXPECT_THROW(arrow.factorize(), NumericalError);
+  EXPECT_THROW(linalg::Cholesky(linalg::Matrix{{1.0, 0.0, 0.0},
+                                               {0.0, -1.0, 0.0},
+                                               {0.0, 0.0, 1.0}}),
+               NumericalError);
+  // An indefinite trailing block, reached only through the coupling row.
+  arrow.reset(1, 3);
+  arrow.at(0, 0) = 1.0;
+  arrow.at(1, 0) = 2.0;
+  arrow.at(1, 1) = 1.0;
+  arrow.at(2, 2) = 1.0;
+  EXPECT_THROW(arrow.factorize(), NumericalError);
+  EXPECT_THROW(linalg::Cholesky(linalg::Matrix{{1.0, 2.0, 0.0},
+                                               {2.0, 1.0, 0.0},
+                                               {0.0, 0.0, 1.0}}),
+               NumericalError);
+  // reset() makes the object usable again after a failed factorization.
+  arrow.reset(1, 2);
+  arrow.at(0, 0) = 4.0;
+  arrow.at(1, 1) = 9.0;
+  arrow.factorize();
+  EXPECT_DOUBLE_EQ(arrow.log_det(), std::log(36.0));
+  // Structural zeros of the leading block are not addressable.
+  EXPECT_THROW(linalg::ArrowCholesky(2, 3).at(1, 0), PreconditionError);
+}
+
+// -- Mixed-model evaluators and fits ---------------------------------------
+
+// The paper's default study, as the Table I (GLMM) and Table II (LMM)
+// model data.
+const study::StudyData& simulated_study() {
+  static const study::StudyData kStudy = study::run_study(study::StudyConfig{});
+  return kStudy;
+}
+
+TEST(MixedEvaluatorKernel, LaplaceDevianceMatchesReferenceBitwise) {
+  const mixed::MixedModelData datasets[] = {
+      oracle_data::glmm_data(),
+      analysis::build_model_data(simulated_study(), /*timing_model=*/false)};
+  const util::Rng root(71);
+  std::uint64_t stream = 0;
+  for (const auto& data : datasets) {
+    util::Rng rng = root.split(stream++);
+    // Carry the modes across evaluations, as the Nelder–Mead objective
+    // does, so warm-started PIRLS is compared too.
+    std::vector<double> fast_modes;
+    std::vector<double> ref_modes;
+    for (int eval = 0; eval < 24; ++eval) {
+      std::vector<double> params = {rng.uniform(-3.0, 3.0),
+                                    rng.uniform(-3.0, 3.0)};
+      for (std::size_t j = 0; j < data.n_fixed_effects(); ++j)
+        params.push_back(rng.normal(0.0, 1.5));
+      const double fast = mixed::laplace_deviance(data, params, fast_modes);
+      const double ref =
+          mixed::laplace_deviance_reference(data, params, ref_modes);
+      ASSERT_TRUE(same_bits(fast, ref))
+          << "evaluation " << eval << ": " << fast << " vs " << ref;
+      expect_same_bits(fast_modes, ref_modes);
+    }
+  }
+}
+
+TEST(MixedEvaluatorKernel, RemlCriterionMatchesReferenceBitwise) {
+  const mixed::MixedModelData datasets[] = {
+      oracle_data::balanced_lmm_data(), oracle_data::glmm_data(),
+      analysis::build_model_data(simulated_study(), /*timing_model=*/true)};
+  const util::Rng root(72);
+  std::uint64_t stream = 0;
+  for (const auto& data : datasets) {
+    util::Rng rng = root.split(stream++);
+    for (int eval = 0; eval < 24; ++eval) {
+      const double theta_u = rng.uniform(0.0, 4.0);
+      const double theta_q = rng.uniform(0.0, 4.0);
+      const double fast = mixed::reml_criterion(data, theta_u, theta_q);
+      const double ref =
+          mixed::reml_criterion_reference(data, theta_u, theta_q);
+      ASSERT_TRUE(same_bits(fast, ref))
+          << "evaluation " << eval << ": " << fast << " vs " << ref;
+    }
+  }
+}
+
+void expect_same_coefficients(const std::vector<mixed::Coefficient>& a,
+                              const std::vector<mixed::Coefficient>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t j = 0; j < a.size(); ++j) {
+    EXPECT_EQ(a[j].name, b[j].name);
+    EXPECT_TRUE(same_bits(a[j].estimate, b[j].estimate)) << a[j].name;
+    EXPECT_TRUE(same_bits(a[j].std_error, b[j].std_error)) << a[j].name;
+    EXPECT_TRUE(same_bits(a[j].z_value, b[j].z_value)) << a[j].name;
+    EXPECT_TRUE(same_bits(a[j].p_value, b[j].p_value)) << a[j].name;
+  }
+}
+
+void expect_same_report(const mixed::MultiStartReport& a,
+                        const mixed::MultiStartReport& b) {
+  EXPECT_EQ(a.n_starts, b.n_starts);
+  EXPECT_EQ(a.best_start, b.best_start);
+  expect_same_bits(a.start_values, b.start_values);
+  EXPECT_EQ(a.start_evaluations, b.start_evaluations);
+  EXPECT_EQ(a.quarantined, b.quarantined);
+  EXPECT_EQ(a.quarantine_notes, b.quarantine_notes);
+}
+
+void expect_same_fit(const mixed::GlmmFit& a, const mixed::GlmmFit& b) {
+  expect_same_coefficients(a.coefficients, b.coefficients);
+  EXPECT_TRUE(same_bits(a.sigma_user, b.sigma_user));
+  EXPECT_TRUE(same_bits(a.sigma_question, b.sigma_question));
+  EXPECT_TRUE(same_bits(a.deviance, b.deviance));
+  EXPECT_TRUE(same_bits(a.aic, b.aic));
+  EXPECT_TRUE(same_bits(a.bic, b.bic));
+  EXPECT_TRUE(same_bits(a.r2_marginal, b.r2_marginal));
+  EXPECT_TRUE(same_bits(a.r2_conditional, b.r2_conditional));
+  expect_same_bits(a.random_user, b.random_user);
+  expect_same_bits(a.random_question, b.random_question);
+  EXPECT_EQ(a.n_observations, b.n_observations);
+  EXPECT_EQ(a.converged, b.converged);
+  expect_same_report(a.multi_start, b.multi_start);
+  EXPECT_EQ(a.pirls_iterations, b.pirls_iterations);
+}
+
+void expect_same_fit(const mixed::LmmFit& a, const mixed::LmmFit& b) {
+  expect_same_coefficients(a.coefficients, b.coefficients);
+  EXPECT_TRUE(same_bits(a.sigma_user, b.sigma_user));
+  EXPECT_TRUE(same_bits(a.sigma_question, b.sigma_question));
+  EXPECT_TRUE(same_bits(a.sigma_residual, b.sigma_residual));
+  EXPECT_TRUE(same_bits(a.reml_criterion, b.reml_criterion));
+  EXPECT_TRUE(same_bits(a.aic, b.aic));
+  EXPECT_TRUE(same_bits(a.bic, b.bic));
+  EXPECT_TRUE(same_bits(a.r2_marginal, b.r2_marginal));
+  EXPECT_TRUE(same_bits(a.r2_conditional, b.r2_conditional));
+  expect_same_bits(a.random_user, b.random_user);
+  expect_same_bits(a.random_question, b.random_question);
+  EXPECT_EQ(a.n_observations, b.n_observations);
+  EXPECT_EQ(a.converged, b.converged);
+  expect_same_report(a.multi_start, b.multi_start);
+}
+
+TEST(MixedFitKernel, GlmmMatchesReferenceBitwise) {
+  mixed::FitOptions single;
+  single.n_starts = 1;
+  const mixed::MixedModelData oracle = oracle_data::glmm_data();
+  for (const mixed::FitOptions& options : {mixed::FitOptions{}, single}) {
+    const mixed::GlmmFit fit = mixed::fit_logistic_glmm(oracle, options);
+    EXPECT_GT(fit.pirls_iterations, 0u);
+    expect_same_fit(fit, mixed::fit_logistic_glmm_reference(oracle, options));
+  }
+  const auto study =
+      analysis::build_model_data(simulated_study(), /*timing_model=*/false);
+  const mixed::GlmmFit cold = mixed::fit_logistic_glmm(study);
+  expect_same_fit(cold, mixed::fit_logistic_glmm_reference(study));
+  // The streaming refit path: the previous winner prepended as a warm
+  // start.
+  mixed::FitOptions warm;
+  warm.warm_start = mixed::warm_start_from(cold);
+  expect_same_fit(mixed::fit_logistic_glmm(study, warm),
+                  mixed::fit_logistic_glmm_reference(study, warm));
+}
+
+TEST(MixedFitKernel, LmmMatchesReferenceBitwise) {
+  mixed::FitOptions single;
+  single.n_starts = 1;
+  for (const auto& data :
+       {oracle_data::balanced_lmm_data(), oracle_data::glmm_data()}) {
+    for (const mixed::FitOptions& options : {mixed::FitOptions{}, single})
+      expect_same_fit(mixed::fit_lmm(data, options),
+                      mixed::fit_lmm_reference(data, options));
+  }
+  const auto study =
+      analysis::build_model_data(simulated_study(), /*timing_model=*/true);
+  const mixed::LmmFit cold = mixed::fit_lmm(study);
+  expect_same_fit(cold, mixed::fit_lmm_reference(study));
+  mixed::FitOptions warm;
+  warm.warm_start = mixed::warm_start_from(cold);
+  expect_same_fit(mixed::fit_lmm(study, warm),
+                  mixed::fit_lmm_reference(study, warm));
 }
 
 // -- Arena reuse -----------------------------------------------------------

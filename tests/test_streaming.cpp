@@ -312,6 +312,28 @@ TEST(StreamEngineTest, StreamedRunIsBitIdenticalAtEveryThreadCount) {
   }
 }
 
+TEST(StreamEngineTest, YoungWindowDashboardsAnswerOk) {
+  // A window of a few arrivals can hold only tied Likert ratings (e.g.
+  // every opinion a 3), which leaves the rank-sum test with no variance;
+  // the dashboard must omit that test, not answer `error`.
+  for (const double seed : {0.0, 1.0, 2.0, 3.0}) {
+    StreamEngine engine;
+    Json open = stream_request("stream_open", "s");
+    open.set("seed", Json::number(seed));
+    ASSERT_EQ(engine.handle(open).get_string("status", ""), "ok");
+    for (std::uint64_t upto = 1; upto <= 30; ++upto) {
+      ASSERT_EQ(engine.handle(absorb_request("s", upto))
+                    .get_string("status", ""),
+                "ok");
+      const Json dashboard =
+          engine.handle(stream_request("stream_dashboard", "s"));
+      ASSERT_EQ(dashboard.get_string("status", ""), "ok")
+          << "seed " << seed << ", " << upto << " arrivals: "
+          << dashboard.dump();
+    }
+  }
+}
+
 TEST(StreamEngineTest, ReopenFromArrivalLogReplaysBitForBit) {
   const std::string dir = fresh_dir("reopen");
   const std::string log = dir + "/arrivals.log";

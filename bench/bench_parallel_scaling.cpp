@@ -124,7 +124,7 @@ void warn_if_host_changed(std::size_t hw) {
 // into the server) behind a dispatcher with its response cache enabled,
 // driven with a 12-seed run_study sweep.
 //
-//   cold          — every request computed end to end (handle_line,
+//   cold          — every request computed end to end (serve_line,
 //                   populating every cache on the way out)
 //   warm          — served from the dispatcher's rendered-line cache;
 //                   many passes, per-request latencies recorded for the
@@ -153,6 +153,9 @@ struct BenchCluster {
   std::vector<std::unique_ptr<service::ReplicationServer>> servers;
   std::vector<std::string> dirs;
   std::unique_ptr<cluster::Dispatcher> dispatcher;
+  std::function<service::Json(const service::Json&,
+                              const std::atomic<bool>*)>
+      handler;
 
   BenchCluster(const std::string& prefix, std::size_t n_backends,
                std::size_t replication_factor, double hedge_delay_ms = 0.0,
@@ -189,6 +192,15 @@ struct BenchCluster {
     }
     dispatcher = std::make_unique<cluster::Dispatcher>(dispatch);
     dispatcher->start();
+    handler = dispatcher->handler();
+  }
+
+  // One request the way a dispatcher front server answers it: the
+  // response-cache fast path, else the forwarding handler (which fills
+  // the cache), rendered into `out`.
+  void serve_line(const service::Json& request, std::string& out) {
+    if (!dispatcher->try_serve_cached_line(request, out))
+      handler(request, nullptr).dump_to(out);
   }
 
   ~BenchCluster() {
@@ -218,7 +230,7 @@ ClusterReading bench_cluster(std::size_t n_backends,
     std::string out;
     for (const Json& req : requests) {
       out.clear();
-      dispatcher.handle_line(req, nullptr, out);
+      bench.serve_line(req, out);
       if (lines != nullptr) lines->push_back(out);
     }
   };
@@ -240,7 +252,7 @@ ClusterReading bench_cluster(std::size_t n_backends,
     for (const Json& req : requests) {
       out.clear();
       const auto t0 = std::chrono::steady_clock::now();
-      dispatcher.handle_line(req, nullptr, out);
+      bench.serve_line(req, out);
       const auto t1 = std::chrono::steady_clock::now();
       latencies_us.push_back(
           std::chrono::duration<double, std::micro>(t1 - t0).count());
@@ -344,7 +356,7 @@ AnnotateReading bench_annotate(std::size_t n_backends) {
     const Json req = request(annotate_document(versions));
     out.clear();
     const auto t0 = std::chrono::steady_clock::now();
-    dispatcher.handle_line(req, nullptr, out);
+    bench.serve_line(req, out);
     const auto t1 = std::chrono::steady_clock::now();
     cold_us.push_back(
         std::chrono::duration<double, std::micro>(t1 - t0).count());
@@ -366,7 +378,7 @@ AnnotateReading bench_annotate(std::size_t n_backends) {
   const std::vector<std::uint64_t> anchor_versions(kFunctions, 1);
   const std::string anchor = annotate_document(anchor_versions);
   out.clear();
-  dispatcher.handle_line(request(anchor), nullptr, out);
+  bench.serve_line(request(anchor), out);
 
   std::vector<double> warm_us;
   warm_us.reserve(kEdits);
@@ -380,7 +392,7 @@ AnnotateReading bench_annotate(std::size_t n_backends) {
     req.set("baseline", Json::string(anchor));
     out.clear();
     const auto t0 = std::chrono::steady_clock::now();
-    dispatcher.handle_line(req, nullptr, out);
+    bench.serve_line(req, out);
     const auto t1 = std::chrono::steady_clock::now();
     warm_us.push_back(
         std::chrono::duration<double, std::micro>(t1 - t0).count());

@@ -95,9 +95,8 @@ int main(int argc, char** argv) {
   backend_options.cache.version = core::version();
   backend_options.cache.max_bytes = max_bytes;
   backend_options.journal.path = journal_path;
-  // The chaos hooks count handled requests, so nothing may answer off the
-  // fast path: every request must reach the handler.
-  backend_options.line_cache_capacity = 0;
+  // The chaos hooks count handled requests, so no fast path is wired into
+  // the server: every request reaches the handler.
   cluster::ClusterBackend backend(backend_options);
 
   auto inner = backend.handler();

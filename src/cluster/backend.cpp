@@ -1,31 +1,44 @@
 #include "cluster/backend.h"
 
 #include <unistd.h>
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
 
+#include <chrono>
+#include <unordered_set>
 #include <vector>
 
 namespace decompeval::cluster {
 
 namespace {
 
-bool cacheable_op(const service::Json& request) {
-  if (!request.is_object()) return false;
-  const std::string op = request.get_string("op", "");
-  return op == "run_study" || op == "run_replication" || op == "annotate";
-}
-
-service::Json bad_request(const std::string& message) {
-  service::Json r = service::Json::object();
-  r.set("status", service::Json::string("bad_request"));
-  r.set("error", service::Json::string(message));
-  return r;
-}
-
-void set_count(service::Json& r, const char* key, std::uint64_t v) {
-  r.set(key, service::Json::number(static_cast<double>(v)));
+service::Json bad_request(std::string_view message) {
+  return service::failure_response("bad_request", message);
 }
 
 constexpr std::size_t kMaxJournalWarnings = 16;
+
+// glibc gives each worker thread its own malloc arena and keeps a slow
+// request's freed scratch resident there, so a backend's RSS would
+// approach the sum of its workers' worst requests. A request that ran
+// 50 ms or longer (a pipeline run, a stream refit, a replay) hands the
+// freed pages back as it returns; the call costs well under a
+// millisecond, so fast requests skip it.
+class TrimAfterSlowRequest {
+ public:
+  ~TrimAfterSlowRequest() {
+#ifdef __GLIBC__
+    if (std::chrono::steady_clock::now() - started_ >=
+        std::chrono::milliseconds(50))
+      ::malloc_trim(0);
+#endif
+  }
+
+ private:
+  const std::chrono::steady_clock::time_point started_ =
+      std::chrono::steady_clock::now();
+};
 
 }  // namespace
 
@@ -35,65 +48,20 @@ ClusterBackend::ClusterBackend(ClusterBackendOptions options)
       cache_(options_.cache),
       journal_(options_.journal),
       streaming_(&core_.faults(), nullptr, options_.stream_log_dir),
-      // Any active fault injection disables the rendered-line fast lane:
-      // serving from it would skip service/cache/journal fault sites and
-      // shift their deterministic hit sequences.
-      line_cache_(options_.service.fault_plan.empty() &&
-                          options_.cache.faults == nullptr &&
-                          options_.journal.faults == nullptr
-                      ? options_.line_cache_capacity
-                      : 0) {}
+      // Serving or warming the memory tier from this layer would skip
+      // service/cache/journal fault sites and shift their deterministic
+      // hit sequences.
+      memory_tier_(options_.service.fault_plan.empty() &&
+                   options_.cache.faults == nullptr &&
+                   options_.journal.faults == nullptr) {}
 
 bool ClusterBackend::try_serve_cached_line(const service::Json& request,
                                            std::string& out) {
-  if (line_cache_.capacity() == 0 || !cacheable_op(request) ||
-      request.get_bool("no_cache", false))
+  if (!memory_tier_ || !service::cacheable_request(request) ||
+      !core_.result_cache().find(request, out))
     return false;
-  thread_local std::string key;
-  key.clear();
-  service::canonical_request_key(request, key);
-  const std::lock_guard<std::mutex> lock(line_mutex_);
-  const std::string_view* hit = line_cache_.find(key);
-  if (hit == nullptr) return false;
-  out.append(hit->data(), hit->size());
+  memory_hits_.fetch_add(1, std::memory_order_relaxed);
   return true;
-}
-
-void ClusterBackend::store_line(const service::Json& request,
-                                const service::Json& response) {
-  if (line_cache_.capacity() == 0) return;
-  thread_local std::string key;
-  thread_local std::string rendered;
-  key.clear();
-  rendered.clear();
-  service::canonical_request_key(request, key);
-  response.dump_to(rendered);
-  const std::lock_guard<std::mutex> lock(line_mutex_);
-  line_cache_.put(key, line_arena_.intern(rendered));
-  maybe_compact_lines();
-}
-
-void ClusterBackend::maybe_compact_lines() {
-  // Same dead-byte compaction as ServiceCore's line cache: once evicted
-  // and replaced lines dominate the arena, re-intern the survivors onto
-  // the rewound arena in LRU order.
-  if (line_arena_.live_bytes() < (256u << 10)) return;
-  std::size_t live = 0;
-  line_cache_.for_each(
-      [&live](const std::string&, const std::string_view& v) {
-        live += v.size();
-      });
-  if (line_arena_.live_bytes() < live * 2 + (64u << 10)) return;
-  std::vector<std::pair<std::string, std::string>> survivors;
-  survivors.reserve(line_cache_.size());
-  line_cache_.for_each(
-      [&survivors](const std::string& k, const std::string_view& v) {
-        survivors.emplace_back(k, std::string(v));
-      });
-  line_cache_.clear();
-  line_arena_.reset();
-  for (auto it = survivors.rbegin(); it != survivors.rend(); ++it)
-    line_cache_.put(it->first, line_arena_.intern(it->second));
 }
 
 void ClusterBackend::journal_command(const service::Json& request) {
@@ -135,7 +103,7 @@ JournalReplayReport ClusterBackend::replay_journal(
   // journal. Requests arriving concurrently skip journaling for the
   // duration too — a bounded durability window during a re-warm.
   replaying_.store(true, std::memory_order_release);
-  std::vector<std::string> seen_keys;
+  std::unordered_set<std::string> seen_keys;
   for (const std::string& record : scanned.records) {
     if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) break;
     service::Json command;
@@ -145,15 +113,8 @@ JournalReplayReport ClusterBackend::replay_journal(
       ++report.failures;
       continue;
     }
-    std::string key = service::canonical_request_key(command);
-    bool duplicate = false;
-    for (const std::string& k : seen_keys)
-      if (k == key) {
-        duplicate = true;
-        break;
-      }
-    if (duplicate) continue;
-    seen_keys.push_back(std::move(key));
+    if (!seen_keys.insert(service::canonical_request_key(command)).second)
+      continue;
     ++report.replayed;
     const service::Json response = handle(command, cancel);
     if (response.get_string("status", "") == "ok")
@@ -190,16 +151,15 @@ service::Json ClusterBackend::cache_install_op(const service::Json& request) {
     return bad_request("cache_install needs an object field 'response'");
   if (response->get_string("status", "") != "ok")
     return bad_request("cache_install only accepts status \"ok\" responses");
-  if (!cacheable_op(*installed))
+  const service::OpSpec* spec = service::find_op(*installed);
+  if (spec == nullptr || !spec->cacheable)
     return bad_request("cache_install only accepts cacheable ops");
   const std::string key = service::canonical_request_key(*installed);
   const bool stored = cache_.store(cache_.digest(*installed), *response, key);
-  // Warm the rendered-line lane too: the replica can then answer a
-  // failover read on the connection thread.
-  if (stored) store_line(*installed, *response);
-  service::Json r = service::Json::object();
-  r.set("status", service::Json::string("ok"));
-  r.set("op", service::Json::string("cache_install"));
+  // Warm the memory tier too: the replica can then answer a failover read
+  // on the connection thread.
+  if (stored && memory_tier_) core_.result_cache().put(*installed, *response);
+  service::Json r = service::ok_response("cache_install");
   r.set("stored", service::Json::boolean(stored));
   return r;
 }
@@ -211,9 +171,7 @@ service::Json ClusterBackend::cache_gc_op(const service::Json& request) {
   bounds.max_age_ms =
       static_cast<std::uint64_t>(request.get_number("max_age_ms", 0.0));
   const CacheGcReport report = cache_.gc(bounds);
-  service::Json r = service::Json::object();
-  r.set("status", service::Json::string("ok"));
-  r.set("op", service::Json::string("cache_gc"));
+  service::Json r = service::ok_response("cache_gc");
   set_count(r, "files_scanned", report.files_scanned);
   set_count(r, "files_deleted", report.files_deleted);
   set_count(r, "temp_files_deleted", report.temp_files_deleted);
@@ -225,9 +183,7 @@ service::Json ClusterBackend::cache_gc_op(const service::Json& request) {
 
 service::Json ClusterBackend::journal_stats_op() {
   const JournalStats s = journal_.stats();
-  service::Json r = service::Json::object();
-  r.set("status", service::Json::string("ok"));
-  r.set("op", service::Json::string("journal_stats"));
+  service::Json r = service::ok_response("journal_stats");
   r.set("enabled", service::Json::boolean(journal_.enabled()));
   set_count(r, "appends", s.appends);
   set_count(r, "append_failures", s.append_failures);
@@ -235,19 +191,14 @@ service::Json ClusterBackend::journal_stats_op() {
   set_count(r, "compactions", s.compactions);
   set_count(r, "records_dropped", s.records_dropped);
   set_count(r, "bytes", s.bytes);
-  service::Json warnings = service::Json::array();
-  for (const std::string& w : journal_warnings())
-    warnings.push_back(service::Json::string(w));
-  r.set("warnings", warnings);
+  r.set("warnings", service::string_array(journal_warnings()));
   return r;
 }
 
 service::Json ClusterBackend::journal_replay_op(
     const std::atomic<bool>* cancel) {
   const JournalReplayReport report = replay_journal(cancel);
-  service::Json r = service::Json::object();
-  r.set("status", service::Json::string("ok"));
-  r.set("op", service::Json::string("journal_replay"));
+  service::Json r = service::ok_response("journal_replay");
   set_count(r, "records", report.records);
   set_count(r, "replayed", report.replayed);
   set_count(r, "replay_ok", report.ok);
@@ -260,9 +211,7 @@ service::Json ClusterBackend::journal_replay_op(
 
 service::Json ClusterBackend::journal_compact_op() {
   const std::size_t kept = compact_journal();
-  service::Json r = service::Json::object();
-  r.set("status", service::Json::string("ok"));
-  r.set("op", service::Json::string("journal_compact"));
+  service::Json r = service::ok_response("journal_compact");
   set_count(r, "records_kept", kept);
   set_count(r, "bytes", journal_.stats().bytes);
   return r;
@@ -272,25 +221,25 @@ service::Json ClusterBackend::handle_stream_op(const service::Json& request) {
   // Stream writes journal in *absolute* form only: a relative "count"
   // absorb is canonicalized to "upto" first, so the durable record is
   // idempotent under replay dedup and replica fan-out. Stream results
-  // are time-varying and never touch the disk or line caches.
+  // are time-varying and never touch the disk or memory tiers.
   service::Json canonical = request;
   service::Json error;
   if (!streaming_.canonicalize(canonical, &error)) return error;
-  if (streaming::StreamEngine::is_stream_write(
-          canonical.get_string("op", "")))
-    journal_command(canonical);
+  if (service::find_op(canonical)->stream_write) journal_command(canonical);
   return streaming_.handle(canonical);
 }
 
 service::Json ClusterBackend::handle(const service::Json& request,
                                      const std::atomic<bool>* cancel) {
+  const TrimAfterSlowRequest trim;
   if (request.is_object()) {
     const std::string op = request.get_string("op", "");
     if (op == "cache_stats") {
       service::Json r = core_.handle(request, cancel);
       const DiskCacheStats disk = cache_.stats();
       r.set("disk_enabled", service::Json::boolean(cache_.enabled()));
-      set_count(r, "disk_memory_hits", disk.memory_hits);
+      set_count(r, "disk_memory_hits",
+                memory_hits_.load(std::memory_order_relaxed));
       set_count(r, "disk_hits", disk.disk_hits);
       set_count(r, "disk_misses", disk.misses);
       set_count(r, "disk_stores", disk.stores);
@@ -300,10 +249,7 @@ service::Json ClusterBackend::handle(const service::Json& request,
       set_count(r, "disk_gc_runs", disk.gc_runs);
       set_count(r, "disk_bytes", disk.bytes);
       set_count(r, "disk_max_bytes", cache_.max_bytes());
-      service::Json warnings = service::Json::array();
-      for (const std::string& w : cache_.warnings())
-        warnings.push_back(service::Json::string(w));
-      r.set("disk_warnings", warnings);
+      r.set("disk_warnings", service::string_array(cache_.warnings()));
       return r;
     }
     if (op == "cache_install") return cache_install_op(request);
@@ -311,38 +257,38 @@ service::Json ClusterBackend::handle(const service::Json& request,
     if (op == "journal_stats") return journal_stats_op();
     if (op == "journal_replay") return journal_replay_op(cancel);
     if (op == "journal_compact") return journal_compact_op();
-    if (streaming::StreamEngine::is_stream_op(op))
-      return handle_stream_op(request);
   }
+  const service::OpSpec* spec = service::find_op(request);
+  if (spec != nullptr && spec->routing == service::Routing::kStreamId)
+    return handle_stream_op(request);
 
-  const bool no_cache =
-      request.is_object() && request.get_bool("no_cache", false);
-  const bool try_cache = cache_.enabled() && cacheable_op(request) && !no_cache;
+  // Cacheable reads try the memory tier, then the disk.
+  thread_local std::string line;
+  line.clear();
+  if (try_serve_cached_line(request, line)) return service::Json::parse(line);
+  const bool try_disk = service::cacheable_request(request) && cache_.enabled();
   std::string digest;
   std::string key;
-  if (try_cache) {
+  if (try_disk) {
     key = service::canonical_request_key(request);
     digest = cache_.digest(request);
     service::Json cached;
     if (cache_.load(digest, &cached)) {
-      store_line(request, cached);
+      if (memory_tier_) core_.result_cache().put(request, cached);
       return cached;
     }
   }
 
   // In-flight from here until the disk store lands: journal the command
   // so a crash mid-computation can be replayed.
-  if (cacheable_op(request)) journal_command(request);
+  if (spec != nullptr && spec->cacheable) journal_command(request);
 
   service::Json response = core_.handle(request, cancel);
-  if (response.get_string("status", "") == "ok") {
-    if (try_cache) {
-      cache_.store(digest, response, key);
-      if (options_.journal_compact_bytes > 0 && journal_.enabled() &&
-          journal_.stats().bytes > options_.journal_compact_bytes)
-        compact_journal();
-    }
-    if (cacheable_op(request) && !no_cache) store_line(request, response);
+  if (try_disk && response.get_string("status", "") == "ok") {
+    cache_.store(digest, response, key);
+    if (options_.journal_compact_bytes > 0 && journal_.enabled() &&
+        journal_.stats().bytes > options_.journal_compact_bytes)
+      compact_journal();
   }
   return response;
 }

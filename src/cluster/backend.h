@@ -1,17 +1,21 @@
 // A cluster backend: ServiceCore wrapped with the persistent disk cache
 // and the append-only command journal.
 //
-// handle() is a drop-in ReplicationServer handler. Cacheable ops
-// (run_study / run_replication) consult the disk cache first; clean "ok"
-// responses are stored after computation. Because a disk hit replays the
-// exact Json that handle() produced — and Json::dump is deterministic —
-// a cached response is bit-identical to recomputing it, which is what
-// the cold-restart identity test asserts. Degraded responses are never
-// stored (DiskCache::store refuses them too).
+// handle() is a drop-in ReplicationServer handler. Cacheable ops (see
+// service/ops.h) read two tiers: the core's rendered result tier — the
+// process's only in-memory copy of a result — then the disk cache. Disk
+// hits and replica installs warm the memory tier, fast_path() serves it
+// on the connection thread, and clean "ok" responses are stored on disk
+// after computation. A hit replays the exact bytes handle() produced, so
+// it is bit-identical to recomputing (the cold-restart identity test).
+// Degraded responses are never stored. While any fault injector
+// (service, cache or journal) is armed, this layer neither reads nor
+// warms the memory tier, so chaos runs keep their exact per-site hit
+// sequences; the core still consults it after its own fault sites.
 //
-// Durability: a cacheable request that misses the disk cache is
-// *in-flight work* — its durable command form (volatile fields stripped)
-// is appended to the journal before computation, and once the result
+// Durability: a cacheable request that misses both tiers is *in-flight
+// work* — its durable command form (volatile fields stripped) is
+// appended to the journal before computation, and once the result
 // reaches the disk cache it is *permanent state* (snapshot-covered), so
 // compaction drops its journal record. replay_journal() re-issues every
 // journaled command through handle(): snapshot-covered commands become
@@ -22,7 +26,9 @@
 // warning in "journal_stats".
 //
 // Cluster ops beyond ServiceCore's:
-//   "cache_stats"     core stats + disk_* fields (incl. byte totals)
+//   "cache_stats"     core stats + disk_* fields (incl. byte totals);
+//                     "disk_memory_hits" counts answers the memory tier
+//                     gave in front of the disk
 //   "cache_install"   store a replicated {request, response} pair (the
 //                     dispatcher's write fan-out; never journaled — the
 //                     disk write IS the durability)
@@ -33,9 +39,9 @@
 //   "stream_*"        the streaming study engine's op family (see
 //                     streaming/engine.h). Stream writes are journaled
 //                     in absolute (idempotent) form before execution and
-//                     replayed like any other command; stream results
-//                     are time-varying and therefore exempt from every
-//                     cache (disk, rendered-line, and the dispatcher's).
+//                     replayed like any other command; stream ops are not
+//                     cacheable, so their time-varying results never
+//                     reach any cache.
 #pragma once
 
 #include <atomic>
@@ -43,16 +49,12 @@
 #include <functional>
 #include <mutex>
 #include <string>
-#include <string_view>
-#include <utility>
 #include <vector>
 
 #include "cluster/disk_cache.h"
 #include "cluster/journal.h"
 #include "service/service.h"
 #include "streaming/engine.h"
-#include "util/arena.h"
-#include "util/lru.h"
 
 namespace decompeval::cluster {
 
@@ -71,11 +73,6 @@ struct ClusterBackendOptions {
   /// after each store; 0 disables — compaction then only runs via the
   /// "journal_compact" op).
   std::uint64_t journal_compact_bytes = 64u << 10;
-  /// LRU bound on the rendered-line cache behind try_serve_cached_line
-  /// (0 disables). Forced to 0 whenever a fault plan or cache/journal
-  /// fault injector is active, so chaos runs keep their exact hit
-  /// sequences.
-  std::size_t line_cache_capacity = 256;
 };
 
 /// Outcome of one replay_journal() pass (the "journal_replay" op).
@@ -92,7 +89,8 @@ class ClusterBackend {
  public:
   explicit ClusterBackend(ClusterBackendOptions options);
 
-  /// Never throws (same contract as ServiceCore::handle).
+  /// Never throws (same contract as ServiceCore::handle). A request that
+  /// ran 50 ms or longer ends by returning freed heap to the OS.
   service::Json handle(const service::Json& request,
                        const std::atomic<bool>* cancel);
 
@@ -106,8 +104,9 @@ class ClusterBackend {
   std::size_t compact_journal();
 
   /// Warm-path fast lane for ReplicationServer::fast_path: appends the
-  /// cached rendered response line for an identical earlier "ok" request
+  /// core's cached rendered line for an identical earlier "ok" request
   /// and returns true. Byte-identical to what handle()+dump would produce.
+  /// Always false while a fault injector is armed.
   bool try_serve_cached_line(const service::Json& request, std::string& out);
 
   /// Handler to plug into ServerOptions::handler.
@@ -135,9 +134,6 @@ class ClusterBackend {
 
  private:
   void journal_command(const service::Json& request);
-  void store_line(const service::Json& request,
-                  const service::Json& response);
-  void maybe_compact_lines();  ///< caller holds line_mutex_
   service::Json cache_install_op(const service::Json& request);
   service::Json cache_gc_op(const service::Json& request);
   service::Json journal_stats_op();
@@ -156,11 +152,10 @@ class ClusterBackend {
   std::atomic<bool> replaying_{false};
   mutable std::mutex journal_warn_mutex_;
   std::vector<std::string> journal_warnings_;
-  /// Rendered "ok" response lines keyed by canonical request key; values
-  /// are views into line_arena_.
-  std::mutex line_mutex_;
-  util::Arena line_arena_;
-  util::LruCache<std::string, std::string_view> line_cache_;
+  /// Whether the core's memory tier may be read or warmed from this layer:
+  /// false whenever a fault injector is armed (see the file comment).
+  const bool memory_tier_;
+  std::atomic<std::uint64_t> memory_hits_{0};
 };
 
 }  // namespace decompeval::cluster

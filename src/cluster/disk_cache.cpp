@@ -49,7 +49,7 @@ std::uint64_t file_size_of(const std::string& path) {
 }  // namespace
 
 DiskCache::DiskCache(DiskCacheOptions options)
-    : options_(std::move(options)), memory_(options_.memory_capacity) {
+    : options_(std::move(options)) {
   if (!options_.directory.empty()) {
     make_directories(options_.directory);
     stats_.bytes = scan_directory_bytes();
@@ -68,14 +68,8 @@ std::uint64_t DiskCache::scan_directory_bytes() const {
   return total;
 }
 
-std::string DiskCache::canonical_request_key(const service::Json& request) {
-  // Shared with the dispatcher's routing and every rendered-line cache;
-  // the format (and therefore every stored digest) is unchanged.
-  return service::canonical_request_key(request);
-}
-
 std::string DiskCache::digest(const service::Json& request) const {
-  return hex64(HashRing::hash(canonical_request_key(request) +
+  return hex64(HashRing::hash(service::canonical_request_key(request) +
                               "|version=" + options_.version));
 }
 
@@ -92,14 +86,6 @@ void DiskCache::warn(std::string message) {
 
 bool DiskCache::load(const std::string& digest, service::Json* response) {
   if (!enabled()) return false;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (const service::Json* hit = memory_.find(digest)) {
-      ++stats_.memory_hits;
-      *response = *hit;
-      return true;
-    }
-  }
   try {
     if (options_.faults != nullptr) options_.faults->raise_next("cache.read");
     std::ifstream in(path_for(digest));
@@ -129,7 +115,6 @@ bool DiskCache::load(const std::string& digest, service::Json* response) {
     // Touch the entry so the janitor's mtime order is LRU, not FIFO.
     // Best-effort: a failed touch only makes the file look older.
     ::utimensat(AT_FDCWD, path_for(digest).c_str(), nullptr, 0);
-    memory_.put(digest, *stored);
     *response = *stored;
     return true;
   } catch (const util::FaultError& e) {
@@ -211,7 +196,6 @@ bool DiskCache::store(const std::string& digest,
   ++stats_.stores;
   stats_.bytes = stats_.bytes - std::min(stats_.bytes, replaced) +
                  bytes.size();
-  memory_.put(digest, response);
   return true;
 }
 

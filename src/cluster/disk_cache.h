@@ -1,8 +1,12 @@
 // Persistent, digest-keyed result cache for cluster backends.
 //
-// Key derivation: the canonical request key is the request's members
-// sorted by name with volatile fields removed ("threads" — results are
-// bit-identical at every thread count; "no_cache"; "deadline_ms").
+// Key derivation: the key is service::canonical_request_key — the
+// request's members sorted by name with the volatile fields removed
+// ("threads" — results are bit-identical at every thread count;
+// "no_cache"; "deadline_ms"; "baseline" — an annotate edit baseline only
+// steers routing; "lane" — an admission-lane override only steers
+// queueing). The dispatcher routes and every in-memory tier keys on the
+// same function, so they all agree on what one logical request is.
 // The digest is FNV-1a over that key plus the binary version string, so
 // a new binary version can never serve a stale file: the old entry's
 // digest simply no longer matches and the old file is left untouched.
@@ -40,7 +44,8 @@
 // files enjoy no protection from either pass, and stale temp files from
 // crashed writers are swept too.
 //
-// A small in-memory LRU fronts the disk so a hot digest costs no IO.
+// The cache is disk-only: the one in-memory tier in front of it is the
+// owning backend's (ServiceCore's rendered result tier, see backend.h).
 // Corrupted or truncated files are a miss plus a structured warning
 // (readable via warnings()), never a crash.
 //
@@ -57,7 +62,6 @@
 
 #include "service/json.h"
 #include "util/fault.h"
-#include "util/lru.h"
 
 namespace decompeval::cluster {
 
@@ -67,8 +71,6 @@ struct DiskCacheOptions {
   std::string directory;
   /// Binary version folded into every digest (use core::version()).
   std::string version;
-  /// In-memory LRU front capacity (entries; 0 keeps disk-only behavior).
-  std::size_t memory_capacity = 64;
   /// Refuse-to-grow bound on the directory's total bytes (0 = unbounded).
   /// Stores that would exceed it fail with a structured warning; run gc()
   /// (the "cache_gc" op) to make room.
@@ -79,7 +81,6 @@ struct DiskCacheOptions {
 };
 
 struct DiskCacheStats {
-  std::uint64_t memory_hits = 0;
   std::uint64_t disk_hits = 0;
   std::uint64_t misses = 0;
   std::uint64_t stores = 0;
@@ -113,12 +114,8 @@ class DiskCache {
  public:
   explicit DiskCache(DiskCacheOptions options);
 
-  /// Canonical cache/routing key of a request (see file comment). Pure
-  /// function of the request; shared with the dispatcher so the cache key
-  /// and the ring placement always agree.
-  static std::string canonical_request_key(const service::Json& request);
-
-  /// Digest for a request under this cache's version string.
+  /// Digest of the request's canonical key under this cache's version
+  /// string (see file comment).
   std::string digest(const service::Json& request) const;
 
   /// Fills `response` and returns true on a hit. A corrupt, truncated,
@@ -154,7 +151,6 @@ class DiskCache {
 
   DiskCacheOptions options_;
   mutable std::mutex mutex_;
-  util::LruCache<std::string, service::Json> memory_;
   DiskCacheStats stats_;
   std::vector<std::string> warnings_;
   std::uint64_t temp_counter_ = 0;

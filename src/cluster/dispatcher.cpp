@@ -7,28 +7,11 @@
 #include <stdexcept>
 #include <utility>
 
+#include "service/ops.h"
 #include "streaming/engine.h"
 #include "util/check.h"
 
 namespace decompeval::cluster {
-
-namespace {
-
-service::Json error_response(const std::string& message) {
-  service::Json r = service::Json::object();
-  r.set("status", service::Json::string("error"));
-  r.set("error", service::Json::string(message));
-  return r;
-}
-
-void echo_op(service::Json& response, const service::Json& request) {
-  if (!request.is_object()) return;
-  const service::Json* op = request.get("op");
-  if (op != nullptr && op->type() == service::Json::Type::kString)
-    response.set("op", service::Json::string(op->as_string()));
-}
-
-}  // namespace
 
 Dispatcher::Dispatcher(DispatcherOptions options)
     : options_(std::move(options)),
@@ -37,9 +20,9 @@ Dispatcher::Dispatcher(DispatcherOptions options)
       // A fault plan disables the response fast lane: a cached answer
       // would skip "cluster.backend"/"cluster.forward" hits and shift
       // their deterministic sequences.
-      line_cache_(options_.fault_plan.empty()
-                      ? options_.response_cache_capacity
-                      : 0) {
+      response_cache_(options_.fault_plan.empty()
+                          ? options_.response_cache_capacity
+                          : 0) {
   DE_EXPECTS_MSG(!options_.backends.empty(),
                  "Dispatcher needs at least one backend");
   for (const BackendEndpoint& endpoint : options_.backends) {
@@ -286,23 +269,6 @@ double Dispatcher::hedge_delay_for(BackendState& backend) const {
   return std::max(delay, v[std::min(i, n - 1)]);
 }
 
-bool Dispatcher::hedgeable(const service::Json& request) const {
-  // Hedges are reads with cacheable (side-effect-free, deterministic)
-  // answers; anything else could double-execute work. A dispatcher-level
-  // fault plan disables hedging outright — a hedge would consume
-  // "cluster.*" hits in a timing-dependent order.
-  if (options_.hedge_delay_ms <= 0.0 || !options_.fault_plan.empty())
-    return false;
-  if (backends_.size() < 2 || !request.is_object()) return false;
-  const service::Json* op = request.get("op");
-  if (op == nullptr || op->type() != service::Json::Type::kString)
-    return false;
-  const auto& name = op->as_string();
-  if (name != "run_study" && name != "run_replication" && name != "annotate")
-    return false;
-  return !request.get_bool("no_cache", false);
-}
-
 Dispatcher::AttemptResult Dispatcher::attempt_backend(
     BackendState& backend, const service::Json& request,
     service::Json& response, HedgeContext* hedge) {
@@ -383,37 +349,23 @@ service::Json Dispatcher::handle(const service::Json& request,
   if (request.is_object() &&
       request.get_string("op", "") == "cluster_stats") {
     const DispatcherStats s = stats();
-    service::Json r = service::Json::object();
-    r.set("status", service::Json::string("ok"));
-    r.set("forwarded", service::Json::number(static_cast<double>(s.forwarded)));
-    r.set("failovers", service::Json::number(static_cast<double>(s.failovers)));
-    r.set("overloaded_retries",
-          service::Json::number(static_cast<double>(s.overloaded_retries)));
-    r.set("down_skips",
-          service::Json::number(static_cast<double>(s.down_skips)));
-    r.set("exhausted", service::Json::number(static_cast<double>(s.exhausted)));
-    r.set("response_cache_hits",
-          service::Json::number(static_cast<double>(s.response_cache_hits)));
-    r.set("replication_factor",
-          service::Json::number(
-              static_cast<double>(options_.replication_factor)));
-    r.set("replicated",
-          service::Json::number(static_cast<double>(s.replicated)));
-    r.set("replication_failures",
-          service::Json::number(static_cast<double>(s.replication_failures)));
-    r.set("deadline_refusals",
-          service::Json::number(static_cast<double>(s.deadline_refusals)));
-    r.set("retries_suppressed",
-          service::Json::number(static_cast<double>(s.retries_suppressed)));
-    r.set("breaker_skips",
-          service::Json::number(static_cast<double>(s.breaker_skips)));
-    r.set("breaker_opens",
-          service::Json::number(static_cast<double>(s.breaker_opens)));
-    r.set("slow_peer_ejections",
-          service::Json::number(static_cast<double>(s.slow_peer_ejections)));
-    r.set("hedges", service::Json::number(static_cast<double>(s.hedges)));
-    r.set("hedge_wins",
-          service::Json::number(static_cast<double>(s.hedge_wins)));
+    service::Json r = service::ok_response();
+    set_count(r, "forwarded", s.forwarded);
+    set_count(r, "failovers", s.failovers);
+    set_count(r, "overloaded_retries", s.overloaded_retries);
+    set_count(r, "down_skips", s.down_skips);
+    set_count(r, "exhausted", s.exhausted);
+    set_count(r, "response_cache_hits", s.response_cache_hits);
+    set_count(r, "replication_factor", options_.replication_factor);
+    set_count(r, "replicated", s.replicated);
+    set_count(r, "replication_failures", s.replication_failures);
+    set_count(r, "deadline_refusals", s.deadline_refusals);
+    set_count(r, "retries_suppressed", s.retries_suppressed);
+    set_count(r, "breaker_skips", s.breaker_skips);
+    set_count(r, "breaker_opens", s.breaker_opens);
+    set_count(r, "slow_peer_ejections", s.slow_peer_ejections);
+    set_count(r, "hedges", s.hedges);
+    set_count(r, "hedge_wins", s.hedge_wins);
     service::Json nodes = service::Json::array();
     for (const auto& backend : backends_) {
       service::Json node = service::Json::object();
@@ -430,9 +382,8 @@ service::Json Dispatcher::handle(const service::Json& request,
         node.set("retry_tokens",
                  service::Json::number(backend->retry_tokens));
       }
-      node.set("last_probe_ms",
-               service::Json::number(static_cast<double>(
-                   backend->last_probe_ms.load(std::memory_order_relaxed))));
+      set_count(node, "last_probe_ms",
+                backend->last_probe_ms.load(std::memory_order_relaxed));
       nodes.push_back(node);
     }
     r.set("backends", nodes);
@@ -443,63 +394,45 @@ service::Json Dispatcher::handle(const service::Json& request,
   return response;
 }
 
-bool Dispatcher::line_cacheable(const service::Json& request) const {
-  if (line_cache_.capacity() == 0 || !request.is_object()) return false;
-  const service::Json* op = request.get("op");
-  if (op == nullptr || op->type() != service::Json::Type::kString)
-    return false;
-  const auto& name = op->as_string();
-  if (name != "run_study" && name != "run_replication" && name != "annotate")
-    return false;
-  return !request.get_bool("no_cache", false);
-}
-
-bool Dispatcher::replicable(const service::Json& request) const {
-  if (options_.replication_factor < 2 || !request.is_object()) return false;
-  const service::Json* op = request.get("op");
-  if (op == nullptr || op->type() != service::Json::Type::kString)
-    return false;
-  const auto& name = op->as_string();
-  if (name != "run_study" && name != "run_replication" && name != "annotate")
-    return false;
-  return !request.get_bool("no_cache", false);
-}
-
-bool Dispatcher::stream_replicable(const service::Json& request) const {
-  if (options_.replication_factor < 2 || !request.is_object()) return false;
-  return streaming::StreamEngine::is_stream_write(
-      request.get_string("op", ""));
-}
-
-void Dispatcher::replicate_stream(const service::Json& request,
-                                  const service::Json& response,
-                                  const std::vector<std::size_t>& walk,
-                                  std::size_t served_index) {
-  // Forward the *command* so each replica's StreamEngine re-executes it
-  // against its own session. A relative "count" absorb is pinned to the
-  // primary's absolute answer first ("emitted"), so a replica that fell
-  // behind (or raced ahead via an earlier failover) converges on the same
-  // arrival prefix instead of drifting by a relative amount.
-  service::Json outbound = service::strip_volatile_fields(request);
-  if (request.get_string("op", "") == "stream_absorb") {
-    service::Json absolute = service::Json::object();
-    for (const auto& [key, value] : outbound.members()) {
-      const std::string_view k(key.data(), key.size());
-      if (k == "count" || k == "upto") continue;
-      absolute.set(k, value);
-    }
-    absolute.set("upto", service::Json::number(
-                             response.get_number("emitted", 0.0)));
-    outbound = std::move(absolute);
+void Dispatcher::replicate(const service::Json& request,
+                           const service::Json& response,
+                           const std::vector<std::size_t>& walk,
+                           std::size_t served_index) {
+  if (options_.replication_factor < 2) return;
+  const service::OpSpec* spec = service::find_op(request);
+  const std::string status = response.get_string("status", "");
+  const bool install = status == "ok" && service::cacheable_request(request);
+  service::Json outbound;
+  if (install) {
+    // The durable command form (volatile fields stripped) ships with the
+    // result: replicas journal nothing for installs — the disk write IS
+    // the durability — but need the canonical key for the cache envelope.
+    outbound = service::Json::object();
+    outbound.set("op", service::Json::string("cache_install"));
+    outbound.set("request", service::strip_volatile_fields(request));
+    outbound.set("response", response);
+  } else if (spec != nullptr && spec->stream_write &&
+             (status == "ok" || status == "degraded")) {
+    // Forward the *command*, in the absolute form the primary's answer
+    // fixes, so each replica's StreamEngine re-executes it against its
+    // own session.
+    outbound = streaming::StreamEngine::pinned_command(
+        service::strip_volatile_fields(request), response);
+  } else {
+    return;
   }
+  // The walk is replicas_for(key, R) extended with the failover tail, so
+  // the write set is its first R entries. Synchronous and hedge-free: one
+  // run leaves a deterministic set of warm replicas.
   const std::size_t r = std::min(options_.replication_factor, walk.size());
   for (std::size_t i = 0; i < r; ++i) {
     const std::size_t backend_index = walk[i];
     if (backend_index == served_index) continue;
     BackendState& backend = *backends_[backend_index];
     if (!backend.up.load()) {
-      // Same stance as result replication: the primary's journal still
-      // covers the write, and a restarted replica re-warms from replay.
+      // Down replicas are not an error: the serving backend's journal
+      // (and disk cache) still covers the write, and the restarted
+      // replica re-warms from there.
       const std::lock_guard<std::mutex> lock(stats_mutex_);
       ++stats_.replication_failures;
       continue;
@@ -508,56 +441,15 @@ void Dispatcher::replicate_stream(const service::Json& request,
       auto conn = acquire(backend, /*connect_attempts=*/10);
       const service::Json reply = conn->call(outbound);
       release(backend, std::move(conn));
+      // An install lands once the replica stored it. A stream command
       // "degraded" is still an applied write: the replica absorbed what
       // its fault plan let through and stays on the shared seq schedule.
-      const std::string status = reply.get_string("status", "");
+      const std::string applied = reply.get_string("status", "");
+      const bool landed =
+          install ? applied == "ok" && reply.get_bool("stored", false)
+                  : applied == "ok" || applied == "degraded";
       const std::lock_guard<std::mutex> lock(stats_mutex_);
-      if (status == "ok" || status == "degraded")
-        ++stats_.replicated;
-      else
-        ++stats_.replication_failures;
-    } catch (const std::exception&) {
-      backend.up.store(false);
-      const std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.replication_failures;
-    }
-  }
-}
-
-void Dispatcher::replicate(const service::Json& request,
-                           const service::Json& response,
-                           const std::vector<std::size_t>& walk,
-                           std::size_t served_index) {
-  // The walk is replicas_for(key, R) extended with the failover tail, so
-  // the write set is its first R entries. The durable command form
-  // (volatile fields stripped) ships with the response: replicas journal
-  // nothing for installs — the disk write IS the durability — but they
-  // need the canonical key for the cache envelope.
-  service::Json install = service::Json::object();
-  install.set("op", service::Json::string("cache_install"));
-  install.set("request", service::strip_volatile_fields(request));
-  install.set("response", response);
-  const std::size_t r = std::min(options_.replication_factor, walk.size());
-  for (std::size_t i = 0; i < r; ++i) {
-    const std::size_t backend_index = walk[i];
-    if (backend_index == served_index) continue;
-    BackendState& backend = *backends_[backend_index];
-    if (!backend.up.load()) {
-      // Down replicas are not an error: the journal on the serving
-      // backend (and its disk cache) still covers the result, and the
-      // restarted replica re-warms from there. Hedge-free by design.
-      const std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.replication_failures;
-      continue;
-    }
-    try {
-      auto conn = acquire(backend, /*connect_attempts=*/10);
-      const service::Json reply = conn->call(install);
-      release(backend, std::move(conn));
-      const bool stored = reply.get_string("status", "") == "ok" &&
-                          reply.get_bool("stored", false);
-      const std::lock_guard<std::mutex> lock(stats_mutex_);
-      if (stored)
+      if (landed)
         ++stats_.replicated;
       else
         ++stats_.replication_failures;
@@ -571,78 +463,23 @@ void Dispatcher::replicate(const service::Json& request,
 
 bool Dispatcher::try_serve_cached_line(const service::Json& request,
                                        std::string& out) {
-  if (!line_cacheable(request)) return false;
-  thread_local std::string key;
-  key.clear();
-  service::canonical_request_key(request, key);
-  const std::lock_guard<std::mutex> lock(line_mutex_);
-  const std::string_view* hit = line_cache_.find(key);
-  if (hit == nullptr) return false;
-  out.append(hit->data(), hit->size());
-  {
-    const std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-    ++stats_.response_cache_hits;
-  }
+  if (!service::cacheable_request(request) ||
+      !response_cache_.find(request, out))
+    return false;
+  const std::lock_guard<std::mutex> lock(stats_mutex_);
+  ++stats_.response_cache_hits;
   return true;
-}
-
-void Dispatcher::handle_line(const service::Json& request,
-                             const std::atomic<bool>* cancel,
-                             std::string& out) {
-  if ((cancel == nullptr || !cancel->load(std::memory_order_relaxed)) &&
-      try_serve_cached_line(request, out))
-    return;
-  const service::Json response = handle(request, cancel);
-  const std::size_t start = out.size();
-  response.dump_to(out);
-  if (line_cacheable(request) && response.get_string("status", "") == "ok")
-    store_line(request,
-               std::string_view(out.data() + start, out.size() - start));
 }
 
 void Dispatcher::maybe_store_response(const service::Json& request,
                                       const service::Json& response) {
-  if (!line_cacheable(request) || response.get_string("status", "") != "ok")
-    return;
   // One extra render per cold cacheable request — trivial next to the
   // forwarding round-trip it lets every warm repeat skip. Json::dump is
   // deterministic, so the stored line is byte-identical to what the
   // server sends for this response.
-  thread_local std::string line;
-  line.clear();
-  response.dump_to(line);
-  store_line(request, line);
-}
-
-void Dispatcher::store_line(const service::Json& request,
-                            std::string_view line) {
-  thread_local std::string key;
-  key.clear();
-  service::canonical_request_key(request, key);
-  const std::lock_guard<std::mutex> lock(line_mutex_);
-  line_cache_.put(key, line_arena_.intern(line));
-  maybe_compact_lines();
-}
-
-void Dispatcher::maybe_compact_lines() {
-  // Same dead-byte compaction as the other rendered-line caches.
-  if (line_arena_.live_bytes() < (256u << 10)) return;
-  std::size_t live = 0;
-  line_cache_.for_each(
-      [&live](const std::string&, const std::string_view& v) {
-        live += v.size();
-      });
-  if (line_arena_.live_bytes() < live * 2 + (64u << 10)) return;
-  std::vector<std::pair<std::string, std::string>> survivors;
-  survivors.reserve(line_cache_.size());
-  line_cache_.for_each(
-      [&survivors](const std::string& k, const std::string_view& v) {
-        survivors.emplace_back(k, std::string(v));
-      });
-  line_cache_.clear();
-  line_arena_.reset();
-  for (auto it = survivors.rbegin(); it != survivors.rend(); ++it)
-    line_cache_.put(it->first, line_arena_.intern(it->second));
+  if (service::cacheable_request(request) &&
+      response.get_string("status", "") == "ok")
+    response_cache_.put(request, response);
 }
 
 service::Json Dispatcher::forward(const service::Json& request,
@@ -668,17 +505,22 @@ service::Json Dispatcher::forward(const service::Json& request,
   // Deep copy made only when a deadline must shrink; everything else
   // forwards the caller's object untouched.
   service::Json decremented;
-  const bool may_hedge = hedgeable(request);
+  // Hedges are reads with cacheable (side-effect-free, deterministic)
+  // answers; anything else could double-execute work. A dispatcher-level
+  // fault plan disables hedging outright — a hedge would consume
+  // "cluster.*" hits in a timing-dependent order.
+  const bool may_hedge = options_.hedge_delay_ms > 0.0 &&
+                         options_.fault_plan.empty() &&
+                         backends_.size() >= 2 &&
+                         service::cacheable_request(request);
 
   std::size_t tried = 0;
   for (std::size_t walk = 0; walk < candidates.size(); ++walk) {
     const std::size_t backend_index = candidates[walk];
     if (attempted[backend_index]) continue;  // consumed as a hedge target
     if (cancel != nullptr && cancel->load()) {
-      service::Json r = service::Json::object();
-      r.set("status", service::Json::string("deadline_exceeded"));
-      r.set("error",
-            service::Json::string("request cancelled while dispatching"));
+      service::Json r = service::failure_response(
+          "deadline_exceeded", "request cancelled while dispatching");
       echo_op(r, request);
       return r;
     }
@@ -696,10 +538,8 @@ service::Json Dispatcher::forward(const service::Json& request,
           const std::lock_guard<std::mutex> lock(stats_mutex_);
           ++stats_.deadline_refusals;
         }
-        service::Json r = service::Json::object();
-        r.set("status", service::Json::string("deadline_exceeded"));
-        r.set("error", service::Json::string(
-                           "deadline budget exhausted while dispatching"));
+        service::Json r = service::failure_response(
+            "deadline_exceeded", "deadline budget exhausted while dispatching");
         echo_op(r, request);
         return r;
       }
@@ -858,9 +698,7 @@ service::Json Dispatcher::forward(const service::Json& request,
           ++stats_.hedge_wins;
         }
         if (winner != nullptr) {
-          if (winner->get_string("status", "") == "ok" &&
-              replicable(request))
-            replicate(request, *winner, candidates, winner_index);
+          replicate(request, *winner, candidates, winner_index);
           return std::move(*winner);
         }
         // Both sides overloaded/failed: per-attempt stats were recorded
@@ -873,15 +711,9 @@ service::Json Dispatcher::forward(const service::Json& request,
 
     service::Json response;
     switch (attempt_backend(backend, *outbound, response, nullptr)) {
-      case AttemptResult::kResponse: {
-        const std::string status = response.get_string("status", "");
-        if (status == "ok" && replicable(request))
-          replicate(request, response, candidates, backend_index);
-        else if ((status == "ok" || status == "degraded") &&
-                 stream_replicable(request))
-          replicate_stream(request, response, candidates, backend_index);
+      case AttemptResult::kResponse:
+        replicate(request, response, candidates, backend_index);
         return response;  // verbatim — bit-identical to a direct call
-      }
       case AttemptResult::kOverloaded:
       case AttemptResult::kFailed:
       case AttemptResult::kCancelled:  // unreachable without a hedge ctx
@@ -892,10 +724,10 @@ service::Json Dispatcher::forward(const service::Json& request,
     const std::lock_guard<std::mutex> lock(stats_mutex_);
     ++stats_.exhausted;
   }
-  service::Json r =
-      error_response("no backend available (" + std::to_string(tried) + " of " +
-                     std::to_string(candidates.size()) + " candidates tried)");
-  r.set("attempted", service::Json::number(static_cast<double>(tried)));
+  service::Json r = service::failure_response(
+      "error", "no backend available (" + std::to_string(tried) + " of " +
+                   std::to_string(candidates.size()) + " candidates tried)");
+  set_count(r, "attempted", tried);
   echo_op(r, request);
   return r;
 }

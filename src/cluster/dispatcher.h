@@ -1,13 +1,15 @@
 // Cluster dispatcher: routes requests to backends over a consistent-hash
 // ring, with failover, connection pooling, and health probing.
 //
-// Routing: the request's canonical key (DiskCache::canonical_request_key —
-// the same key the disk cache digests) hashes onto the ring, so a given
-// logical request always lands on the same backend and therefore always
-// warms the same caches. The ring walk order is the failover order: a
-// backend that is down, faulted, or overloaded is skipped and the next
-// ring node is tried; only when every backend has been tried does the
-// dispatcher answer {"status":"error","error":"no backend available"}.
+// Routing: the request's routing key (service::routing_key — its
+// canonical key, the same key the disk cache digests, unless its op row
+// in service/ops.h routes on "baseline" or "stream") hashes onto the
+// ring, so a given logical request always lands on the same backend and
+// therefore always warms the same caches. The ring walk order is the
+// failover order: a backend that is down, faulted, or overloaded is
+// skipped and the next ring node is tried; only when every backend has
+// been tried does the dispatcher answer
+// {"status":"error","error":"no backend available"}.
 //
 // A backend is marked down on any transport failure (connect/send/recv
 // error or timeout) and skipped until the health prober's ping succeeds
@@ -15,11 +17,13 @@
 // asking the backend directly, which the bit-identity tests assert.
 //
 // Replication (replication_factor = R > 1): a computed result is the
-// "write" of this system, so after a cacheable request answers "ok" the
-// dispatcher installs {stripped request, response} on the remaining live
-// members of HashRing::replicas_for(key, R) via the "cache_install" op —
+// "write" of this system, so after a cacheable request (its op row says
+// so, see service/ops.h) answers "ok" the dispatcher installs
+// {stripped request, response} on the remaining live members of
+// HashRing::replicas_for(key, R) via the "cache_install" op —
 // synchronously and hedge-free, so one run leaves a deterministic set of
-// warm replicas. Reads keep the full ring walk: the first live walk
+// warm replicas. Stream-write ops replicate as commands instead (see
+// replicate_stream). Reads keep the full ring walk: the first live walk
 // candidate serves (deterministic preference order), and because the
 // walk is a prefix-stable extension of the replica set, killing the
 // primary lands the retry exactly on the replica that holds the result.
@@ -70,16 +74,14 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "cluster/hash_ring.h"
+#include "service/line_cache.h"
 #include "service/server.h"
-#include "util/arena.h"
 #include "util/fault.h"
-#include "util/lru.h"
 
 namespace decompeval::cluster {
 
@@ -105,10 +107,11 @@ struct DispatcherOptions {
   std::size_t replication_factor = 1;
   /// Schedules for the "cluster.forward" / "cluster.backend" sites.
   util::FaultPlan fault_plan;
-  /// LRU bound on the dispatcher-side rendered-response cache behind
-  /// try_serve_cached_line (entries). Opt-in: 0 (the default) disables
-  /// it, so every request exercises real forwarding — kill/failover tests
-  /// rely on that. Forced to 0 when a fault plan is active.
+  /// LRU bound on the dispatcher-side response cache (a RenderedLineCache)
+  /// behind try_serve_cached_line (entries). Opt-in: 0 (the default)
+  /// disables it, so every request exercises real forwarding —
+  /// kill/failover tests rely on that. Forced to 0 when a fault plan is
+  /// active.
   std::size_t response_cache_capacity = 0;
 
   // --- overload resilience (defaults reproduce historical behavior) ----
@@ -196,16 +199,9 @@ class Dispatcher {
   /// and Json::dump is deterministic — and returns true.
   bool try_serve_cached_line(const service::Json& request, std::string& out);
 
-  /// handle() plus rendering into `out`, serving from and populating the
-  /// response cache when enabled.
-  void handle_line(const service::Json& request,
-                   const std::atomic<bool>* cancel, std::string& out);
-
   /// Handler to plug into ServerOptions::handler. Populates the response
   /// cache on cacheable "ok" responses so the companion fast_path() can
-  /// answer the warm repeat on the connection thread — without this the
-  /// cache would only fill through handle_line(), which a real server
-  /// front-end never calls.
+  /// answer the warm repeat on the connection thread.
   std::function<service::Json(const service::Json&, const std::atomic<bool>*)>
   handler() {
     return [this](const service::Json& request,
@@ -279,7 +275,6 @@ class Dispatcher {
   /// Adaptive hedge delay: the primary's hedge_quantile windowed latency
   /// when enough samples exist, hedge_delay_ms otherwise.
   double hedge_delay_for(BackendState& backend) const;
-  bool hedgeable(const service::Json& request) const;
 
   enum class AttemptResult { kResponse, kOverloaded, kFailed, kCancelled };
   /// Cancel-on-first-win plumbing for a hedged attempt. The in-flight
@@ -303,25 +298,17 @@ class Dispatcher {
   /// Releases a claimed half-open probe slot without recording an
   /// outcome (cancelled hedge attempts).
   void clear_probe_slot(BackendState& backend);
-  /// Fan an "ok" result out to the remaining first-R ring replicas.
+  /// Fans a served answer out to the remaining first-R ring replicas, as
+  /// the request's op row says: a cacheable "ok" result as a
+  /// "cache_install", a stream write as the *command* — the primary's
+  /// answer fixes the absolute absorb target, and each replica re-executes
+  /// the write against its own session (bit-identical by the streaming
+  /// determinism contract). Anything else is not replicated.
   void replicate(const service::Json& request, const service::Json& response,
                  const std::vector<std::size_t>& walk,
                  std::size_t served_index);
-  /// Stream writes replicate as *commands*, not results: the primary's
-  /// answer fixes the absolute absorb target, and each ring replica
-  /// re-executes the write against its own session (bit-identical by the
-  /// streaming determinism contract).
-  bool stream_replicable(const service::Json& request) const;
-  void replicate_stream(const service::Json& request,
-                        const service::Json& response,
-                        const std::vector<std::size_t>& walk,
-                        std::size_t served_index);
-  bool line_cacheable(const service::Json& request) const;
-  bool replicable(const service::Json& request) const;
   void maybe_store_response(const service::Json& request,
                             const service::Json& response);
-  void store_line(const service::Json& request, std::string_view line);
-  void maybe_compact_lines();  ///< caller holds line_mutex_
 
   DispatcherOptions options_;
   util::FaultInjector faults_;
@@ -335,11 +322,9 @@ class Dispatcher {
   mutable std::mutex stats_mutex_;
   DispatcherStats stats_;
 
-  /// Rendered "ok" response lines keyed by canonical request key; values
-  /// are views into line_arena_.
-  std::mutex line_mutex_;
-  util::Arena line_arena_;
-  util::LruCache<std::string, std::string_view> line_cache_;
+  /// Rendered "ok" response lines of cacheable requests (internally
+  /// synchronized); capacity 0 unless response_cache_capacity opts in.
+  service::RenderedLineCache response_cache_;
 };
 
 }  // namespace decompeval::cluster

@@ -402,6 +402,13 @@ std::string render_experiments_markdown(
   byte-for-byte identical to the offline pipeline at every thread count
   (`tests/test_cluster.cpp`), so this file is indifferent to how a run
   was obtained.
+- **Replication and crash recovery change no analysis value.** With
+  `replication_factor = 2` a result installed on a ring replica, served
+  from that replica after its primary is `kill -9`ed, or recomputed by
+  journal replay on a supervisor-restarted backend is the same bytes as
+  the original response (`tests/test_cluster_chaos.cpp`,
+  `tests/test_soak.cpp`): durability machinery only decides *where* a
+  result is stored and *how* it is recovered, never what it contains.
 - **The hot-path kernel rewrites change no metric value.** The
   bit-parallel Levenshtein, hashed n-gram BLEU/codeBLEU, matrix
   BERTScore, and blocked PPMI-projection kernels each retain their
@@ -410,6 +417,15 @@ std::string render_experiments_markdown(
   identical on randomized inputs and edge cases (also under
   `-DDECOMPEVAL_NO_SIMD`, which forces the reference path). Every number
   in this file is therefore unchanged by the performance work.
+- **Source spans change no metric value.** Threading
+  `SourceSpan{begin, end, line, col}` through the lexer, AST, CFG,
+  dataflow facts, and lint diagnostics (and serving them via the
+  `annotate` op) is pure provenance plumbing: diagnostics gained
+  positions, not different verdicts, and the static-complexity battery,
+  corpus verifier outcomes, and every table above are bit-identical to
+  the pre-span implementation. The span property suite
+  (`tests/test_spans.cpp`) and the served-vs-offline identity tests
+  (`tests/test_annotate.cpp`, `tests/test_cluster.cpp`) hold this line.
 )";
   return os.str();
 }

@@ -406,6 +406,37 @@ Json Json::parse(std::string_view text, std::pmr::memory_resource* mr) {
   return Parser(text, mr).parse_document();
 }
 
+Json ok_response(std::string_view op) {
+  Json r = Json::object();
+  r.set("status", Json::string("ok"));
+  if (!op.empty()) r.set("op", Json::string(op));
+  return r;
+}
+
+Json failure_response(std::string_view status, std::string_view error) {
+  Json r = Json::object();
+  r.set("status", Json::string(status));
+  r.set("error", Json::string(error));
+  return r;
+}
+
+void set_count(Json& object, std::string_view key, std::uint64_t value) {
+  object.set(key, Json::number(static_cast<double>(value)));
+}
+
+Json string_array(const std::vector<std::string>& items) {
+  Json out = Json::array();
+  for (const std::string& item : items) out.push_back(Json::string(item));
+  return out;
+}
+
+void echo_op(Json& response, const Json& request) {
+  if (!request.is_object()) return;
+  const Json* op = request.get("op");
+  if (op != nullptr && op->type() == Json::Type::kString)
+    response.set("op", Json::string(op->as_string()));
+}
+
 // Request fields that never change the result bytes. "threads" because
 // every pipeline stage is bit-identical across thread counts (the
 // property the chaos suite proves); "no_cache" and "deadline_ms" because
@@ -453,39 +484,6 @@ std::string canonical_request_key(const Json& request) {
   std::string out;
   canonical_request_key(request, out);
   return out;
-}
-
-void routing_key(const Json& request, std::string& out) {
-  // An annotate request editing a known document names the pre-edit
-  // source as "baseline"; routing on a request whose source *is* that
-  // baseline produces the same key, so the edited request lands on the
-  // backend whose engine already holds the unchanged functions warm. The
-  // caches themselves still key on the canonical (source-derived) key.
-  if (request.is_object()) {
-    const Json* op = request.get("op");
-    const Json* baseline = request.get("baseline");
-    if (op != nullptr && op->type() == Json::Type::kString &&
-        op->as_string() == "annotate" && baseline != nullptr &&
-        baseline->type() == Json::Type::kString) {
-      Json surrogate = strip_volatile_fields(request);
-      surrogate.set("source", *baseline);
-      canonical_request_key(surrogate, out);
-      return;
-    }
-    // Stream ops route by stream id alone: every op touching one stream
-    // must land on the backend that owns that stream's session, whatever
-    // its other parameters ("upto", workload knobs) say.
-    const Json* stream = request.get("stream");
-    if (op != nullptr && op->type() == Json::Type::kString &&
-        op->as_string().rfind("stream_", 0) == 0 && stream != nullptr &&
-        stream->type() == Json::Type::kString) {
-      out += "stream\x1f";
-      const std::string_view id = stream->as_string();
-      out.append(id.data(), id.size());
-      return;
-    }
-  }
-  canonical_request_key(request, out);
 }
 
 Json strip_volatile_fields(const Json& request) {

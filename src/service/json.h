@@ -24,6 +24,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory_resource>
 #include <stdexcept>
 #include <string>
@@ -132,6 +133,25 @@ class Json {
   std::pmr::vector<Member> object_;
 };
 
+/// {"status": "ok"}, then {"op": op} when `op` is non-empty: the head of
+/// every success answer a layer builds itself (callers append fields).
+Json ok_response(std::string_view op = {});
+
+/// {"status": status, "error": error}: the head every structured failure
+/// answer starts from (callers append their own fields after it).
+Json failure_response(std::string_view status, std::string_view error);
+
+/// Sets `key` on `object` to the counter `value` (stats and payload
+/// counts).
+void set_count(Json& object, std::string_view key, std::uint64_t value);
+
+/// A JSON array of `items` as strings (notes, warnings).
+Json string_array(const std::vector<std::string>& items);
+
+/// Copies the request's string "op" into `response`: every answer names
+/// the op it answers.
+void echo_op(Json& response, const Json& request);
+
 /// Canonical request key: the request's non-volatile fields ("threads",
 /// "no_cache", "deadline_ms", "baseline", and "lane" are excluded — they
 /// shape how a request is served, never what it computes), sorted by key,
@@ -143,14 +163,6 @@ class Json {
 /// string.
 void canonical_request_key(const Json& request, std::string& out);
 std::string canonical_request_key(const Json& request);
-
-/// Cluster routing key. Identical to canonical_request_key except for
-/// "annotate" requests carrying a string "baseline" (the pre-edit source
-/// of the document being re-annotated): those route as if their source
-/// were the baseline, so incremental edits of one document keep landing
-/// on the backend whose annotation engine is warm for it. Caches always
-/// use the canonical key — the baseline shapes placement, never results.
-void routing_key(const Json& request, std::string& out);
 
 /// Copy of `request` with the volatile fields removed (same exclusion
 /// set as canonical_request_key) — the *durable command form* the

@@ -1,0 +1,53 @@
+// RenderedLineCache: the in-memory result tier, one class for every layer.
+//
+// An LRU from a request's canonical key (the key the disk cache digests)
+// to its rendered response line, no newline. Json::dump is deterministic,
+// so a cached line is byte-for-byte what the server would write, and a
+// hit is appended straight to a connection's write buffer. Lines live on
+// a permanent arena; once replaced and evicted lines strand more dead
+// bytes than the live ones hold, the survivors are copied to the rewound
+// arena in LRU order.
+//
+// Users: ServiceCore's result tier (read by the server's fast path and by
+// ClusterBackend in front of its disk) and the dispatcher's opt-in
+// response cache. Thread-safe.
+#pragma once
+
+#include <cstddef>
+#include <cstdint>
+#include <mutex>
+#include <string>
+#include <string_view>
+
+#include "service/json.h"
+#include "util/arena.h"
+#include "util/lru.h"
+
+namespace decompeval::service {
+
+class RenderedLineCache {
+ public:
+  /// Capacity in entries; 0 disables the cache.
+  explicit RenderedLineCache(std::size_t capacity);
+
+  /// Appends the line cached for `request` to `out` and returns true;
+  /// false, leaving `out` untouched, on a miss.
+  bool find(const Json& request, std::string& out);
+  /// Caches `response`, rendered, for `request` (replacing; LRU-evicting
+  /// past capacity).
+  void put(const Json& request, const Json& response);
+
+  std::size_t capacity() const { return capacity_; }
+  std::size_t size() const;
+  std::uint64_t evictions() const;
+
+ private:
+  void maybe_compact();  ///< caller holds mutex_
+
+  const std::size_t capacity_;
+  mutable std::mutex mutex_;
+  util::Arena arena_;
+  util::LruCache<std::string, std::string_view> lines_;
+};
+
+}  // namespace decompeval::service

@@ -41,18 +41,13 @@ bool write_all(int fd, const std::string& data) {
 }
 
 Json overloaded_response(double retry_after_ms) {
-  Json r = Json::object();
-  r.set("status", Json::string("overloaded"));
-  r.set("error", Json::string("request queue is full"));
+  Json r = failure_response("overloaded", "request queue is full");
   r.set("retry_after_ms", Json::number(retry_after_ms));
   return r;
 }
 
 Json shutdown_error_response() {
-  Json r = Json::object();
-  r.set("status", Json::string("error"));
-  r.set("error", Json::string("server shutting down"));
-  return r;
+  return failure_response("error", "server shutting down");
 }
 
 // A request line (and therefore the per-connection read buffer) may not
@@ -284,9 +279,8 @@ void ReplicationServer::connection_loop(int fd) {
     const std::size_t newline = buffer.find('\n');
     if (newline == std::string::npos) {
       if (buffer.size() > kMaxLineBytes) {
-        Json r = Json::object();
-        r.set("status", Json::string("bad_request"));
-        r.set("error", Json::string("request line exceeds size limit"));
+        const Json r = failure_response("bad_request",
+                                        "request line exceeds size limit");
         write_all(fd, r.dump() + "\n");
         break;  // no line framing left to recover; drop the connection
       }
@@ -351,10 +345,7 @@ bool ReplicationServer::handle_request_line(int fd, std::string_view line,
   try {
     request = Json::parse(line, &arena);
   } catch (const JsonError& e) {
-    Json r = Json::object();
-    r.set("status", Json::string("bad_request"));
-    r.set("error", Json::string(e.what()));
-    r.dump_to(out);
+    failure_response("bad_request", e.what()).dump_to(out);
     out.push_back('\n');
     return write_response(fd, out);
   }
@@ -363,31 +354,19 @@ bool ReplicationServer::handle_request_line(int fd, std::string_view line,
   // probing an overloaded server must not wait behind the very queue
   // being probed.
   if (request.is_object() && request.get_string("op", "") == "server_stats") {
-    Json r = Json::object();
-    r.set("status", Json::string("ok"));
-    r.set("op", Json::string("server_stats"));
-    r.set("workers",
-          Json::number(static_cast<double>(options_.workers)));
-    r.set("max_queue",
-          Json::number(static_cast<double>(options_.max_queue)));
+    Json r = ok_response("server_stats");
+    set_count(r, "workers", options_.workers);
+    set_count(r, "max_queue", options_.max_queue);
     {
       const std::lock_guard<std::mutex> lock(queue_mutex_);
-      r.set("interactive_queued", Json::number(static_cast<double>(
-                                      interactive_queue_.size())));
-      r.set("batch_queued",
-            Json::number(static_cast<double>(batch_queue_.size())));
-      r.set("in_flight",
-            Json::number(static_cast<double>(in_flight_.size())));
-      r.set("interactive_enqueued",
-            Json::number(static_cast<double>(
-                overload_stats_.interactive_enqueued)));
-      r.set("batch_enqueued", Json::number(static_cast<double>(
-                                  overload_stats_.batch_enqueued)));
-      r.set("shed_batch", Json::number(static_cast<double>(
-                              overload_stats_.shed_batch)));
-      r.set("overloaded_rejected",
-            Json::number(static_cast<double>(
-                overload_stats_.overloaded_rejected)));
+      set_count(r, "interactive_queued", interactive_queue_.size());
+      set_count(r, "batch_queued", batch_queue_.size());
+      set_count(r, "in_flight", in_flight_.size());
+      set_count(r, "interactive_enqueued",
+                overload_stats_.interactive_enqueued);
+      set_count(r, "batch_enqueued", overload_stats_.batch_enqueued);
+      set_count(r, "shed_batch", overload_stats_.shed_batch);
+      set_count(r, "overloaded_rejected", overload_stats_.overloaded_rejected);
     }
     r.dump_to(out);
     out.push_back('\n');
@@ -395,9 +374,7 @@ bool ReplicationServer::handle_request_line(int fd, std::string_view line,
   }
 
   if (request.is_object() && request.get_string("op", "") == "shutdown") {
-    Json r = Json::object();
-    r.set("status", Json::string("ok"));
-    r.set("op", Json::string("shutdown"));
+    Json r = ok_response("shutdown");
     r.dump_to(out);
     out.push_back('\n');
     write_response(fd, out);

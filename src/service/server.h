@@ -10,10 +10,14 @@
 // Architecture:
 //   accept loops — one thread per listener; spawns a reader thread per
 //                  connection
+//   fast path    — before queueing, a cacheable request whose "ok" answer
+//                  is already in the core's result tier (filled by
+//                  ServiceCore::handle) is answered on the connection
+//                  thread; off while a service fault plan is armed
 //   request queue — bounded, two priority lanes (interactive / batch,
-//                   see classify_lane). When the combined queue is full an
-//                   arriving batch request answers immediately with
-//                   {"status":"overloaded","retry_after_ms":N}; an
+//                   see classify_lane in ops.h). When the combined queue
+//                   is full an arriving batch request answers immediately
+//                   with {"status":"overloaded","retry_after_ms":N}; an
 //                   arriving interactive request instead sheds the
 //                   youngest queued *batch* entry (which gets the
 //                   overloaded answer, plus "shed":true) and takes its
@@ -94,9 +98,10 @@ struct ServerOptions {
   /// Connection-thread fast path, tried before a request is queued: when
   /// it returns true it must have appended one full response line (no
   /// newline) to the string. Cache hits answered here skip two thread
-  /// handoffs and the queue entirely. Default (empty): the core's
-  /// rendered-line cache when no custom handler is set; a custom handler
-  /// (dispatcher, cluster backend) supplies its own or none.
+  /// handoffs and the queue entirely. Default (empty): the core's result
+  /// tier (ServiceCore::try_serve_cached_line) when no custom handler is
+  /// set; a custom handler (dispatcher, cluster backend) supplies its own
+  /// or none.
   std::function<bool(const Json&, std::string&)> fast_path;
 };
 

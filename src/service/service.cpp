@@ -8,7 +8,6 @@
 #include <string_view>
 #include <thread>
 #include <utility>
-#include <vector>
 
 #include "core/replication.h"
 #include "study/engine.h"
@@ -61,43 +60,16 @@ std::string study_digest(const study::StudyData& data) {
   return hex64(fnv1a(os.str()));
 }
 
-Json bad_request(const std::string& message) {
-  Json r = Json::object();
-  r.set("status", Json::string("bad_request"));
-  r.set("error", Json::string(message));
-  return r;
-}
-
-Json error_response(const std::string& message) {
-  Json r = Json::object();
-  r.set("status", Json::string("error"));
-  r.set("error", Json::string(message));
-  return r;
+Json bad_request(std::string_view message) {
+  return failure_response("bad_request", message);
 }
 
 }  // namespace
-
-RequestLane classify_lane(const Json& request) {
-  if (!request.is_object()) return RequestLane::kInteractive;
-  const std::string lane = request.get_string("lane", "");
-  if (lane == "batch") return RequestLane::kBatch;
-  if (lane == "interactive") return RequestLane::kInteractive;
-  const std::string op = request.get_string("op", "");
-  if (op == "run_study" || op == "run_replication" ||
-      op == "journal_replay" || op == "stream_absorb")
-    return RequestLane::kBatch;
-  return RequestLane::kInteractive;
-}
 
 ServiceCore::ServiceCore(ServiceOptions options)
     : options_(std::move(options)),
       faults_(options_.fault_plan),
       result_cache_(options_.result_cache_capacity),
-      // A fault plan disables the line fast lane outright: skipping the
-      // queue would skip "service.request"/"service.stall" hits and shift
-      // every chaos run's deterministic fault sequence.
-      line_cache_(options_.fault_plan.empty() ? options_.line_cache_capacity
-                                              : 0),
       embed_cache_(options_.embed_cache_capacity),
       annotate_engine_(options_.annotate_cache_capacity) {}
 
@@ -121,106 +93,42 @@ Json ServiceCore::handle(const Json& request,
     const std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.requests;
   }
+  bool cached = false;
   Json response;
   try {
-    response = dispatch(request, cancel);
+    response = dispatch(request, cancel, cached);
   } catch (const util::DeadlineExceeded& e) {
-    response = Json::object();
-    response.set("status", Json::string("deadline_exceeded"));
-    response.set("error", Json::string(e.what()));
+    response = failure_response("deadline_exceeded", e.what());
     response.set("cancelled", Json::boolean(e.cancelled()));
   } catch (const JsonError& e) {
     response = bad_request(e.what());
   } catch (const std::exception& e) {
     // Backstop: no exception ever reaches the server loop.
-    response = error_response(e.what());
+    response = failure_response("error", e.what());
   }
-  if (request.is_object()) {
-    const Json* op = request.get("op");
-    if (op && op->type() == Json::Type::kString)
-      response.set("op", Json::string(op->as_string()));
-  }
-  note_status(response.get_string("status", "error"));
+  echo_op(response, request);
+  const std::string status = response.get_string("status", "error");
+  note_status(status);
+  // The stored line is the final response, op echo included: every later
+  // hit, at any tier reading this cache, replays exactly these bytes.
+  if (!cached && status == "ok" && cacheable_request(request))
+    result_cache_.put(request, response);
   return response;
 }
 
-bool ServiceCore::line_cacheable(const Json& request) const {
-  if (line_cache_.capacity() == 0 || !request.is_object()) return false;
-  const Json* op = request.get("op");
-  if (op == nullptr || op->type() != Json::Type::kString) return false;
-  const auto& name = op->as_string();
-  if (name != "run_study" && name != "run_replication" && name != "annotate")
-    return false;
-  return !request.get_bool("no_cache", false);
-}
-
 bool ServiceCore::try_serve_cached_line(const Json& request, std::string& out) {
-  if (!line_cacheable(request)) return false;
-  // A cancelled request must produce deadline_exceeded, not a stale hit.
-  thread_local std::string key;
-  key.clear();
-  canonical_request_key(request, key);
+  if (!faults_.plan().empty() || !cacheable_request(request) ||
+      !result_cache_.find(request, out))
+    return false;
   const std::lock_guard<std::mutex> lock(mutex_);
-  const std::string_view* hit = line_cache_.find(key);
-  if (hit == nullptr) return false;
   ++stats_.requests;
   ++stats_.ok;
   ++stats_.cache_hits;
-  out.append(hit->data(), hit->size());
   return true;
 }
 
-void ServiceCore::handle_line(const Json& request,
-                              const std::atomic<bool>* cancel,
-                              std::string& out) {
-  if ((cancel == nullptr || !cancel->load(std::memory_order_relaxed)) &&
-      try_serve_cached_line(request, out))
-    return;
-  const Json response = handle(request, cancel);
-  const std::size_t start = out.size();
-  response.dump_to(out);
-  if (line_cacheable(request) && response.get_string("status", "") == "ok")
-    store_line(request,
-               std::string_view(out.data() + start, out.size() - start));
-}
-
-void ServiceCore::store_line(const Json& request, std::string_view line) {
-  thread_local std::string key;
-  key.clear();
-  canonical_request_key(request, key);
-  const std::lock_guard<std::mutex> lock(mutex_);
-  line_cache_.put(key, line_arena_.intern(line));
-  maybe_compact_lines();
-}
-
-void ServiceCore::maybe_compact_lines() {
-  // Replaced and evicted lines strand dead bytes on the arena (bump
-  // allocators never free). Once the arena holds noticeably more than the
-  // cache's live bytes, copy the survivors to the rewound arena — LRU
-  // order preserved.
-  if (line_arena_.live_bytes() < (256u << 10)) return;
-  std::size_t live = 0;
-  line_cache_.for_each(
-      [&live](const std::string&, const std::string_view& v) {
-        live += v.size();
-      });
-  if (line_arena_.live_bytes() < live * 2 + (64u << 10)) return;
-  std::vector<std::pair<std::string, std::string>> survivors;
-  survivors.reserve(line_cache_.size());
-  line_cache_.for_each(
-      [&survivors](const std::string& k, const std::string_view& v) {
-        survivors.emplace_back(k, std::string(v));
-      });
-  line_cache_.clear();
-  line_arena_.reset();
-  // for_each walked most- to least-recent; reinsert in reverse so the
-  // most recent entry lands back at the front.
-  for (auto it = survivors.rbegin(); it != survivors.rend(); ++it)
-    line_cache_.put(it->first, line_arena_.intern(it->second));
-}
-
 Json ServiceCore::dispatch(const Json& request,
-                           const std::atomic<bool>* cancel) {
+                           const std::atomic<bool>* cancel, bool& cached) {
   if (!request.is_object()) return bad_request("request must be an object");
   const Json* opv = request.get("op");
   if (!opv || opv->type() != Json::Type::kString)
@@ -240,65 +148,49 @@ Json ServiceCore::dispatch(const Json& request,
   deadline.check("request admission");
 
   if (op == "ping") {
-    Json r = Json::object();
-    r.set("status", Json::string("ok"));
+    Json r = ok_response();
     r.set("version", Json::string(core::version()));
     return r;
   }
   if (op == "stats") {
     const ServiceStats s = stats();
-    Json r = Json::object();
-    r.set("status", Json::string("ok"));
-    r.set("requests", Json::number(static_cast<double>(s.requests)));
-    r.set("ok", Json::number(static_cast<double>(s.ok)));
-    r.set("degraded", Json::number(static_cast<double>(s.degraded)));
-    r.set("errors", Json::number(static_cast<double>(s.errors)));
-    r.set("bad_requests", Json::number(static_cast<double>(s.bad_requests)));
-    r.set("deadline_exceeded",
-          Json::number(static_cast<double>(s.deadline_exceeded)));
-    r.set("retries", Json::number(static_cast<double>(s.retries)));
-    r.set("cache_hits", Json::number(static_cast<double>(s.cache_hits)));
+    Json r = ok_response();
+    set_count(r, "requests", s.requests);
+    set_count(r, "ok", s.ok);
+    set_count(r, "degraded", s.degraded);
+    set_count(r, "errors", s.errors);
+    set_count(r, "bad_requests", s.bad_requests);
+    set_count(r, "deadline_exceeded", s.deadline_exceeded);
+    set_count(r, "retries", s.retries);
+    set_count(r, "cache_hits", s.cache_hits);
     return r;
   }
   if (op == "cache_stats") {
-    Json r = Json::object();
-    r.set("status", Json::string("ok"));
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      r.set("result_cache_size",
-            Json::number(static_cast<double>(result_cache_.size())));
-      r.set("result_cache_capacity",
-            Json::number(static_cast<double>(result_cache_.capacity())));
-      r.set("result_cache_evictions",
-            Json::number(static_cast<double>(result_cache_.evictions())));
-      r.set("cache_hits", Json::number(static_cast<double>(stats_.cache_hits)));
-    }
+    Json r = ok_response();
+    set_count(r, "result_cache_size", result_cache_.size());
+    set_count(r, "result_cache_capacity", result_cache_.capacity());
+    set_count(r, "result_cache_evictions", result_cache_.evictions());
+    set_count(r, "cache_hits", stats().cache_hits);
     {
       const std::lock_guard<std::mutex> lock(embed_mutex_);
-      r.set("embed_cache_size",
-            Json::number(static_cast<double>(embed_cache_.size())));
-      r.set("embed_cache_capacity",
-            Json::number(static_cast<double>(embed_cache_.capacity())));
-      r.set("embed_cache_evictions",
-            Json::number(static_cast<double>(embed_cache_.evictions())));
+      set_count(r, "embed_cache_size", embed_cache_.size());
+      set_count(r, "embed_cache_capacity", embed_cache_.capacity());
+      set_count(r, "embed_cache_evictions", embed_cache_.evictions());
     }
     {
       // Engine hit/miss counters live here and only here: placing them in
       // annotate responses would break warm-vs-cold bit-identity.
       const auto s = annotate_engine_.cache_stats();
-      r.set("annotate_cache_size", Json::number(static_cast<double>(s.size)));
-      r.set("annotate_cache_capacity",
-            Json::number(static_cast<double>(s.capacity)));
-      r.set("annotate_cache_evictions",
-            Json::number(static_cast<double>(s.evictions)));
-      r.set("annotate_cache_hits",
-            Json::number(static_cast<double>(s.hits)));
-      r.set("annotate_cache_misses",
-            Json::number(static_cast<double>(s.misses)));
+      set_count(r, "annotate_cache_size", s.size);
+      set_count(r, "annotate_cache_capacity", s.capacity);
+      set_count(r, "annotate_cache_evictions", s.evictions);
+      set_count(r, "annotate_cache_hits", s.hits);
+      set_count(r, "annotate_cache_misses", s.misses);
     }
     return r;
   }
-  if (op != "run_study" && op != "run_replication" && op != "annotate")
+  const OpSpec* spec = find_op(op);
+  if (spec == nullptr || !spec->cacheable)
     return bad_request("unknown op '" + op + "'");
 
   maybe_stall(deadline);
@@ -310,13 +202,25 @@ Json ServiceCore::dispatch(const Json& request,
   for (int attempt = 0;; ++attempt) {
     try {
       faults_.raise_next("service.request");
+      // The result tier sits behind both fault sites, so a warm repeat
+      // consumes exactly the site hits a cold one does.
+      thread_local std::string line;
+      line.clear();
+      if (cacheable_request(request) && result_cache_.find(request, line)) {
+        {
+          const std::lock_guard<std::mutex> lock(mutex_);
+          ++stats_.cache_hits;
+        }
+        cached = true;
+        return Json::parse(line);
+      }
       if (op == "annotate") return annotate_op(request, deadline);
       return op == "run_study" ? run_study_op(request, deadline)
                                : run_replication_op(request, deadline);
     } catch (const util::FaultError& e) {
       if (attempt + 1 >= options_.max_attempts) {
-        Json r = error_response(std::string("retry budget exhausted: ") +
-                                e.what());
+        Json r = failure_response(
+            "error", std::string("retry budget exhausted: ") + e.what());
         r.set("attempts", Json::number(attempt + 1));
         return r;
       }
@@ -355,37 +259,20 @@ Json ServiceCore::run_study_op(const Json& request,
   config.faults = &faults_;
   config.deadline = deadline;
 
-  const bool no_cache = request.get_bool("no_cache", false);
-  const std::string key = "run_study|seed=" + std::to_string(config.seed);
-  if (!no_cache) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (const Json* hit = result_cache_.find(key)) {
-      ++stats_.cache_hits;
-      return *hit;
-    }
-  }
-
   const study::StudyData data = study::run_study(config);
 
   Json r = Json::object();
   r.set("status", Json::string(data.degraded ? "degraded" : "ok"));
   r.set("digest", Json::string(study_digest(data)));
-  r.set("recruited", Json::number(static_cast<double>(data.cohort.size())));
-  r.set("responses", Json::number(static_cast<double>(data.responses.size())));
-  r.set("excluded",
-        Json::number(static_cast<double>(data.excluded_participants.size())));
+  set_count(r, "recruited", data.cohort.size());
+  set_count(r, "responses", data.responses.size());
+  set_count(r, "excluded", data.excluded_participants.size());
   if (data.degraded) {
-    Json notes = Json::array();
-    for (const std::string& n : data.degradation_notes)
-      notes.push_back(Json::string(n));
-    r.set("notes", notes);
+    r.set("notes", string_array(data.degradation_notes));
     Json failed = Json::array();
     for (const std::size_t id : data.failed_shards)
       failed.push_back(Json::number(static_cast<double>(id)));
     r.set("failed_shards", failed);
-  } else if (!no_cache) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    result_cache_.put(key, r);
   }
   return r;
 }
@@ -409,43 +296,18 @@ Json ServiceCore::run_replication_op(const Json& request,
         embedding_for(config.embedding_corpus_sentences,
                       config.embedding_corpus_seed, config.threads);
 
-  const bool no_cache = request.get_bool("no_cache", false);
-  const bool include_rendered = request.get_bool("include_rendered", false);
-  const std::string key =
-      "run_replication|seed=" + std::to_string(config.seed) +
-      "|models=" + std::to_string(config.run_models) +
-      "|metrics=" + std::to_string(config.run_metrics) +
-      "|corpus=" + std::to_string(config.embedding_corpus_sentences) +
-      "|corpus_seed=" + std::to_string(config.embedding_corpus_seed) +
-      "|rendered=" + std::to_string(include_rendered);
-  if (!no_cache) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (const Json* hit = result_cache_.find(key)) {
-      ++stats_.cache_hits;
-      return *hit;
-    }
-  }
-
   const core::ReplicationReport report = core::run_replication(config);
 
   Json r = Json::object();
   r.set("status", Json::string(report.degraded ? "degraded" : "ok"));
   r.set("digest", Json::string(hex64(fnv1a(report.rendered))));
-  r.set("rendered_bytes",
-        Json::number(static_cast<double>(report.rendered.size())));
-  r.set("recruited",
-        Json::number(static_cast<double>(report.data.cohort.size())));
-  r.set("excluded", Json::number(static_cast<double>(
-                        report.data.excluded_participants.size())));
-  if (include_rendered) r.set("rendered", Json::string(report.rendered));
+  set_count(r, "rendered_bytes", report.rendered.size());
+  set_count(r, "recruited", report.data.cohort.size());
+  set_count(r, "excluded", report.data.excluded_participants.size());
+  if (request.get_bool("include_rendered", false))
+    r.set("rendered", Json::string(report.rendered));
   if (report.degraded) {
-    Json notes = Json::array();
-    for (const std::string& n : report.degradation_notes)
-      notes.push_back(Json::string(n));
-    r.set("notes", notes);
-  } else if (!no_cache) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    result_cache_.put(key, r);
+    r.set("notes", string_array(report.degradation_notes));
   }
   return r;
 }
@@ -468,29 +330,14 @@ Json ServiceCore::annotate_op(const Json& request,
         opts.parse_options.typedef_names.insert(std::string(t.as_string()));
   }
 
-  // The canonical key already strips the volatile fields ("threads",
-  // "baseline", ...), so two annotates of the same source share a slot no
-  // matter which baseline routed them here. Genuine parse errors are
-  // deterministic properties of the source and cache like any ok result;
-  // only injected-fault degradation is excluded.
-  const bool no_cache = request.get_bool("no_cache", false);
-  const std::string key = "annotate|" + canonical_request_key(request);
-  if (!no_cache) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (const Json* hit = result_cache_.find(key)) {
-      ++stats_.cache_hits;
-      return *hit;
-    }
-  }
-
   deadline.check("annotate");
   const analysis_service::AnnotationResult result =
       annotate_engine_.annotate(source, opts);
 
   const auto span_json = [](const lang::SourceSpan& s) {
     Json o = Json::object();
-    o.set("begin", Json::number(static_cast<double>(s.begin)));
-    o.set("end", Json::number(static_cast<double>(s.end)));
+    set_count(o, "begin", s.begin);
+    set_count(o, "end", s.end);
     o.set("line", Json::number(s.line));
     o.set("col", Json::number(s.col));
     return o;
@@ -528,16 +375,13 @@ Json ServiceCore::annotate_op(const Json& request,
                                    std::to_string(&f - result.functions.data()) +
                                    " degraded: " + f.note));
   }
-  r.set("n_functions",
-        Json::number(static_cast<double>(result.functions.size())));
-  r.set("n_annotations", Json::number(static_cast<double>(n_annotations)));
+  set_count(r, "n_functions", result.functions.size());
+  set_count(r, "n_annotations", n_annotations);
   r.set("functions", std::move(functions));
-  if (result.degraded) {
-    r.set("notes", std::move(notes));
-  } else if (!no_cache) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    result_cache_.put(key, r);
-  }
+  // Genuine parse errors are deterministic properties of the source and
+  // answer "ok" (cached like any ok result); only injected-fault
+  // degradation marks the response degraded.
+  if (result.degraded) r.set("notes", std::move(notes));
   return r;
 }
 

@@ -21,13 +21,17 @@
 // checkpoint until the deadline/watchdog fires. Both sites are driven by
 // the same deterministic FaultPlan as the rest of the pipeline.
 //
-// Caching: ok (never degraded) run_study/run_replication/annotate
-// responses are cached per canonical request key — the key excludes the
-// thread count, because results are bit-identical at every thread count
-// (and, for annotate, the edit baseline, which only steers cluster
-// routing) — and embedding
-// models are cached per (corpus_sentences, corpus_seed) so repeated
-// metric requests skip training. Both caches are LRU-bounded
+// Result tier: the core holds exactly one, a RenderedLineCache of the
+// final response lines (op echo included) of "ok" answers to cacheable
+// ops (see ops.h), keyed by canonical request key — so "threads" and the
+// other volatile fields never split a slot, because results are
+// bit-identical at every thread count. handle() fills it and consults it
+// after the "service.stall" and "service.request" sites, so chaos runs
+// keep their per-site hit sequences. The server's fast path
+// (try_serve_cached_line) and ClusterBackend, in front of its disk cache,
+// read the same tier. Embedding models are cached separately per
+// (corpus_sentences, corpus_seed) so repeated metric requests skip
+// training. Both caches are LRU-bounded
 // (ServiceOptions::{result,embed}_cache_capacity) so a long-lived backend
 // under a seed sweep cannot grow without limit; the "cache_stats" op
 // reports size/capacity/evictions.
@@ -42,7 +46,8 @@
 #include "analysis_service/annotation_engine.h"
 #include "embed/embedding.h"
 #include "service/json.h"
-#include "util/arena.h"
+#include "service/line_cache.h"
+#include "service/ops.h"
 #include "util/fault.h"
 #include "util/lru.h"
 
@@ -63,30 +68,16 @@ struct ServiceOptions {
   /// before giving up and continuing (keeps fault runs bounded even
   /// without a deadline).
   std::uint64_t stall_max_ms = 250;
-  /// LRU bound on the per-seed result cache (entries; 0 disables caching).
+  /// LRU bound on the result tier (entries; 0 disables caching).
   std::size_t result_cache_capacity = 256;
   /// LRU bound on the trained-embedding cache. Models are large, so the
   /// default keeps only a handful of (corpus, seed) configurations warm.
   std::size_t embed_cache_capacity = 4;
-  /// LRU bound on the rendered-line cache behind try_serve_cached_line
-  /// (entries; 0 disables it). Lines live on a permanent arena that is
-  /// compacted when evictions strand too many dead bytes.
-  std::size_t line_cache_capacity = 256;
   /// LRU bound on the annotation engine's per-function digest cache — the
   /// incremental lane of the "annotate" op (entries; 0 recomputes every
   /// function on every request).
   std::size_t annotate_cache_capacity = 256;
 };
-
-/// Admission lane of a request under the server's two-lane bounded queue.
-/// Batch covers the long sweeps ("run_study", "run_replication",
-/// "journal_replay"); everything else — annotate, small metric requests,
-/// introspection — is interactive and overtakes batch under overload. An
-/// explicit string "lane" field ("interactive"/"batch") overrides the
-/// op-based default; like "threads" it is a volatile field, shaping how a
-/// request queues but never what it computes.
-enum class RequestLane { kInteractive, kBatch };
-RequestLane classify_lane(const Json& request);
 
 /// Monotonic counters, readable via the "stats" op.
 struct ServiceStats {
@@ -113,21 +104,23 @@ class ServiceCore {
   /// appends the cached rendered response line (no newline) to `out` and
   /// returns true. The server calls this on the connection thread, before
   /// a request ever touches the queue/worker machinery. Disabled whenever
-  /// a fault plan is active so chaos runs keep their exact per-site hit
-  /// sequences. Hits count toward requests/ok/cache_hits.
+  /// a fault plan is active: skipping the queue would skip the
+  /// "service.stall"/"service.request" hits and shift every chaos run's
+  /// sequence. Hits count toward requests/ok/cache_hits.
   bool try_serve_cached_line(const Json& request, std::string& out);
 
-  /// handle() plus rendering: serves from the line cache when possible,
-  /// otherwise dispatches and appends the rendered response to `out`
-  /// (populating the line cache for "ok" cacheable responses).
-  void handle_line(const Json& request, const std::atomic<bool>* cancel,
-                   std::string& out);
+  /// The result tier itself, for a layer that fronts the core with more
+  /// tiers (ClusterBackend reads it before its disk and warms it from disk
+  /// hits and replica installs). Lookups here touch no stats.
+  RenderedLineCache& result_cache() { return result_cache_; }
 
   ServiceStats stats() const;
   const util::FaultInjector& faults() const { return faults_; }
 
  private:
-  Json dispatch(const Json& request, const std::atomic<bool>* cancel);
+  /// Sets `cached` when the answer came from the result tier.
+  Json dispatch(const Json& request, const std::atomic<bool>* cancel,
+                bool& cached);
   Json run_study_op(const Json& request, const util::Deadline& deadline);
   Json run_replication_op(const Json& request, const util::Deadline& deadline);
   Json annotate_op(const Json& request, const util::Deadline& deadline);
@@ -135,23 +128,14 @@ class ServiceCore {
       std::size_t sentences, std::uint64_t seed, std::size_t threads);
   void maybe_stall(const util::Deadline& deadline);
   void note_status(const std::string& status);
-  bool line_cacheable(const Json& request) const;
-  void store_line(const Json& request, std::string_view line);
-  void maybe_compact_lines();  ///< caller holds mutex_
 
   ServiceOptions options_;
   util::FaultInjector faults_;
 
   mutable std::mutex mutex_;
   ServiceStats stats_;
-  /// ok-only response cache, keyed by canonical request key; LRU-bounded.
-  util::LruCache<std::string, Json> result_cache_;
-  /// Rendered "ok" response lines keyed by canonical request key. Values
-  /// are views into line_arena_ (the permanent arena of the dual-arena
-  /// split — request parse trees live on per-connection scratch arenas in
-  /// the server). Guarded by mutex_.
-  util::Arena line_arena_;
-  util::LruCache<std::string, std::string_view> line_cache_;
+  /// The result tier (internally synchronized).
+  RenderedLineCache result_cache_;
   /// Embedding models keyed by "sentences|seed". Guarded separately so a
   /// long training run does not block stats/caching on other workers.
   /// Degraded models (quarantined trainer shards) are never cached.

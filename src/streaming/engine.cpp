@@ -26,11 +26,8 @@ constexpr std::size_t kMaxNotes = 32;
 /// refit records "sparse" and keeps the previous fit (not a fault).
 constexpr std::size_t kMinFitRows = 16;
 
-Json bad_request(const std::string& message) {
-  Json r = Json::object();
-  r.set("status", Json::string("bad_request"));
-  r.set("error", Json::string(message));
-  return r;
+Json bad_request(std::string_view message) {
+  return service::failure_response("bad_request", message);
 }
 
 Json error_response(const std::string& op, const std::string& message) {
@@ -41,8 +38,15 @@ Json error_response(const std::string& op, const std::string& message) {
   return r;
 }
 
-void set_count(Json& r, const char* key, std::uint64_t v) {
-  r.set(key, Json::number(static_cast<double>(v)));
+// The absorb command with its target replaced by the absolute "upto".
+Json with_upto(const Json& absorb, double upto) {
+  Json absolute = Json::object();
+  for (const auto& [key, value] : absorb.members()) {
+    const std::string_view k(key.data(), key.size());
+    if (k != "count" && k != "upto") absolute.set(k, value);
+  }
+  absolute.set("upto", Json::number(upto));
+  return absolute;
 }
 
 struct StreamOptions {
@@ -140,9 +144,7 @@ class StreamSession {
 
   Json open_response(bool already_open) {
     const std::lock_guard<std::mutex> lock(mutex_);
-    Json r = Json::object();
-    r.set("status", Json::string("ok"));
-    r.set("op", Json::string("stream_open"));
+    Json r = service::ok_response("stream_open");
     r.set("stream", Json::string(id_));
     r.set("already_open", Json::boolean(already_open));
     r.set("reloaded", Json::boolean(reloaded_records_ > 0));
@@ -178,15 +180,13 @@ class StreamSession {
     set_count(r, "dropped", dropped_);
     set_count(r, "refit_attempts", refit_attempts_);
     set_count(r, "refits_run", refits_run_);
-    if (degraded) r.set("notes", notes_json());
+    if (degraded) r.set("notes", service::string_array(notes_));
     return r;
   }
 
   Json stats() const {
     const std::lock_guard<std::mutex> lock(mutex_);
-    Json r = Json::object();
-    r.set("status", Json::string("ok"));
-    r.set("op", Json::string("stream_stats"));
+    Json r = service::ok_response("stream_stats");
     r.set("stream", Json::string(id_));
     set_count(r, "emitted", generator_.emitted());
     set_count(r, "drawn", generator_.drawn());
@@ -219,9 +219,7 @@ class StreamSession {
 
   Json dashboard() const {
     const std::lock_guard<std::mutex> lock(mutex_);
-    Json r = Json::object();
-    r.set("status", Json::string("ok"));
-    r.set("op", Json::string("stream_dashboard"));
+    Json r = service::ok_response("stream_dashboard");
     r.set("stream", Json::string(id_));
     set_count(r, "absorbed", state_.absorbed());
     set_count(r, "dropped", dropped_);
@@ -232,7 +230,7 @@ class StreamSession {
     // not be read as the full stream.
     const bool degraded = dropped_ > 0 || refits_faulted_ > 0;
     r.set("window_degraded", Json::boolean(degraded));
-    if (degraded) r.set("notes", notes_json());
+    if (degraded) r.set("notes", service::string_array(notes_));
     r.set("rq1", rq1_json());
     r.set("rq2", rq2_json());
     r.set("rq3", rq3_json());
@@ -265,12 +263,6 @@ class StreamSession {
   void note(std::string text) {
     if (notes_.size() >= kMaxNotes) notes_.erase(notes_.begin());
     notes_.push_back(std::move(text));
-  }
-
-  Json notes_json() const {
-    Json out = Json::array();
-    for (const std::string& n : notes_) out.push_back(Json::string(n));
-    return out;
   }
 
   /// Absorbs (or drops) one arrival and runs the refit cadence. The
@@ -655,15 +647,6 @@ StreamEngine::StreamEngine(const util::FaultInjector* faults,
 
 StreamEngine::~StreamEngine() = default;
 
-bool StreamEngine::is_stream_op(const std::string& op) {
-  return op == "stream_open" || op == "stream_absorb" ||
-         op == "stream_stats" || op == "stream_dashboard";
-}
-
-bool StreamEngine::is_stream_write(const std::string& op) {
-  return op == "stream_open" || op == "stream_absorb";
-}
-
 StreamSession* StreamEngine::find(const std::string& id) const {
   const std::lock_guard<std::mutex> lock(mutex_);
   const auto it = sessions_.find(id);
@@ -692,17 +675,15 @@ bool StreamEngine::canonicalize(service::Json& request, service::Json* error) {
   }
   // Rebuild without the relative field: the journaled command must be
   // the absolute, idempotent form.
-  Json absolute = Json::object();
-  for (const auto& [key, value] : request.members()) {
-    const std::string_view k(key.data(), key.size());
-    if (k == "count") continue;
-    absolute.set(k, value);
-  }
-  absolute.set("upto",
-               Json::number(static_cast<double>(
-                   session->emitted_target_base() + count)));
-  request = std::move(absolute);
+  request = with_upto(
+      request, static_cast<double>(session->emitted_target_base()) + count);
   return true;
+}
+
+service::Json StreamEngine::pinned_command(service::Json command,
+                                           const service::Json& answer) {
+  if (command.get_string("op", "") != "stream_absorb") return command;
+  return with_upto(command, answer.get_number("emitted", 0.0));
 }
 
 service::Json StreamEngine::handle(const service::Json& request) {

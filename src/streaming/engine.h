@@ -3,7 +3,8 @@
 // windowed RQ1–RQ5 dashboards, served through the cluster as the
 // `stream` op family.
 //
-// Op family (ClusterBackend routes every "stream_*" op here):
+// Op family (rows of service/ops.h routed by stream id; ClusterBackend
+// hands every one of them to this engine):
 //   "stream_open"      create (or idempotently re-open) a stream:
 //                      workload knobs ("process" poisson|bursty,
 //                      "rate_per_s", "population", "seed", burst knobs,
@@ -25,11 +26,11 @@
 //                      sliding window plus the warm refit chain.
 //
 // Cluster citizenship: stream ops are routed by stream id (see
-// service::routing_key), the write ops are journaled in absolute form
-// and replayed with the usual dedup, writes are forwarded to R−1 ring
-// replicas by the dispatcher, and results are cache-exempt everywhere
-// (they are time-varying by design; none of the op names appear in any
-// cacheable-op whitelist).
+// service::routing_key), the write ops (stream_write rows) are journaled
+// in absolute form and replayed with the usual dedup, writes are
+// forwarded to R−1 ring replicas by the dispatcher, and results are
+// cache-exempt everywhere (they are time-varying by design; no stream
+// row is cacheable).
 //
 // Fault sites (served from the owning ServiceCore's injector):
 //   "stream.absorb"  hit = arrival seq. The arrival is dropped — not
@@ -100,14 +101,19 @@ class StreamEngine {
                         std::string log_root = "");
   ~StreamEngine();
 
-  static bool is_stream_op(const std::string& op);
-  /// Ops that mutate stream state — these are journaled and replicated.
-  static bool is_stream_write(const std::string& op);
-
   /// Rewrites a relative "count" absorb into the absolute, idempotent
   /// "upto" form (the only form that may be journaled). Returns false —
   /// filling *error — when the request names an unknown stream.
   bool canonicalize(service::Json& request, service::Json* error);
+
+  /// The command form of a stream write a primary already answered, for
+  /// its ring replicas: an absorb is pinned to the primary's absolute
+  /// "emitted" target (whatever "count" or "upto" it carried), so a
+  /// replica that fell behind (or raced ahead via an earlier failover)
+  /// converges on the same arrival prefix instead of drifting by a
+  /// relative amount. Other writes are returned unchanged.
+  static service::Json pinned_command(service::Json command,
+                                      const service::Json& answer);
 
   /// Serves one stream_* request. Never throws.
   service::Json handle(const service::Json& request);

@@ -19,12 +19,12 @@
 // The service layer uses arenas in two roles (the dual-arena idiom):
 //   scratch    per connection, reset after every response — request
 //              parse trees, response nodes, render buffers
-//   permanent  per core, compacted rarely — interned rendered lines for
-//              the warm-request cache (see ServiceCore)
-// DualArena bundles the pair for call sites that want both.
+//   permanent  per rendered-line cache, compacted rarely — interned
+//              response lines for warm requests (see
+//              service::RenderedLineCache)
 //
 // Thread safety: none. Each arena is owned by exactly one thread at a
-// time (a connection loop, a core behind its mutex); that is the point —
+// time (a connection loop, a cache behind its mutex); that is the point —
 // no allocator lock on the hot path.
 #pragma once
 
@@ -58,12 +58,6 @@ class Arena : public std::pmr::memory_resource {
     live_bytes_ = 0;
   }
 
-  /// Releases every block back to the heap (reset() plus free).
-  void release() noexcept {
-    blocks_.clear();
-    reset();
-  }
-
   /// Copies `text` into the arena and returns a view of the copy.
   std::string_view intern(std::string_view text) {
     if (text.empty()) return {};
@@ -80,7 +74,6 @@ class Arena : public std::pmr::memory_resource {
     for (const Block& b : blocks_) total += b.size;
     return total;
   }
-  std::size_t block_count() const noexcept { return blocks_.size(); }
 
  private:
   struct Block {
@@ -136,15 +129,6 @@ class Arena : public std::pmr::memory_resource {
   std::size_t live_bytes_ = 0;
   std::size_t next_block_size_;
   std::size_t max_block_size_;
-};
-
-/// The scratch/permanent pair used by the service layer: `scratch` is
-/// reset wholesale after every request, `permanent` holds data that must
-/// outlive requests (cached rendered results) and is only ever reclaimed
-/// by explicit compaction.
-struct DualArena {
-  Arena scratch;
-  Arena permanent;
 };
 
 }  // namespace decompeval::util

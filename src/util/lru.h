@@ -1,8 +1,8 @@
 // Bounded least-recently-used cache.
 //
-// The service layer's per-seed result/embedding caches and the cluster
-// disk cache's in-memory front all need the same thing: a map with a hard
-// size bound, so a long-lived backend under a seed sweep cannot grow
+// The service layer's rendered-line and embedding caches and the
+// annotation engine's digest cache all need the same thing: a map with a
+// hard size bound, so a long-lived backend under a seed sweep cannot grow
 // without limit. Not thread-safe — every user already serializes access
 // behind its own mutex, and keeping the locking outside lets a caller
 // combine a lookup and an insert under one critical section.
@@ -52,7 +52,7 @@ class LruCache {
   }
 
   /// Visits every entry, most- to least-recently-used, without touching
-  /// recency. The service layer's arena compaction walks the cache to
+  /// recency. RenderedLineCache's arena compaction walks the cache to
   /// re-intern surviving values.
   template <typename Fn>
   void for_each(Fn&& fn) const {

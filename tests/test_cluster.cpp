@@ -139,9 +139,9 @@ TEST(DiskCacheTest, StoreThenLoadRoundTripsAcrossInstances) {
     digest = cache.digest(request);
     ASSERT_TRUE(cache.store(digest, response));
     Json loaded;
-    ASSERT_TRUE(cache.load(digest, &loaded));  // memory front
+    ASSERT_TRUE(cache.load(digest, &loaded));  // read back from disk
     EXPECT_EQ(loaded.dump(), response.dump());
-    EXPECT_EQ(cache.stats().memory_hits, 1u);
+    EXPECT_EQ(cache.stats().disk_hits, 1u);
   }
   // A fresh instance (cold restart) reads the same bytes from disk.
   DiskCache cold(cache_options(dir));
@@ -162,13 +162,13 @@ TEST(DiskCacheTest, CanonicalKeyIgnoresVolatileFieldsAndOrder) {
   Json b = Json::object();
   b.set("seed", Json::number(7));
   b.set("op", Json::string("run_study"));
-  EXPECT_EQ(DiskCache::canonical_request_key(a),
-            DiskCache::canonical_request_key(b));
+  EXPECT_EQ(service::canonical_request_key(a),
+            service::canonical_request_key(b));
   Json c = Json::object();
   c.set("op", Json::string("run_study"));
   c.set("seed", Json::number(8));
-  EXPECT_NE(DiskCache::canonical_request_key(a),
-            DiskCache::canonical_request_key(c));
+  EXPECT_NE(service::canonical_request_key(a),
+            service::canonical_request_key(c));
 }
 
 TEST(DiskCacheTest, BinaryVersionMismatchMissesAndLeavesTheFileAlone) {
@@ -428,7 +428,7 @@ TEST(ClusterTest, DispatcherMatchesDirectBackendAndOfflineBitForBit) {
 
   // Direct call to whichever backend owns the key: identical bytes.
   const std::string key =
-      DiskCache::canonical_request_key(replication_request(1));
+      service::canonical_request_key(replication_request(1));
   const std::string owner = cluster.dispatcher->ring().primary(key);
   for (std::size_t i = 0; i < cluster.backends.size(); ++i) {
     if (cluster.servers[i]->socket_path().find(owner) == std::string::npos)
@@ -692,7 +692,7 @@ TEST(ClusterTest, ReplicatedWriteWarmsTheReplicaAndSurvivesPrimaryDeath) {
 
   // Both members of the replica set now hold the result on disk: the
   // primary stored its computation, the secondary got a cache_install.
-  const std::string key = DiskCache::canonical_request_key(request);
+  const std::string key = service::canonical_request_key(request);
   const auto replicas = cluster.dispatcher->ring().replicas_for(key, 2);
   ASSERT_EQ(replicas.size(), 2u);
   std::size_t replica_stores = 0;

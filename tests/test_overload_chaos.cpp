@@ -134,7 +134,7 @@ struct HandlerCluster {
 
   // Index of the ring primary for `request` (ids are ring identities).
   std::size_t primary_of(const Json& request) const {
-    const std::string key = DiskCache::canonical_request_key(request);
+    const std::string key = service::canonical_request_key(request);
     const std::string id = dispatcher->ring().primary(key);
     for (std::size_t i = 0; i < ids.size(); ++i)
       if (ids[i] == id) return i;

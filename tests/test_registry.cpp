@@ -2,6 +2,9 @@
 // and, at the default seed, every shape criterion must hold.
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+
 #include "core/experiment_registry.h"
 
 namespace {
@@ -52,6 +55,20 @@ TEST_F(RegistryFixture, MarkdownRendersAllRecords) {
     EXPECT_NE(md.find("## " + record.id), std::string::npos);
   EXPECT_NE(md.find("| quantity | paper | measured | shape |"),
             std::string::npos);
+}
+
+TEST(ExperimentsReport, RegeneratesTheCommittedFileByteForByte) {
+  // Exactly what examples/make_experiments_report writes at seed 68.
+  core::ReplicationConfig config;
+  config.seed = 68;
+  const auto records =
+      core::build_experiment_records(core::run_replication(config));
+  std::ifstream committed(DECOMPEVAL_EXPERIMENTS_MD);
+  ASSERT_TRUE(committed.is_open()) << DECOMPEVAL_EXPERIMENTS_MD;
+  std::ostringstream text;
+  text << committed.rdbuf();
+  EXPECT_EQ(core::render_experiments_markdown(records, config.seed),
+            text.str());
 }
 
 }  // namespace

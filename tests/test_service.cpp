@@ -262,6 +262,33 @@ TEST(ReplicationServerTest, RoundTripsRequestsOverTheSocket) {
   EXPECT_FALSE(server.running());
 }
 
+TEST(ReplicationServerTest, DefaultFastLaneServesWarmRepeatsOffTheQueue) {
+  // Regression: the core's rendered result tier used to be filled only by
+  // a handle_line() nothing called, so the default server's fast path
+  // never hit and every identical repeat queued (and waited) again.
+  ServerOptions options;
+  options.socket_path = unique_socket_path("fl");
+  ReplicationServer server(options);
+  server.start();
+
+  ServiceClient client;
+  client.connect(server.socket_path());
+  Json req = make_request("run_study");
+  req.set("seed", Json::number(7));
+  std::vector<std::string> lines;
+  for (int i = 0; i < 5; ++i) {
+    const Json r = client.call(req);
+    ASSERT_EQ(r.get_string("status", ""), "ok");
+    lines.push_back(r.dump());
+  }
+  for (const std::string& line : lines) EXPECT_EQ(line, lines.front());
+
+  const Json stats = client.call(make_request("server_stats"));
+  EXPECT_EQ(stats.get_number("batch_enqueued", -1), 1.0);
+  EXPECT_EQ(server.core().stats().cache_hits, 4u);
+  server.stop();
+}
+
 TEST(ReplicationServerTest, ShutdownOpStopsTheServer) {
   ServerOptions options;
   options.socket_path = unique_socket_path("sd");

@@ -22,8 +22,10 @@
 #
 # The overload label (two-lane admission, deadline propagation, retry
 # budgets, circuit breakers, hedged reads, net.* transport chaos) also
-# gets dedicated TSan and ASan stages: hedged attempts race a cancel
-# path against a blocked read by construction, which is precisely the
+# gets dedicated TSan and ASan stages: every dispatcher worker shares
+# the per-backend breaker, budget, latency-window and connection-pool
+# state, and a hedged attempt juggles two pooled connections, closing
+# the loser mid-reply while its backend is still writing — precisely the
 # code a data-race or use-after-free detector must see under load.
 #
 # The streaming label (live-population arrivals, incremental window

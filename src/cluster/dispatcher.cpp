@@ -1,9 +1,11 @@
 #include "cluster/dispatcher.h"
 
+#include <poll.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
-#include <cmath>
-#include <condition_variable>
+#include <climits>
 #include <stdexcept>
 #include <utility>
 
@@ -13,10 +15,48 @@
 
 namespace decompeval::cluster {
 
+namespace {
+
+/// Idle pooled connections kept per backend.
+constexpr std::size_t kPoolCapacity = 2;
+/// Connect tries (10 ms apart) before a forward or install gives up.
+constexpr int kConnectAttempts = 10;
+/// Most retry tokens a backend's bucket can hold.
+constexpr double kRetryBudgetCap = 100.0;
+/// Latency samples are whole milliseconds of the dispatcher clock, so a
+/// sub-millisecond forward records 0, or 1 when it crosses a tick. Peer
+/// medians are floored here: a smaller floor would eject a healthy
+/// backend for one tick of clock jitter.
+constexpr double kClockResolutionMs = 1.0;
+
+/// Nearest-rank percentile; sorts `v` (non-empty) in place.
+double percentile(std::vector<double>& v, double p) {
+  std::sort(v.begin(), v.end());
+  const std::size_t i =
+      static_cast<std::size_t>(p * static_cast<double>(v.size() - 1) + 0.5);
+  return v[std::min(i, v.size() - 1)];
+}
+
+/// A fresh connection to `endpoint`. The timeout is set before connect so
+/// it bounds the handshake too: a partitioned backend that accepts SYNs
+/// but never answers costs at most one timeout, not an unbounded blocking
+/// connect(2).
+std::unique_ptr<service::ServiceClient> connect_to(
+    const BackendEndpoint& endpoint, double timeout_ms, int attempts) {
+  auto conn = std::make_unique<service::ServiceClient>();
+  conn->set_timeout_ms(timeout_ms);
+  if (!endpoint.socket_path.empty())
+    conn->connect(endpoint.socket_path, attempts);
+  else
+    conn->connect_tcp(endpoint.host, endpoint.port, attempts);
+  return conn;
+}
+
+}  // namespace
+
 Dispatcher::Dispatcher(DispatcherOptions options)
     : options_(std::move(options)),
       faults_(options_.fault_plan),
-      ring_(options_.virtual_nodes),
       // A fault plan disables the response fast lane: a cached answer
       // would skip "cluster.backend"/"cluster.forward" hits and shift
       // their deterministic sequences.
@@ -75,8 +115,13 @@ DispatcherStats Dispatcher::stats() const {
   return stats_;
 }
 
+void Dispatcher::bump(std::uint64_t DispatcherStats::*counter) {
+  const std::lock_guard<std::mutex> lock(stats_mutex_);
+  ++(stats_.*counter);
+}
+
 std::unique_ptr<service::ServiceClient> Dispatcher::acquire(
-    BackendState& backend, int connect_attempts) {
+    BackendState& backend) {
   {
     const std::lock_guard<std::mutex> lock(backend.pool_mutex);
     if (!backend.idle.empty()) {
@@ -85,23 +130,14 @@ std::unique_ptr<service::ServiceClient> Dispatcher::acquire(
       return conn;
     }
   }
-  auto conn = std::make_unique<service::ServiceClient>();
-  // Timeout set before connect so it bounds the handshake too: a
-  // partitioned backend that accepts SYNs but never answers must cost at
-  // most one forward_timeout, not an unbounded blocking connect(2).
-  conn->set_timeout_ms(options_.forward_timeout_ms);
-  if (!backend.endpoint.socket_path.empty())
-    conn->connect(backend.endpoint.socket_path, connect_attempts);
-  else
-    conn->connect_tcp(backend.endpoint.host, backend.endpoint.port,
-                      connect_attempts);
-  return conn;
+  return connect_to(backend.endpoint, options_.forward_timeout_ms,
+                    kConnectAttempts);
 }
 
 void Dispatcher::release(BackendState& backend,
                          std::unique_ptr<service::ServiceClient> conn) {
   const std::lock_guard<std::mutex> lock(backend.pool_mutex);
-  if (backend.idle.size() < options_.pool_capacity)
+  if (backend.idle.size() < kPoolCapacity)
     backend.idle.push_back(std::move(conn));
   // else: drop it; the destructor closes the socket.
 }
@@ -129,38 +165,23 @@ Dispatcher::Admit Dispatcher::admit_for_attempt(BackendState& backend,
   return Admit::kOk;
 }
 
-void Dispatcher::clear_probe_slot(BackendState& backend) {
-  const std::lock_guard<std::mutex> lock(backend.robust_mutex);
-  backend.half_open_probe_in_flight = false;
-}
-
 void Dispatcher::note_success(BackendState& backend, double latency_ms) {
   {
     const std::lock_guard<std::mutex> lock(backend.robust_mutex);
     backend.half_open_probe_in_flight = false;
     backend.breaker = BackendState::Breaker::kClosed;
     backend.consecutive_failures = 0;
-    backend.transport_failures = 0;
     if (options_.retry_budget_ratio > 0.0)
-      backend.retry_tokens =
-          std::min(options_.retry_budget_cap,
-                   backend.retry_tokens + options_.retry_budget_ratio);
-    if (!backend.latency_window.empty()) {
-      backend.latency_window[backend.latency_next] = latency_ms;
-      backend.latency_next =
-          (backend.latency_next + 1) % backend.latency_window.size();
-      ++backend.latency_count;
-    }
+      backend.retry_tokens = std::min(
+          kRetryBudgetCap, backend.retry_tokens + options_.retry_budget_ratio);
+    if (!backend.latency_window.empty())
+      backend.latency_window[backend.latency_count++ %
+                             backend.latency_window.size()] = latency_ms;
   }
   maybe_eject_slow_peer(backend);
 }
 
-void Dispatcher::note_failure(BackendState& backend, bool overload) {
-  (void)overload;  // both kinds count identically toward the breaker
-  if (options_.breaker_failure_threshold <= 0) {
-    clear_probe_slot(backend);
-    return;
-  }
+void Dispatcher::note_failure(BackendState& backend) {
   bool opened = false;
   {
     const std::lock_guard<std::mutex> lock(backend.robust_mutex);
@@ -170,7 +191,8 @@ void Dispatcher::note_failure(BackendState& backend, bool overload) {
       backend.breaker = BackendState::Breaker::kOpen;
       backend.breaker_opened_ms = clock_ms();
       opened = true;
-    } else if (backend.breaker == BackendState::Breaker::kClosed &&
+    } else if (options_.breaker_failure_threshold > 0 &&
+               backend.breaker == BackendState::Breaker::kClosed &&
                ++backend.consecutive_failures >=
                    options_.breaker_failure_threshold) {
       backend.breaker = BackendState::Breaker::kOpen;
@@ -179,21 +201,16 @@ void Dispatcher::note_failure(BackendState& backend, bool overload) {
       opened = true;
     }
   }
-  if (opened) {
-    const std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.breaker_opens;
-  }
+  if (opened) bump(&DispatcherStats::breaker_opens);
 }
 
-void Dispatcher::note_transport_failure(BackendState& backend) {
-  bool mark_down = true;
-  if (options_.down_after_failures > 1) {
-    const std::lock_guard<std::mutex> lock(backend.robust_mutex);
-    mark_down =
-        ++backend.transport_failures >= options_.down_after_failures;
-    if (mark_down) backend.transport_failures = 0;
-  }
-  if (mark_down) backend.up.store(false);
+void Dispatcher::window_samples(BackendState& backend,
+                                std::vector<double>& out) const {
+  const std::lock_guard<std::mutex> lock(backend.robust_mutex);
+  const std::size_t n = static_cast<std::size_t>(std::min<std::uint64_t>(
+      backend.latency_count, backend.latency_window.size()));
+  out.assign(backend.latency_window.begin(),
+             backend.latency_window.begin() + static_cast<std::ptrdiff_t>(n));
 }
 
 void Dispatcher::maybe_eject_slow_peer(BackendState& backend) {
@@ -201,20 +218,6 @@ void Dispatcher::maybe_eject_slow_peer(BackendState& backend) {
       options_.breaker_failure_threshold <= 0 || backends_.size() < 2)
     return;
   // Copy the windows out one lock at a time; the math runs lock-free.
-  const auto window_samples = [this](BackendState& b,
-                                     std::vector<double>& out) {
-    const std::lock_guard<std::mutex> lock(b.robust_mutex);
-    const std::size_t n = static_cast<std::size_t>(
-        std::min<std::uint64_t>(b.latency_count, b.latency_window.size()));
-    out.assign(b.latency_window.begin(),
-               b.latency_window.begin() + static_cast<std::ptrdiff_t>(n));
-  };
-  const auto percentile = [](std::vector<double>& v, double p) {
-    std::sort(v.begin(), v.end());
-    const std::size_t i = static_cast<std::size_t>(
-        p * static_cast<double>(v.size() - 1) + 0.5);
-    return v[std::min(i, v.size() - 1)];
-  };
   std::vector<double> self;
   window_samples(backend, self);
   if (self.size() < options_.breaker_min_latency_samples) return;
@@ -229,10 +232,8 @@ void Dispatcher::maybe_eject_slow_peer(BackendState& backend) {
   }
   if (peer_medians.empty()) return;
   const double peer_median = percentile(peer_medians, 0.5);
-  // The 0.1 ms floor keeps sub-millisecond local peers from flagging
-  // every microsecond of jitter as an outlier.
-  if (self_p95 <=
-      options_.breaker_latency_outlier_factor * std::max(peer_median, 0.1))
+  if (self_p95 <= options_.breaker_latency_outlier_factor *
+                      std::max(peer_median, kClockResolutionMs))
     return;
   bool ejected = false;
   {
@@ -252,95 +253,150 @@ void Dispatcher::maybe_eject_slow_peer(BackendState& backend) {
 }
 
 double Dispatcher::hedge_delay_for(BackendState& backend) const {
-  double delay = options_.hedge_delay_ms;
-  if (options_.breaker_latency_window == 0) return delay;
-  const std::lock_guard<std::mutex> lock(backend.robust_mutex);
-  const std::size_t n = static_cast<std::size_t>(std::min<std::uint64_t>(
-      backend.latency_count, backend.latency_window.size()));
-  if (n < options_.breaker_min_latency_samples) return delay;
-  std::vector<double> v(backend.latency_window.begin(),
-                        backend.latency_window.begin() +
-                            static_cast<std::ptrdiff_t>(n));
-  std::sort(v.begin(), v.end());
-  const std::size_t i = static_cast<std::size_t>(
-      options_.hedge_quantile * static_cast<double>(n - 1) + 0.5);
+  const double delay = options_.hedge_delay_ms;
+  std::vector<double> samples;
+  window_samples(backend, samples);
+  if (samples.empty() ||
+      samples.size() < options_.breaker_min_latency_samples)
+    return delay;
   // Quantile-adaptive, but never hedge sooner than the configured floor:
   // a warmed-up fast backend would otherwise hedge every request.
-  return std::max(delay, v[std::min(i, n - 1)]);
+  return std::max(delay, percentile(samples, 0.95));
 }
 
-Dispatcher::AttemptResult Dispatcher::attempt_backend(
-    BackendState& backend, const service::Json& request,
-    service::Json& response, HedgeContext* hedge) {
-  const std::uint64_t attempt_start = clock_ms();
-  std::unique_ptr<service::ServiceClient> conn;
-  try {
-    conn = acquire(backend, /*connect_attempts=*/10);
-    if (hedge != nullptr) {
-      const std::lock_guard<std::mutex> lock(*hedge->mutex);
-      if (hedge->cancelled->load(std::memory_order_relaxed)) {
-        clear_probe_slot(backend);
-        release(backend, std::move(conn));
-        return AttemptResult::kCancelled;
-      }
-      *hedge->conn_slot = conn.get();
+Dispatcher::Attempt Dispatcher::attempt(const service::Json& request,
+                                        const std::vector<std::size_t>& walk,
+                                        std::size_t at, bool may_hedge,
+                                        service::Json& response) {
+  using Clock = std::chrono::steady_clock;
+  const auto after_ms = [](Clock::time_point from, double ms) {
+    return from + std::chrono::duration_cast<Clock::duration>(
+                      std::chrono::duration<double, std::milli>(ms));
+  };
+  // One connection sent the request line; `conn` is null once settled.
+  struct Leg {
+    std::size_t index = kNone;
+    std::unique_ptr<service::ServiceClient> conn;
+    std::uint64_t start_ms = 0;  ///< clock_ms() base of the latency sample
+    Clock::time_point deadline;  ///< send time + forward_timeout_ms
+  };
+  Leg legs[2];
+  std::size_t n_legs = 0;
+  Attempt result;
+
+  // Transport failure (connect/send/recv error, timeout) or injected
+  // forward fault: the connection may be mid-reply, so it is dropped, and
+  // the backend is down until the prober's ping succeeds again.
+  const auto fail = [&](Leg& leg) {
+    BackendState& backend = *backends_[leg.index];
+    leg.conn.reset();
+    note_failure(backend);
+    backend.up.store(false);
+    bump(&DispatcherStats::failovers);
+  };
+  const auto launch = [&](std::size_t index) {
+    Leg& leg = legs[n_legs++];
+    leg.index = index;
+    leg.start_ms = clock_ms();
+    try {
+      leg.conn = acquire(*backends_[index]);
+      faults_.raise_next("cluster.forward");
+      leg.conn->send(request);
+      leg.deadline = options_.forward_timeout_ms > 0.0
+                         ? after_ms(Clock::now(), options_.forward_timeout_ms)
+                         : Clock::time_point::max();
+    } catch (const std::exception&) {
+      fail(leg);
     }
-    faults_.raise_next("cluster.forward");
-    service::Json reply = conn->call(request);
-    if (hedge != nullptr) {
-      const std::lock_guard<std::mutex> lock(*hedge->mutex);
-      *hedge->conn_slot = nullptr;
-      if (hedge->cancelled->load(std::memory_order_relaxed)) {
-        // The winner was decided between our call returning and this
-        // lock: our socket may already be half-closed, so the connection
-        // is dropped (never pooled) and the reply discarded unrecorded.
-        clear_probe_slot(backend);
-        return AttemptResult::kCancelled;
-      }
-    }
+  };
+  // Books a complete reply line; true when it answers the request.
+  const auto settle = [&](Leg& leg, service::Json& reply) {
+    BackendState& backend = *backends_[leg.index];
+    release(backend, std::move(leg.conn));
     if (reply.get_string("status", "") == "overloaded") {
-      // The backend is alive, just saturated: keep it up, put the
-      // connection back, and spill to the next ring node. Saturation
-      // still counts toward the breaker — a persistently overloaded
-      // backend should stop receiving attempts for a cooldown.
-      release(backend, std::move(conn));
-      note_failure(backend, /*overload=*/true);
-      const std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.overloaded_retries;
-      return AttemptResult::kOverloaded;
+      // Alive, just saturated: it stays up and the walk spills to the
+      // next ring node. Saturation still counts toward the breaker — a
+      // persistently overloaded backend should stop receiving attempts
+      // for a cooldown.
+      note_failure(backend);
+      bump(&DispatcherStats::overloaded_retries);
+      return false;
     }
-    release(backend, std::move(conn));
-    note_success(backend,
-                 static_cast<double>(clock_ms() - attempt_start));
-    {
-      const std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.forwarded;
-    }
+    note_success(backend, static_cast<double>(clock_ms() - leg.start_ms));
+    bump(&DispatcherStats::forwarded);
+    if (leg.index == result.hedged) bump(&DispatcherStats::hedge_wins);
     response = std::move(reply);
-    return AttemptResult::kResponse;
-  } catch (const std::exception&) {
-    // Transport failure (connect/send/recv error, timeout) or injected
-    // forward fault: the connection may be mid-reply, so it is dropped.
-    if (hedge != nullptr) {
-      bool cancelled;
-      {
-        const std::lock_guard<std::mutex> lock(*hedge->mutex);
-        *hedge->conn_slot = nullptr;
-        cancelled = hedge->cancelled->load(std::memory_order_relaxed);
-      }
-      if (cancelled) {
-        // The other side won and shut this connection down; that is a
-        // cancel, not a backend failure — no down-marking, no breaker
-        // penalty, no failover counted.
-        clear_probe_slot(backend);
-        return AttemptResult::kCancelled;
-      }
+    result.served = leg.index;
+    return true;
+  };
+
+  launch(walk[at]);
+  Clock::time_point hedge_at = Clock::time_point::max();
+  if (may_hedge && legs[0].conn != nullptr)
+    hedge_at = after_ms(Clock::now(), hedge_delay_for(*backends_[walk[at]]));
+  pollfd fds[2];
+  Leg* waiting[2];
+  while (true) {
+    std::size_t n = 0;
+    Clock::time_point wake = hedge_at;
+    for (std::size_t i = 0; i < n_legs; ++i) {
+      if (legs[i].conn == nullptr) continue;
+      fds[n] = pollfd{legs[i].conn->fd(), POLLIN, 0};
+      waiting[n++] = &legs[i];
+      wake = std::min(wake, legs[i].deadline);
     }
-    note_failure(backend, /*overload=*/false);
-    note_transport_failure(backend);
-    const std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.failovers;
-    return AttemptResult::kFailed;
+    if (n == 0) return result;  // every leg overloaded or failed
+    const auto until_wake =
+        std::chrono::ceil<std::chrono::milliseconds>(wake - Clock::now());
+    const int wait_ms = static_cast<int>(
+        std::clamp<std::int64_t>(until_wake.count(), 0, INT_MAX));
+    if (::poll(fds, n, wait_ms) < 0) {
+      if (errno != EINTR)
+        for (std::size_t k = 0; k < n; ++k) fail(*waiting[k]);
+      continue;
+    }
+    for (std::size_t k = 0; k < n; ++k) {
+      Leg& leg = *waiting[k];
+      if (fds[k].revents == 0) continue;
+      try {
+        service::Json reply;
+        if (!leg.conn->try_receive(reply) || !settle(leg, reply)) continue;
+      } catch (const std::exception&) {
+        fail(leg);
+        continue;
+      }
+      // First complete line wins. A leg still waiting is the loser: its
+      // connection closes unpooled, and it books nothing beyond freeing a
+      // half-open probe slot its admission may have claimed.
+      for (Leg& other : legs) {
+        if (other.conn == nullptr) continue;
+        other.conn.reset();
+        BackendState& loser = *backends_[other.index];
+        const std::lock_guard<std::mutex> lock(loser.robust_mutex);
+        loser.half_open_probe_in_flight = false;
+      }
+      return result;
+    }
+    const Clock::time_point now = Clock::now();
+    for (std::size_t k = 0; k < n; ++k)
+      if (waiting[k]->conn != nullptr && now >= waiting[k]->deadline)
+        fail(*waiting[k]);  // timed out
+    if (now < hedge_at) continue;
+    // Hedge time. If the primary is still quiet, send the line once more,
+    // to the next live walk candidate that admits it — never spending
+    // retry tokens: a hedge is latency cover, not a retry.
+    hedge_at = Clock::time_point::max();
+    for (std::size_t j = at + 1; legs[0].conn != nullptr && j < walk.size();
+         ++j) {
+      BackendState& other = *backends_[walk[j]];
+      if (!other.up.load() ||
+          admit_for_attempt(other, /*is_retry=*/false) != Admit::kOk)
+        continue;
+      bump(&DispatcherStats::hedges);
+      result.hedged = walk[j];
+      launch(walk[j]);
+      break;
+    }
   }
 }
 
@@ -390,8 +446,7 @@ service::Json Dispatcher::handle(const service::Json& request,
     echo_op(r, request);
     return r;
   }
-  service::Json response = forward(request, cancel);
-  return response;
+  return forward(request, cancel);
 }
 
 void Dispatcher::replicate(const service::Json& request,
@@ -433,12 +488,11 @@ void Dispatcher::replicate(const service::Json& request,
       // Down replicas are not an error: the serving backend's journal
       // (and disk cache) still covers the write, and the restarted
       // replica re-warms from there.
-      const std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.replication_failures;
+      bump(&DispatcherStats::replication_failures);
       continue;
     }
     try {
-      auto conn = acquire(backend, /*connect_attempts=*/10);
+      auto conn = acquire(backend);
       const service::Json reply = conn->call(outbound);
       release(backend, std::move(conn));
       // An install lands once the replica stored it. A stream command
@@ -448,15 +502,11 @@ void Dispatcher::replicate(const service::Json& request,
       const bool landed =
           install ? applied == "ok" && reply.get_bool("stored", false)
                   : applied == "ok" || applied == "degraded";
-      const std::lock_guard<std::mutex> lock(stats_mutex_);
-      if (landed)
-        ++stats_.replicated;
-      else
-        ++stats_.replication_failures;
+      bump(landed ? &DispatcherStats::replicated
+                  : &DispatcherStats::replication_failures);
     } catch (const std::exception&) {
       backend.up.store(false);
-      const std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.replication_failures;
+      bump(&DispatcherStats::replication_failures);
     }
   }
 }
@@ -466,8 +516,7 @@ bool Dispatcher::try_serve_cached_line(const service::Json& request,
   if (!service::cacheable_request(request) ||
       !response_cache_.find(request, out))
     return false;
-  const std::lock_guard<std::mutex> lock(stats_mutex_);
-  ++stats_.response_cache_hits;
+  bump(&DispatcherStats::response_cache_hits);
   return true;
 }
 
@@ -534,10 +583,7 @@ service::Json Dispatcher::forward(const service::Json& request,
           static_cast<double>(clock_ms() - dispatch_start);
       const double remaining = requested_deadline - elapsed;
       if (remaining <= std::max(options_.deadline_floor_ms, 0.0)) {
-        {
-          const std::lock_guard<std::mutex> lock(stats_mutex_);
-          ++stats_.deadline_refusals;
-        }
+        bump(&DispatcherStats::deadline_refusals);
         service::Json r = service::failure_response(
             "deadline_exceeded", "deadline budget exhausted while dispatching");
         echo_op(r, request);
@@ -552,178 +598,35 @@ service::Json Dispatcher::forward(const service::Json& request,
     // prober restores the backend once its real ping succeeds.
     if (faults_.fire_next("cluster.backend")) backend.up.store(false);
     if (!backend.up.load()) {
-      const std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.down_skips;
+      bump(&DispatcherStats::down_skips);
       continue;
     }
     switch (admit_for_attempt(backend, /*is_retry=*/tried >= 1)) {
-      case Admit::kBreakerOpen: {
-        const std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++stats_.breaker_skips;
+      case Admit::kBreakerOpen:
+        bump(&DispatcherStats::breaker_skips);
         continue;
-      }
-      case Admit::kBudgetSpent: {
-        const std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++stats_.retries_suppressed;
+      case Admit::kBudgetSpent:
+        bump(&DispatcherStats::retries_suppressed);
         continue;
-      }
       case Admit::kOk:
         break;
     }
     ++tried;
     attempted[backend_index] = 1;
-
-    // --- hedged attempt: primary on a thread, second replica fired after
-    // the primary has been quiet for the hedge delay, first answer wins.
-    // Only on the first (non-retry) attempt — later attempts ARE the
-    // retry path already.
-    if (may_hedge && tried == 1) {
-      // Pick the hedge target now: the next live ring candidate. Its
-      // admission happens here too (never spending retry tokens — a
-      // hedge is latency cover, not a retry).
-      std::size_t hedge_index = backends_.size();
-      for (std::size_t j = walk + 1; j < candidates.size(); ++j) {
-        BackendState& other = *backends_[candidates[j]];
-        if (!other.up.load()) continue;
-        if (admit_for_attempt(other, /*is_retry=*/false) != Admit::kOk)
-          continue;
-        hedge_index = candidates[j];
-        break;
-      }
-      if (hedge_index < backends_.size()) {
-        struct HedgeShared {
-          std::mutex mutex;
-          std::condition_variable cv;
-          bool primary_done = false;
-          bool secondary_done = false;
-          AttemptResult primary_result = AttemptResult::kFailed;
-          AttemptResult secondary_result = AttemptResult::kFailed;
-          service::Json primary_response;
-          service::Json secondary_response;
-          service::ServiceClient* primary_conn = nullptr;
-          service::ServiceClient* secondary_conn = nullptr;
-          std::atomic<bool> cancel_primary{false};
-          std::atomic<bool> cancel_secondary{false};
-        } shared;
-        BackendState& hedge_backend = *backends_[hedge_index];
-        HedgeContext primary_ctx{&shared.mutex, &shared.primary_conn,
-                                 &shared.cancel_primary};
-        HedgeContext secondary_ctx{&shared.mutex, &shared.secondary_conn,
-                                   &shared.cancel_secondary};
-        std::thread primary([&] {
-          service::Json resp;
-          const AttemptResult r =
-              attempt_backend(backend, *outbound, resp, &primary_ctx);
-          const std::lock_guard<std::mutex> lock(shared.mutex);
-          shared.primary_result = r;
-          shared.primary_response = std::move(resp);
-          shared.primary_done = true;
-          shared.cv.notify_all();
-        });
-        std::thread secondary;
-        bool launched_secondary = false;
-        {
-          std::unique_lock<std::mutex> lock(shared.mutex);
-          const double delay = hedge_delay_for(backend);
-          shared.cv.wait_for(
-              lock,
-              std::chrono::microseconds(
-                  static_cast<std::int64_t>(delay * 1000.0)),
-              [&] { return shared.primary_done; });
-          if (!shared.primary_done) {
-            launched_secondary = true;
-            secondary = std::thread([&] {
-              service::Json resp;
-              const AttemptResult r = attempt_backend(
-                  hedge_backend, *outbound, resp, &secondary_ctx);
-              const std::lock_guard<std::mutex> inner(shared.mutex);
-              shared.secondary_result = r;
-              shared.secondary_response = std::move(resp);
-              shared.secondary_done = true;
-              shared.cv.notify_all();
-            });
-            attempted[hedge_index] = 1;
-            {
-              const std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-              ++stats_.hedges;
-            }
-          }
-          // Wait for a winner (any kResponse) or for both sides to end.
-          shared.cv.wait(lock, [&] {
-            const bool secondary_settled =
-                !launched_secondary || shared.secondary_done;
-            if (shared.primary_done &&
-                shared.primary_result == AttemptResult::kResponse)
-              return true;
-            if (launched_secondary && shared.secondary_done &&
-                shared.secondary_result == AttemptResult::kResponse)
-              return true;
-            return shared.primary_done && secondary_settled;
-          });
-          // Decide and cancel the loser while still holding the mutex,
-          // so the loser either sees its cancel flag before publishing a
-          // connection or we see the published connection to shut down.
-          const bool primary_won =
-              shared.primary_done &&
-              shared.primary_result == AttemptResult::kResponse;
-          const bool secondary_won =
-              !primary_won && launched_secondary && shared.secondary_done &&
-              shared.secondary_result == AttemptResult::kResponse;
-          if (primary_won && launched_secondary && !shared.secondary_done) {
-            shared.cancel_secondary.store(true, std::memory_order_relaxed);
-            if (shared.secondary_conn != nullptr)
-              shared.secondary_conn->shutdown_now();
-          }
-          if (secondary_won && !shared.primary_done) {
-            shared.cancel_primary.store(true, std::memory_order_relaxed);
-            if (shared.primary_conn != nullptr)
-              shared.primary_conn->shutdown_now();
-          }
-        }
-        // Both joins are prompt: the winner's thread already finished and
-        // the loser's blocked read was broken by shutdown_now above.
-        primary.join();
-        if (secondary.joinable()) secondary.join();
-        if (!launched_secondary) clear_probe_slot(hedge_backend);
-
-        service::Json* winner = nullptr;
-        std::size_t winner_index = backend_index;
-        if (shared.primary_result == AttemptResult::kResponse) {
-          winner = &shared.primary_response;
-        } else if (launched_secondary &&
-                   shared.secondary_result == AttemptResult::kResponse) {
-          winner = &shared.secondary_response;
-          winner_index = hedge_index;
-          const std::lock_guard<std::mutex> lock(stats_mutex_);
-          ++stats_.hedge_wins;
-        }
-        if (winner != nullptr) {
-          replicate(request, *winner, candidates, winner_index);
-          return std::move(*winner);
-        }
-        // Both sides overloaded/failed: per-attempt stats were recorded
-        // inside attempt_backend; keep walking the ring past both.
-        if (launched_secondary) ++tried;
-        continue;
-      }
-      // No admissible hedge target: fall through to the inline attempt.
-    }
-
+    // Only the first (non-retry) attempt may hedge: later attempts ARE
+    // the retry path already.
     service::Json response;
-    switch (attempt_backend(backend, *outbound, response, nullptr)) {
-      case AttemptResult::kResponse:
-        replicate(request, response, candidates, backend_index);
-        return response;  // verbatim — bit-identical to a direct call
-      case AttemptResult::kOverloaded:
-      case AttemptResult::kFailed:
-      case AttemptResult::kCancelled:  // unreachable without a hedge ctx
-        continue;
+    const Attempt a =
+        attempt(*outbound, candidates, walk, may_hedge && tried == 1, response);
+    if (a.hedged != kNone) {
+      attempted[a.hedged] = 1;
+      ++tried;
     }
+    if (a.served == kNone) continue;  // overloaded or failed: walk on
+    replicate(request, response, candidates, a.served);
+    return response;  // verbatim — bit-identical to a direct call
   }
-  {
-    const std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.exhausted;
-  }
+  bump(&DispatcherStats::exhausted);
   service::Json r = service::failure_response(
       "error", "no backend available (" + std::to_string(tried) + " of " +
                    std::to_string(candidates.size()) + " candidates tried)");
@@ -741,24 +644,13 @@ void Dispatcher::prober_loop() {
       if (backend->up.load()) continue;
       backend->last_probe_ms.store(clock_ms(), std::memory_order_relaxed);
       try {
-        service::ServiceClient probe;
-        // Set before connect: the probe must cost at most probe_timeout_ms
-        // even against a partitioned peer that accepts but never answers.
-        probe.set_timeout_ms(options_.probe_timeout_ms);
-        if (!backend->endpoint.socket_path.empty())
-          probe.connect(backend->endpoint.socket_path, /*attempts=*/1);
-        else
-          probe.connect_tcp(backend->endpoint.host, backend->endpoint.port,
-                            /*attempts=*/1);
+        const auto probe = connect_to(backend->endpoint,
+                                      options_.probe_timeout_ms,
+                                      /*attempts=*/1);
         service::Json ping = service::Json::object();
         ping.set("op", service::Json::string("ping"));
-        if (probe.call(ping).get_string("status", "") == "ok") {
-          {
-            const std::lock_guard<std::mutex> lock(backend->robust_mutex);
-            backend->transport_failures = 0;
-          }
+        if (probe->call(ping).get_string("status", "") == "ok")
           backend->up.store(true);
-        }
       } catch (const std::exception&) {
         // Still down; try again next tick.
       }

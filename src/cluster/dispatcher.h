@@ -55,13 +55,16 @@
 //     the injectable now_ms clock so tests replay deterministically.
 //   slow-peer ejection — per-backend latency windows; a backend whose p95
 //     is breaker_latency_outlier_factor times the median of its peers'
-//     medians has its breaker opened even though it still answers.
-//   hedged reads — cacheable reads fire a second attempt at the next ring
-//     replica once the primary has been quiet for a delay derived from
-//     its own hedge_quantile latency (hedge_delay_ms until enough samples
-//     exist); first response wins and the loser is cancelled with a
-//     socket shutdown. Hedging is forced off whenever the dispatcher's
-//     own fault plan is armed, keeping chaos hit sequences exact.
+//     medians (floored at the clock's 1 ms resolution) has its breaker
+//     opened even though it still answers.
+//   hedged reads — every forward is one attempt on the calling thread:
+//     send, then poll() until the reply line or the deadline. When a
+//     cacheable read's primary is still quiet after its windowed p95
+//     latency (never less than hedge_delay_ms), the next live ring
+//     replica is admitted and sent the same line, and the poll() waits on
+//     both; the first complete line wins and the loser's connection is
+//     closed unpooled, booking nothing. A dispatcher fault plan forces
+//     hedging off, keeping chaos hit sequences exact.
 //
 // Fault sites (serial-counter, from DispatcherOptions::fault_plan):
 //   "cluster.backend"  the candidate is treated as down (health-skip path)
@@ -94,11 +97,10 @@ struct BackendEndpoint {
 
 struct DispatcherOptions {
   std::vector<BackendEndpoint> backends;
-  std::size_t virtual_nodes = 64;
-  /// Idle pooled connections kept per backend.
-  std::size_t pool_capacity = 2;
-  /// Per-attempt send/recv bound. A backend killed mid-request surfaces
-  /// as a timeout here and the dispatcher fails over instead of hanging.
+  /// Per-attempt bound on connect, send, and the wait for the reply line
+  /// (counted from the send; <= 0 waits without bound). A backend killed
+  /// mid-request surfaces as a timeout here and the dispatcher fails over
+  /// instead of hanging.
   double forward_timeout_ms = 30000.0;
   /// Down-backend reprobe cadence; 0 disables the prober thread.
   std::uint64_t health_interval_ms = 100;
@@ -121,10 +123,9 @@ struct DispatcherOptions {
   /// propagate decremented).
   double deadline_floor_ms = 0.0;
   /// Retry-budget token bucket per backend: a success earns this many
-  /// tokens (capped), a retry spends 1.0. <= 0 disables budgets.
+  /// tokens (capped at 100), a retry spends 1.0. <= 0 disables budgets.
   double retry_budget_ratio = 0.0;
   double retry_budget_initial = 10.0;
-  double retry_budget_cap = 100.0;
   /// Consecutive failures (transport or overloaded) that open a backend's
   /// circuit breaker. 0 disables breakers entirely.
   int breaker_failure_threshold = 0;
@@ -139,16 +140,12 @@ struct DispatcherOptions {
   double breaker_latency_outlier_factor = 4.0;
   /// Minimum samples in a backend's window before ejection math runs.
   std::size_t breaker_min_latency_samples = 16;
-  /// Hedged reads: the fallback delay before the second ring replica is
-  /// tried. <= 0 disables hedging. With breaker_latency_window samples
-  /// available the delay adapts to the primary's hedge_quantile latency.
+  /// Hedged reads: how long a quiet primary waits before the next ring
+  /// replica is tried too (<= 0 disables hedging); with latency samples
+  /// the delay grows to the primary's windowed p95, never below this.
   double hedge_delay_ms = 0.0;
-  double hedge_quantile = 0.95;
   /// Per-probe connect + ping bound for the health prober.
   double probe_timeout_ms = 1000.0;
-  /// Consecutive transport failures before a backend is marked down for
-  /// the prober (1 = historical immediate down-marking).
-  int down_after_failures = 1;
   /// Injectable monotonic clock (milliseconds). Breaker cooldowns,
   /// deadline budgets, latency windows, and probe timestamps all read it,
   /// so a test can drive breaker state transitions deterministically.
@@ -236,12 +233,11 @@ class Dispatcher {
     std::mutex robust_mutex;
     Breaker breaker = Breaker::kClosed;
     int consecutive_failures = 0;  ///< breaker trip counter
-    int transport_failures = 0;    ///< down-marking counter
     std::uint64_t breaker_opened_ms = 0;
     bool half_open_probe_in_flight = false;
     double retry_tokens = 0.0;
-    std::vector<double> latency_window;  ///< ring buffer, newest overwrites
-    std::size_t latency_next = 0;
+    /// Ring buffer: sample i lands in slot i % size, newest overwrites.
+    std::vector<double> latency_window;
     std::uint64_t latency_count = 0;  ///< total samples ever recorded
     /// Wall/injected-clock timestamp of the prober's last attempt on this
     /// backend (0 = never probed). Surfaced in cluster_stats.
@@ -253,51 +249,44 @@ class Dispatcher {
 
   service::Json forward(const service::Json& request,
                         const std::atomic<bool>* cancel);
-  std::unique_ptr<service::ServiceClient> acquire(BackendState& backend,
-                                                  int connect_attempts);
+  std::unique_ptr<service::ServiceClient> acquire(BackendState& backend);
   void release(BackendState& backend,
                std::unique_ptr<service::ServiceClient> conn);
   void prober_loop();
   std::uint64_t clock_ms() const;
+  /// Adds one to a DispatcherStats counter under stats_mutex_.
+  void bump(std::uint64_t DispatcherStats::*counter);
   /// Breaker + retry-budget gate, single lock acquisition. A kOk verdict
-  /// in the half-open state claims the probe slot; the caller must follow
-  /// with note_success or note_failure to release it.
+  /// in the half-open state claims the probe slot; note_success,
+  /// note_failure, or losing a hedged attempt releases it.
   Admit admit_for_attempt(BackendState& backend, bool is_retry);
   void note_success(BackendState& backend, double latency_ms);
-  /// `overload`: the backend answered "overloaded" (alive but saturated)
-  /// rather than failing in transport; counts toward the breaker but not
-  /// toward down-marking.
-  void note_failure(BackendState& backend, bool overload);
-  /// Marks the backend down once down_after_failures consecutive
-  /// transport failures accumulate.
-  void note_transport_failure(BackendState& backend);
+  /// A transport failure or an "overloaded" answer: both count toward the
+  /// breaker (only the former marks the backend down, at the call site).
+  void note_failure(BackendState& backend);
   void maybe_eject_slow_peer(BackendState& backend);
-  /// Adaptive hedge delay: the primary's hedge_quantile windowed latency
-  /// when enough samples exist, hedge_delay_ms otherwise.
+  /// The backend's filled latency-window samples, copied under its lock.
+  void window_samples(BackendState& backend, std::vector<double>& out) const;
+  /// Adaptive hedge delay: the primary's windowed p95 latency when enough
+  /// samples exist, never below hedge_delay_ms.
   double hedge_delay_for(BackendState& backend) const;
 
-  enum class AttemptResult { kResponse, kOverloaded, kFailed, kCancelled };
-  /// Cancel-on-first-win plumbing for a hedged attempt. The in-flight
-  /// connection is published into *conn_slot under *mutex; the winner
-  /// sets *cancelled and shuts the published connection down under the
-  /// same mutex, so the loser either never starts its call or has its
-  /// blocked read broken immediately.
-  struct HedgeContext {
-    std::mutex* mutex = nullptr;
-    service::ServiceClient** conn_slot = nullptr;
-    const std::atomic<bool>* cancelled = nullptr;
+  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  /// The backend whose line answered (kNone: every leg was overloaded or
+  /// failed, so the walk goes on) and the one a hedge went to, if any.
+  struct Attempt {
+    std::size_t served = kNone;
+    std::size_t hedged = kNone;
   };
-  /// One complete forward attempt (acquire, call, stats, breaker/budget
-  /// bookkeeping). The caller must have admitted the attempt already.
-  /// kResponse: `response` holds the backend's answer. kOverloaded /
-  /// kFailed: keep walking the ring. kCancelled (hedged attempts only):
-  /// the other side won first; no counters or breaker state were touched.
-  AttemptResult attempt_backend(BackendState& backend,
-                                const service::Json& request,
-                                service::Json& response, HedgeContext* hedge);
-  /// Releases a claimed half-open probe slot without recording an
-  /// outcome (cancelled hedge attempts).
-  void clear_probe_slot(BackendState& backend);
+  /// The one forward attempt, hedged or not (see "hedged reads" above):
+  /// sends `request` to the admitted backends_[walk[at]] and waits on the
+  /// calling thread; with `may_hedge` a quiet primary is covered by the
+  /// next admissible walk candidate, and each connection waits until
+  /// forward_timeout_ms after its own send. A win leaves the line in
+  /// `response` verbatim.
+  Attempt attempt(const service::Json& request,
+                  const std::vector<std::size_t>& walk, std::size_t at,
+                  bool may_hedge, service::Json& response);
   /// Fans a served answer out to the remaining first-R ring replicas, as
   /// the request's op row says: a cacheable "ok" result as a
   /// "cache_install", a stream write as the *command* — the primary's

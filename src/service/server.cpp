@@ -563,6 +563,21 @@ bool connect_fd(int fd, const sockaddr* addr, socklen_t addr_len,
   return ok;
 }
 
+// Connects a fresh socket to `addr`, retrying `attempts` times at 10 ms
+// spacing (covers the window where the server is still binding). Returns
+// the connected fd, or -1 when every attempt failed.
+int connect_retrying(const sockaddr* addr, socklen_t addr_len, int attempts,
+                     double timeout_ms) {
+  for (int attempt = 0; attempt < attempts; ++attempt) {
+    const int fd = ::socket(addr->sa_family, SOCK_STREAM, 0);
+    if (fd < 0) throw std::runtime_error("ServiceClient: socket() failed");
+    if (connect_fd(fd, addr, addr_len, timeout_ms)) return fd;
+    ::close(fd);
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return -1;
+}
+
 }  // namespace
 
 ServiceClient::~ServiceClient() { close(); }
@@ -574,10 +589,6 @@ void ServiceClient::close() {
   }
 }
 
-void ServiceClient::shutdown_now() {
-  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
-}
-
 void ServiceClient::connect(const std::string& socket_path, int attempts) {
   close();
   sockaddr_un addr{};
@@ -585,21 +596,11 @@ void ServiceClient::connect(const std::string& socket_path, int attempts) {
   if (socket_path.size() >= sizeof addr.sun_path)
     throw std::runtime_error("ServiceClient: socket path too long");
   std::strncpy(addr.sun_path, socket_path.c_str(), sizeof addr.sun_path - 1);
-
-  // The server may still be binding; retry connection briefly.
-  for (int attempt = 0; attempt < attempts; ++attempt) {
-    fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd_ < 0) throw std::runtime_error("ServiceClient: socket() failed");
-    if (connect_fd(fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof addr,
-                   timeout_ms_)) {
-      apply_io_timeout();
-      return;
-    }
-    ::close(fd_);
-    fd_ = -1;
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  throw std::runtime_error("ServiceClient: cannot connect to " + socket_path);
+  fd_ = connect_retrying(reinterpret_cast<const sockaddr*>(&addr), sizeof addr,
+                         attempts, timeout_ms_);
+  if (fd_ < 0)
+    throw std::runtime_error("ServiceClient: cannot connect to " + socket_path);
+  apply_io_timeout();
 }
 
 void ServiceClient::connect_tcp(const std::string& host, int port,
@@ -610,21 +611,12 @@ void ServiceClient::connect_tcp(const std::string& host, int port,
   addr.sin_port = htons(static_cast<std::uint16_t>(port));
   if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1)
     throw std::runtime_error("ServiceClient: bad host " + host);
-
-  for (int attempt = 0; attempt < attempts; ++attempt) {
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd_ < 0) throw std::runtime_error("ServiceClient: socket() failed");
-    if (connect_fd(fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof addr,
-                   timeout_ms_)) {
-      apply_io_timeout();
-      return;
-    }
-    ::close(fd_);
-    fd_ = -1;
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  throw std::runtime_error("ServiceClient: cannot connect to " + host + ":" +
-                           std::to_string(port));
+  fd_ = connect_retrying(reinterpret_cast<const sockaddr*>(&addr), sizeof addr,
+                         attempts, timeout_ms_);
+  if (fd_ < 0)
+    throw std::runtime_error("ServiceClient: cannot connect to " + host + ":" +
+                             std::to_string(port));
+  apply_io_timeout();
 }
 
 void ServiceClient::set_timeout_ms(double ms) {
@@ -643,28 +635,41 @@ void ServiceClient::apply_io_timeout() {
 }
 
 Json ServiceClient::call(const Json& request) {
+  send(request);
+  Json reply;
+  while (!try_receive(reply)) {
+  }
+  return reply;
+}
+
+void ServiceClient::send(const Json& request) {
   if (fd_ < 0) throw std::runtime_error("ServiceClient: not connected");
   request_buf_.clear();
   request.dump_to(request_buf_);
   request_buf_.push_back('\n');
   if (!write_all(fd_, request_buf_))
     throw std::runtime_error("ServiceClient: write failed");
-  char chunk[4096];
-  while (true) {
-    const std::size_t newline = buffer_.find('\n');
-    if (newline != std::string::npos) {
-      const std::string line = buffer_.substr(0, newline);
-      buffer_.erase(0, newline + 1);
-      return Json::parse(line);
-    }
+}
+
+bool ServiceClient::try_receive(Json& reply) {
+  std::size_t newline = buffer_.find('\n');
+  if (newline == std::string::npos) {
+    char chunk[4096];
     const ssize_t n = ::read(fd_, chunk, sizeof chunk);
-    if (n < 0 && errno == EINTR) continue;
+    if (n < 0 && errno == EINTR) return false;
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
       throw std::runtime_error("ServiceClient: read timed out");
     if (n <= 0)
       throw std::runtime_error("ServiceClient: connection closed mid-reply");
+    const std::size_t scanned = buffer_.size();
     buffer_.append(chunk, static_cast<std::size_t>(n));
+    newline = buffer_.find('\n', scanned);
+    if (newline == std::string::npos) return false;
   }
+  const std::string line = buffer_.substr(0, newline);
+  buffer_.erase(0, newline + 1);
+  reply = Json::parse(line);
+  return true;
 }
 
 }  // namespace decompeval::service

@@ -216,7 +216,9 @@ class ReplicationServer {
   std::mutex stopper_join_mutex_;
 };
 
-/// Minimal blocking client for the line protocol (tests and examples).
+/// Minimal client for the line protocol: call() is the blocking round
+/// trip; its halves, send() and try_receive(), let one thread poll() the
+/// fd()s of several connections in flight (the dispatcher's hedged reads).
 class ServiceClient {
  public:
   ServiceClient() = default;
@@ -239,17 +241,17 @@ class ServiceClient {
   /// 0 disables. After a timeout the connection may hold a half-read
   /// reply — close it, don't reuse it.
   void set_timeout_ms(double ms);
-  bool connected() const { return fd_ >= 0; }
+  int fd() const { return fd_; }
   void close();
-  /// Half-closes the socket from any thread without releasing the fd: a
-  /// call() blocked in read() on another thread returns immediately with
-  /// an error. This is the hedging cancel path — the losing attempt is
-  /// shut down, then joined, then destroyed; shutdown_now never races the
-  /// close() because only the owner calls close.
-  void shutdown_now();
 
   /// Sends one request line and blocks for the response line.
   Json call(const Json& request);
+  /// Writes one request line (throws when the peer is gone).
+  void send(const Json& request);
+  /// One read() toward the response line — immediate once poll() reports
+  /// fd() readable. True with `reply` filled when the line is complete;
+  /// throws on timeout, error, or a peer that closed mid-reply.
+  bool try_receive(Json& reply);
 
  private:
   /// Applies timeout_ms_ to the established socket (SO_RCVTIMEO/SNDTIMEO).

@@ -5,13 +5,15 @@
 //   - net.stall / net.partial / net.partition sweeps at replication
 //     factor 2 with hedging armed — every request answers exactly once,
 //     with a structured status, bit-identical to the faults-off bytes;
-//   - hedges never duplicate non-cacheable side effects;
+//   - hedges never duplicate non-cacheable side effects, and one hedged
+//     attempt books both of its connections' outcomes;
 //   - a sustained batch flood cannot starve the interactive lane
 //     (p99 ratio >= 5x, sheds observed);
 //   - deadline budgets shrink hop by hop and refuse below the floor;
 //   - empty retry budgets suppress retry storms instead of amplifying;
 //   - circuit breakers open / half-open / re-close on the injected clock;
-//   - a slow-but-alive peer is ejected and traffic fails over;
+//   - a slow-but-alive peer is ejected and traffic fails over, while
+//     one-tick clock jitter between instant peers ejects nobody;
 //   - with every resilience feature armed and no faults, the full stack
 //     stays bit-identical to the offline pipeline at threads 1/2/4.
 #include <unistd.h>
@@ -306,6 +308,57 @@ TEST(OverloadChaos, HedgeCoversAStalledPrimaryWithoutFailover) {
   EXPECT_EQ(stats.exhausted, 0u);
 }
 
+TEST(OverloadChaos, HedgedAttemptBooksBothConnections) {
+  // The primary answers at 100 ms, long after a 5 ms hedge delay; the
+  // hedge answers at 200 ms. Both answers land on one attempt, and the
+  // margins are wide enough to hold under a sanitizer.
+  std::atomic<int> primary{-1};
+  std::atomic<bool> hedge_answers_ok{true};
+  const auto handler = [&](int index) {
+    return [&, index](const Json& request, const std::atomic<bool>*) {
+      const bool is_primary = index == primary.load();
+      std::this_thread::sleep_for(
+          std::chrono::milliseconds(is_primary ? 100 : 200));
+      if (is_primary || !hedge_answers_ok.load())
+        return overloaded_handler_response();
+      return ok_response(request);
+    };
+  };
+  DispatcherOptions dispatch;
+  dispatch.hedge_delay_ms = 5;
+  dispatch.health_interval_ms = 0;
+  HandlerCluster cluster("hedgebook", dispatch, {handler(0), handler(1)});
+
+  // The primary is overloaded after the hedge fired: the caller gets the
+  // hedge's bytes, and the overload is a spill, not a transport failure.
+  const Json spill = study_request(21);
+  primary.store(static_cast<int>(cluster.primary_of(spill)));
+  const Json won = cluster.dispatcher->handle(spill, nullptr);
+  EXPECT_EQ(won.dump(), ok_response(spill).dump());
+  cluster::DispatcherStats stats = cluster.dispatcher->stats();
+  EXPECT_EQ(stats.hedges, 1u);
+  EXPECT_EQ(stats.hedge_wins, 1u);
+  EXPECT_EQ(stats.overloaded_retries, 1u);
+  EXPECT_EQ(stats.failovers, 0u);
+
+  // Both connections answer overloaded: the walk has nothing left, and
+  // the structured refusal counts both backends as attempted.
+  hedge_answers_ok.store(false);
+  const Json refused_request = study_request(22);
+  primary.store(static_cast<int>(cluster.primary_of(refused_request)));
+  const Json refused = cluster.dispatcher->handle(refused_request, nullptr);
+  EXPECT_EQ(refused.get_string("status", ""), "error");
+  EXPECT_NE(refused.get_string("error", "").find("no backend available"),
+            std::string::npos);
+  EXPECT_EQ(refused.get_number("attempted", -1), 2.0);
+  stats = cluster.dispatcher->stats();
+  EXPECT_EQ(stats.hedges, 2u);
+  EXPECT_EQ(stats.hedge_wins, 1u);
+  EXPECT_EQ(stats.overloaded_retries, 3u);
+  EXPECT_EQ(stats.failovers, 0u);
+  EXPECT_EQ(stats.exhausted, 1u);
+}
+
 // --- two-lane admission under sustained batch overload ---------------------
 
 TEST(OverloadChaos, InteractiveLaneOvertakesBatchUnderSustainedOverload) {
@@ -588,6 +641,36 @@ TEST(OverloadChaos, SlowPeerIsEjectedAndTrafficFailsOver) {
   }
   EXPECT_EQ(executions[0].load(), slow_before);
   EXPECT_EQ(cluster.dispatcher->stats().exhausted, 0u);
+}
+
+TEST(OverloadChaos, OneTickOfClockJitterEjectsNoPeer) {
+  // Latency samples are whole milliseconds of the dispatcher clock, so
+  // instant backends record 0 ms, or 1 ms when a forward straddles a
+  // tick. Here the injected clock ticks on every 10th read: every peer
+  // median is 0 and a p95 of 1 is pure resolution, not a slow peer.
+  std::atomic<std::uint64_t> clock_reads{0};
+  DispatcherOptions dispatch;
+  dispatch.breaker_failure_threshold = 3;
+  dispatch.breaker_cooldown_ms = 2000;
+  dispatch.breaker_latency_window = 64;
+  dispatch.health_interval_ms = 0;
+  dispatch.now_ms = [&clock_reads] {
+    return 1000 + clock_reads.fetch_add(1) / 10;
+  };
+  const auto handler = [](const Json& request, const std::atomic<bool>*) {
+    return ok_response(request);
+  };
+  HandlerCluster cluster("tick", dispatch, {handler, handler, handler});
+
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    EXPECT_EQ(cluster.dispatcher->handle(study_request(seed), nullptr)
+                  .get_string("status", ""),
+              "ok")
+        << "seed=" << seed;
+  }
+  const cluster::DispatcherStats stats = cluster.dispatcher->stats();
+  EXPECT_EQ(stats.slow_peer_ejections, 0u);
+  EXPECT_EQ(stats.breaker_skips, 0u);
 }
 
 // --- faults-off bit-identity with everything armed -------------------------

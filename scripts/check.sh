@@ -140,12 +140,15 @@ ctest --test-dir build-ubsan --output-on-failure -j "$JOBS" -L tier1 -LE soak
 
 echo "=== UBSan kernel differentials, forced-scalar (-DDECOMPEVAL_NO_SIMD) ==="
 # The tier-1 sweep above already ran the kernel differential tests with
-# the fast kernels on; this stage rebuilds just that binary with the
+# the fast kernels on; this stage rebuilds just those binaries with the
 # escape hatch engaged so the reference fallbacks also run UB-clean.
+# test_embed's golden corpus and model digests then run on the map-based
+# reference co-occurrence counting, which the escape hatch selects.
 cmake -B build-ubsan-nosimd -S . -DDECOMPEVAL_SANITIZE=undefined \
   -DDECOMPEVAL_NO_SIMD=ON
-cmake --build build-ubsan-nosimd -j "$JOBS" --target test_kernels
+cmake --build build-ubsan-nosimd -j "$JOBS" --target test_kernels test_embed
 ./build-ubsan-nosimd/tests/test_kernels
+./build-ubsan-nosimd/tests/test_embed
 
 echo "=== UBSan mixed-model oracles, forced-scalar ==="
 # The escape hatch also puts both fitters on the dense reference

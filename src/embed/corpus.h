@@ -26,6 +26,27 @@ struct ConceptCluster {
 /// The curated cluster inventory (~40 clusters over systems-code naming).
 const std::vector<ConceptCluster>& concept_clusters();
 
+/// A tokenized corpus with every token replaced by an integer id. Sentence
+/// s is tokens[sentence_begin[s] .. sentence_begin[s + 1]) and id i spells
+/// vocabulary[i]. Ids are numbered in order of first appearance, which is
+/// the embedding model's vocabulary order.
+struct InternedCorpus {
+  std::vector<std::string> vocabulary;
+  std::vector<std::uint32_t> tokens;
+  std::vector<std::uint32_t> sentence_begin{0};
+
+  std::size_t sentences() const { return sentence_begin.size() - 1; }
+};
+
+/// Interns a string corpus with one hash lookup per token.
+InternedCorpus intern_corpus(
+    const std::vector<std::vector<std::string>>& sentences);
+
+/// generate_corpus(n_sentences, seed) as ids: the same sentences from the
+/// same RNG draws, without building a string per token.
+InternedCorpus generate_interned_corpus(std::size_t n_sentences,
+                                        std::uint64_t seed);
+
 /// Generates `n_sentences` co-occurrence sentences deterministically from
 /// `seed`. Each sentence mixes members of one cluster with samples of its
 /// context vocabulary and occasional cross-cluster noise.

@@ -13,6 +13,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "embed/corpus.h"
 #include "util/fault.h"
 
 namespace decompeval::embed {
@@ -24,39 +25,46 @@ struct EmbeddingOptions {
   /// Worker threads for co-occurrence counting and the PPMI projection;
   /// 0 = hardware concurrency. The trained model is bit-identical for
   /// every thread count: co-occurrence counts are integers (exact in
-  /// doubles), sharded per fixed sentence block and merged in block
-  /// order, and each word's vector is an independent pure function of
-  /// the counts.
+  /// doubles), each word's row is counted on its own, and each word's
+  /// vector is an independent pure function of the counts.
   std::size_t threads = 0;
-  /// Sentences per co-occurrence counting block. Blocks — not worker
-  /// threads — are the unit of parallelism AND of fault quarantine, so
-  /// both the trained model and any injected "embed.train" outcome are
-  /// pure functions of the corpus, never of the thread count.
+  /// Sentences per fault-quarantine block. Blocks — not worker threads —
+  /// are the unit of fault quarantine, so any injected "embed.train"
+  /// outcome is a pure function of the corpus, never of the thread count.
   std::size_t block_sentences = 2048;
   /// Optional fault injector (site "embed.train", hit = block index). A
   /// block whose counting pass faults is quarantined — its sentences are
   /// dropped from the counts — and the model is flagged degraded with a
   /// note naming the lost block. Every block quarantined → NumericalError.
   const util::FaultInjector* faults = nullptr;
-  /// Forces the original one-context-at-a-time PPMI accumulation loop
-  /// instead of the blocked kernel. The two are bit-identical (the blocked
-  /// kernel lands the same += sequence on every vector element); this flag
-  /// exists so the differential tests can prove it, and is implied by
+  /// Forces the original map-based co-occurrence counting and the
+  /// one-context-at-a-time PPMI accumulation loop instead of the grouped
+  /// counting and the blocked kernel. Both pairs are bit-identical (the
+  /// counts are the same integers, and the blocked kernel lands the same
+  /// += sequence on every vector element); this flag exists so the
+  /// differential tests can prove it, and is implied by
   /// -DDECOMPEVAL_NO_SIMD.
   bool reference_kernel = false;
 };
 
 class EmbeddingModel {
  public:
-  /// Trains on tokenized sentences: counts windowed co-occurrences, forms
+  /// Trains on an interned corpus: counts windowed co-occurrences, forms
   /// positive pointwise mutual information rows, and projects them to
-  /// `dimension` with a seeded Gaussian random projection.
+  /// `dimension` with a seeded Gaussian random projection. The vocabulary
+  /// is the corpus's, in its id order: id i seeds projection row i.
+  static EmbeddingModel train(const InternedCorpus& corpus,
+                              const EmbeddingOptions& options = {});
+
+  /// Trains on tokenized sentences, interning each token once.
   static EmbeddingModel train(
       const std::vector<std::vector<std::string>>& sentences,
       const EmbeddingOptions& options = {});
 
   /// Trains on the built-in concept corpus (the standard configuration used
-  /// throughout the replication pipeline).
+  /// throughout the replication pipeline). Bit-identical to
+  /// train(generate_corpus(corpus_sentences, corpus_seed), options), but
+  /// the corpus is generated as ids and never spelled out as strings.
   static EmbeddingModel train_default(std::size_t corpus_sentences = 20000,
                                       std::uint64_t corpus_seed = 42,
                                       const EmbeddingOptions& options = {});

@@ -18,11 +18,24 @@
 
 namespace decompeval::lang {
 
-/// Thrown on malformed input, with the offending line number in the text.
+/// Thrown on malformed input. The message names the offending line and
+/// column; span() is the offending token or construct.
 class ParseError : public std::runtime_error {
  public:
-  using std::runtime_error::runtime_error;
+  ParseError(const std::string& message, const SourceSpan& span)
+      : std::runtime_error(message), span_(span) {}
+  const SourceSpan& span() const { return span_; }
+
+ private:
+  SourceSpan span_;
 };
+
+/// Deepest nesting parse_function accepts, counted along any root-to-leaf
+/// path of the tree: statements inside statements, expressions inside
+/// expressions (parentheses, operands, chained operators) and statements
+/// around an expression all count one level each. Deeper input throws
+/// ParseError instead of exhausting the stack (see parser.cpp).
+inline constexpr std::size_t kMaxNestingDepth = 256;
 
 struct ParseOptions {
   /// Additional names to treat as type names (per-snippet typedefs such as

@@ -91,6 +91,33 @@ TEST(AnnotateOp, UnparsableSourceIsStillOkAndDeterministic) {
   EXPECT_EQ(r1.dump(), r2.dump());
 }
 
+TEST(AnnotateOp, HostileNestingAnswersOkWithTheFunctionUnparsed) {
+  // 100,000 levels of each shape overflowed the backend's stack before
+  // the parser had a nesting budget; now each is an ordinary parse error.
+  const auto repeat = [](const std::string& s, std::size_t n) {
+    std::string out;
+    for (std::size_t i = 0; i < n; ++i) out += s;
+    return out;
+  };
+  const std::size_t n = 100000;
+  const std::string head = "int f(int a1) { ";
+  ServiceCore core;
+  for (const std::string& source :
+       {head + "return " + repeat("(", n) + "a1" + repeat(")", n) + "; }",
+        head + "return " + repeat("- ", n) + "a1; }",
+        head + repeat("{", n) + repeat("}", n) + " return a1; }"}) {
+    const Json r = core.handle(annotate_request(source));
+    ASSERT_EQ(r.get_string("status", ""), "ok");
+    const Json* functions = r.get("functions");
+    ASSERT_NE(functions, nullptr);
+    ASSERT_EQ(functions->items().size(), 1u);
+    EXPECT_FALSE(functions->items()[0].get_bool("parsed", true));
+    EXPECT_NE(functions->items()[0].get_string("note", "").find(
+                  "nesting deeper than"),
+              std::string::npos);
+  }
+}
+
 // ------------------------------------------- served == offline lint
 
 TEST(AnnotateOp, ServedDiagnosticsMatchOfflineLintAtEveryThreadCount) {

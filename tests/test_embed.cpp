@@ -4,6 +4,7 @@
 // maximally distant).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <utility>
 
@@ -21,6 +22,67 @@ TEST(Corpus, DeterministicForSeed) {
   EXPECT_EQ(a, b);
   const auto c = generate_corpus(100, 6);
   EXPECT_NE(a, c);
+}
+
+// 64-bit FNV-1a over raw bytes, for the golden digests below.
+struct Fnv1a {
+  std::uint64_t h = 1469598103934665603ULL;
+  void add(const void* data, std::size_t n) {
+    const auto* bytes = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < n; ++i) {
+      h ^= bytes[i];
+      h *= 1099511628211ULL;
+    }
+  }
+  void add(const std::string& s) {
+    add(s.data(), s.size());
+    add("\x1f", 1);
+  }
+};
+
+// Golden values recorded before the interned-corpus trainer existed: the
+// id-level generator must draw the same sentences, and the default model
+// must come out bit for bit the same.
+constexpr std::uint64_t kCorpus20000Seed42Digest = 0x283fae841818a6aeULL;
+constexpr std::uint64_t kDefaultModelDigest = 0x92d91723910ce042ULL;
+
+TEST(Corpus, GoldenTokenStreamDigest) {
+  Fnv1a digest;
+  std::size_t tokens = 0;
+  for (const auto& sentence : generate_corpus(20000, 42)) {
+    for (const auto& token : sentence) digest.add(token);
+    digest.add("\x1e", 1);
+    tokens += sentence.size();
+  }
+  EXPECT_EQ(tokens, 155690u);
+  EXPECT_EQ(digest.h, kCorpus20000Seed42Digest);
+}
+
+TEST(Corpus, InternedGeneratorMatchesStringCorpus) {
+  for (const std::uint64_t seed : {1u, 42u}) {
+    const auto sentences = generate_corpus(500, seed);
+    const InternedCorpus ids = generate_interned_corpus(500, seed);
+    const InternedCorpus interned = intern_corpus(sentences);
+    EXPECT_EQ(ids.vocabulary, interned.vocabulary);
+    EXPECT_EQ(ids.tokens, interned.tokens);
+    EXPECT_EQ(ids.sentence_begin, interned.sentence_begin);
+    ASSERT_EQ(ids.sentences(), sentences.size());
+  }
+}
+
+TEST(Embedding, GoldenDefaultModelDigest) {
+  // Vectors hashed in vocabulary (first-appearance) order.
+  const EmbeddingModel model = EmbeddingModel::train_default(20000, 42);
+  const InternedCorpus corpus = generate_interned_corpus(20000, 42);
+  ASSERT_EQ(model.vocabulary_size(), 388u);
+  ASSERT_EQ(corpus.vocabulary.size(), 388u);
+  Fnv1a digest;
+  for (const std::string& token : corpus.vocabulary) {
+    digest.add(token);
+    const auto v = model.embed_token(token);
+    digest.add(v.data(), v.size() * sizeof(double));
+  }
+  EXPECT_EQ(digest.h, kDefaultModelDigest);
 }
 
 TEST(Corpus, ClustersAreWellFormed) {

@@ -131,8 +131,8 @@ void warn_if_host_changed(std::size_t hw) {
 //                   p50/p95/p99 columns
 //   warm forwarded — dispatcher cache bypassed (handle()), so each
 //                   request crosses the socket and is answered by the
-//                   backend's rendered-line fast path on the connection
-//                   thread
+//                   backend's rendered-line fast path on the server's
+//                   loop thread
 //
 // The cold and warm response lines must match byte for byte.
 struct ClusterReading {

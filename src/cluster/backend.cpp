@@ -1,11 +1,5 @@
 #include "cluster/backend.h"
 
-#include <unistd.h>
-#ifdef __GLIBC__
-#include <malloc.h>
-#endif
-
-#include <chrono>
 #include <unordered_set>
 #include <vector>
 
@@ -18,27 +12,6 @@ service::Json bad_request(std::string_view message) {
 }
 
 constexpr std::size_t kMaxJournalWarnings = 16;
-
-// glibc gives each worker thread its own malloc arena and keeps a slow
-// request's freed scratch resident there, so a backend's RSS would
-// approach the sum of its workers' worst requests. A request that ran
-// 50 ms or longer (a pipeline run, a stream refit, a replay) hands the
-// freed pages back as it returns; the call costs well under a
-// millisecond, so fast requests skip it.
-class TrimAfterSlowRequest {
- public:
-  ~TrimAfterSlowRequest() {
-#ifdef __GLIBC__
-    if (std::chrono::steady_clock::now() - started_ >=
-        std::chrono::milliseconds(50))
-      ::malloc_trim(0);
-#endif
-  }
-
- private:
-  const std::chrono::steady_clock::time_point started_ =
-      std::chrono::steady_clock::now();
-};
 
 }  // namespace
 
@@ -157,7 +130,7 @@ service::Json ClusterBackend::cache_install_op(const service::Json& request) {
   const std::string key = service::canonical_request_key(*installed);
   const bool stored = cache_.store(cache_.digest(*installed), *response, key);
   // Warm the memory tier too: the replica can then answer a failover read
-  // on the connection thread.
+  // on the server's loop thread.
   if (stored && memory_tier_) core_.result_cache().put(*installed, *response);
   service::Json r = service::ok_response("cache_install");
   r.set("stored", service::Json::boolean(stored));
@@ -231,7 +204,6 @@ service::Json ClusterBackend::handle_stream_op(const service::Json& request) {
 
 service::Json ClusterBackend::handle(const service::Json& request,
                                      const std::atomic<bool>* cancel) {
-  const TrimAfterSlowRequest trim;
   if (request.is_object()) {
     const std::string op = request.get_string("op", "");
     if (op == "cache_stats") {

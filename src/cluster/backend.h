@@ -5,7 +5,7 @@
 // service/ops.h) read two tiers: the core's rendered result tier — the
 // process's only in-memory copy of a result — then the disk cache. Disk
 // hits and replica installs warm the memory tier, fast_path() serves it
-// on the connection thread, and clean "ok" responses are stored on disk
+// on the server's loop thread, and clean "ok" responses are stored on disk
 // after computation. A hit replays the exact bytes handle() produced, so
 // it is bit-identical to recomputing (the cold-restart identity test).
 // Degraded responses are never stored. While any fault injector

@@ -198,7 +198,7 @@ class Dispatcher {
 
   /// Handler to plug into ServerOptions::handler. Populates the response
   /// cache on cacheable "ok" responses so the companion fast_path() can
-  /// answer the warm repeat on the connection thread.
+  /// answer the warm repeat on the front server's loop thread.
   std::function<service::Json(const service::Json&, const std::atomic<bool>*)>
   handler() {
     return [this](const service::Json& request,

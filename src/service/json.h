@@ -11,8 +11,8 @@
 // object()/array()/string() factories accept a std::pmr::memory_resource
 // (in practice a util::Arena), and then the entire tree — nodes, element
 // vectors, keys, string payloads — is bump-allocated on it. The service
-// hot path parses each request into a per-connection scratch arena and
-// resets it after the response is written, so a warm request does nearly
+// hot path parses each request into its server loop's scratch arena and
+// resets it after each request line, so a warm request does nearly
 // zero heap traffic. pmr's non-propagating semantics keep that safe:
 //   Json copy  = deep copy onto the *destination's* resource (a bare
 //                `Json b = a;` lands on the heap, so caching a response
@@ -115,7 +115,7 @@ class Json {
   /// control characters). Deterministic for a given value.
   std::string dump() const;
   /// Appends the serialization to `out` — the hot path's form: one
-  /// reusable buffer per connection instead of a string per node.
+  /// reusable buffer per server loop instead of a string per node.
   void dump_to(std::string& out) const;
 
   /// Parses one JSON document; trailing whitespace allowed, trailing
@@ -159,8 +159,7 @@ void echo_op(Json& response, const Json& request);
 /// `key=value;...`. Routing, the disk cache, and the in-memory rendered
 /// response caches all key on this, so a logical request always lands on
 /// the same backend and the same cache slots. The append form reuses the
-/// caller's buffer; the hot path calls it with a per-connection scratch
-/// string.
+/// caller's buffer; the hot path calls it with a reused scratch string.
 void canonical_request_key(const Json& request, std::string& out);
 std::string canonical_request_key(const Json& request);
 

@@ -4,6 +4,7 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <sys/un.h>
@@ -21,11 +22,9 @@ namespace decompeval::service {
 
 namespace {
 
-// Writes the whole buffer, retrying on short writes/EINTR. Returns false
-// when the peer is gone (any other error) — callers just drop the
-// connection; the protocol has no half-written recovery. MSG_NOSIGNAL:
-// a peer that disconnected mid-request must surface as EPIPE here, not
-// as a process-killing SIGPIPE.
+// Writes the whole buffer, retrying on short writes/EINTR; false when the
+// peer is gone. MSG_NOSIGNAL: a vanished peer surfaces as EPIPE, not as a
+// process-killing SIGPIPE.
 bool write_all(int fd, const std::string& data) {
   std::size_t off = 0;
   while (off < data.size()) {
@@ -40,20 +39,36 @@ bool write_all(int fd, const std::string& data) {
   return true;
 }
 
-Json overloaded_response(double retry_after_ms) {
-  Json r = failure_response("overloaded", "request queue is full");
-  r.set("retry_after_ms", Json::number(retry_after_ms));
+Json overloaded_response(const char* why) {
+  Json r = failure_response("overloaded", why);
+  r.set("retry_after_ms", Json::number(ReplicationServer::kRetryAfterMs));
   return r;
-}
-
-Json shutdown_error_response() {
-  return failure_response("error", "server shutting down");
 }
 
 // A request line (and therefore the per-connection read buffer) may not
 // exceed this; a client streaming bytes without a newline gets a
 // bad_request instead of exhausting server memory.
 constexpr std::size_t kMaxLineBytes = 4u << 20;
+
+// How long the listeners rest after accept() ran out of fds or memory.
+constexpr int kAcceptPauseMs = 50;
+
+// Binds and listens on a fresh non-blocking socket; -1 on failure.
+int listen_on(int family, const sockaddr* addr, socklen_t len) {
+  const int fd =
+      ::socket(family, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+  if (fd < 0) return -1;
+  // Restarts must not trip over lingering TIME_WAIT sockets from the
+  // previous incarnation.
+  const int one = 1;
+  if (family == AF_INET)
+    ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
+  if (::bind(fd, addr, len) != 0 || ::listen(fd, 16) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
 
 }  // namespace
 
@@ -71,446 +86,413 @@ ReplicationServer::~ReplicationServer() { stop(); }
 
 void ReplicationServer::start() {
   if (running_.load()) return;
+  stop();  // joins a loop a shutdown op ended
   if (options_.socket_path.empty() && options_.tcp_port < 0)
     throw std::runtime_error(
         "ReplicationServer: no listener configured (socket_path empty and "
         "tcp_port disabled)");
+  const auto fail = [this](const std::string& what) {
+    for (int& fd : listen_fds_)
+      if (fd >= 0) ::close(std::exchange(fd, -1));
+    tcp_port_.store(-1);
+    if (!options_.socket_path.empty()) ::unlink(options_.socket_path.c_str());
+    throw std::runtime_error("ReplicationServer: " + what);
+  };
 
   if (!options_.socket_path.empty()) {
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd < 0)
-      throw std::runtime_error("ReplicationServer: socket() failed");
-
     sockaddr_un addr{};
     addr.sun_family = AF_UNIX;
-    if (options_.socket_path.size() >= sizeof addr.sun_path) {
-      ::close(fd);
-      throw std::runtime_error("ReplicationServer: socket path too long");
-    }
+    if (options_.socket_path.size() >= sizeof addr.sun_path)
+      fail("socket path too long");
     std::strncpy(addr.sun_path, options_.socket_path.c_str(),
                  sizeof addr.sun_path - 1);
     ::unlink(options_.socket_path.c_str());
-    if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) !=
-            0 ||
-        ::listen(fd, 16) != 0) {
-      ::close(fd);
-      throw std::runtime_error("ReplicationServer: cannot bind " +
-                               options_.socket_path);
-    }
-    listen_fd_.store(fd);
+    listen_fds_[0] = listen_on(
+        AF_UNIX, reinterpret_cast<const sockaddr*>(&addr), sizeof addr);
+    if (listen_fds_[0] < 0) fail("cannot bind " + options_.socket_path);
   }
 
   if (options_.tcp_port >= 0) {
-    const auto fail = [this](const std::string& what) {
-      if (const int ufd = listen_fd_.exchange(-1); ufd >= 0) ::close(ufd);
-      if (!options_.socket_path.empty())
-        ::unlink(options_.socket_path.c_str());
-      throw std::runtime_error("ReplicationServer: " + what);
-    };
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) fail("TCP socket() failed");
-    // Restarts must not trip over lingering TIME_WAIT sockets from the
-    // previous incarnation.
-    const int one = 1;
-    ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_port = htons(static_cast<std::uint16_t>(options_.tcp_port));
-    if (::inet_pton(AF_INET, options_.tcp_host.c_str(), &addr.sin_addr) != 1) {
-      ::close(fd);
+    if (::inet_pton(AF_INET, options_.tcp_host.c_str(), &addr.sin_addr) != 1)
       fail("bad tcp_host " + options_.tcp_host);
-    }
-    if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) !=
-            0 ||
-        ::listen(fd, 16) != 0) {
-      ::close(fd);
+    listen_fds_[1] = listen_on(
+        AF_INET, reinterpret_cast<const sockaddr*>(&addr), sizeof addr);
+    if (listen_fds_[1] < 0)
       fail("cannot bind " + options_.tcp_host + ":" +
            std::to_string(options_.tcp_port));
-    }
     // Port 0 asks the kernel for an ephemeral port; read the actual one
     // back so tests and the cluster can address this listener.
     sockaddr_in bound{};
     socklen_t bound_len = sizeof bound;
-    if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &bound_len) !=
-        0) {
-      ::close(fd);
+    if (::getsockname(listen_fds_[1], reinterpret_cast<sockaddr*>(&bound),
+                      &bound_len) != 0)
       fail("getsockname() failed");
-    }
-    tcp_listen_fd_.store(fd);
     tcp_port_.store(static_cast<int>(ntohs(bound.sin_port)));
   }
 
+  wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  if (wake_fd_ < 0) fail("eventfd() failed");
+  stopping_.store(false);
+  workers_exit_ = false;
   running_.store(true);
-  {
-    const std::lock_guard<std::mutex> lock(shutdown_mutex_);
-    shutdown_requested_ = false;
-  }
-  if (listen_fd_.load() >= 0)
-    accept_thread_ = std::thread([this] { accept_loop(&listen_fd_); });
-  if (tcp_listen_fd_.load() >= 0)
-    tcp_accept_thread_ = std::thread([this] { accept_loop(&tcp_listen_fd_); });
-  worker_threads_.reserve(options_.workers);
   for (std::size_t i = 0; i < std::max<std::size_t>(options_.workers, 1); ++i)
     worker_threads_.emplace_back([this] { worker_loop(); });
-  if (options_.watchdog_ms > 0)
-    watchdog_thread_ = std::thread([this] { watchdog_loop(); });
-  stopper_thread_ = std::thread([this] {
-    std::unique_lock<std::mutex> lock(shutdown_mutex_);
-    shutdown_cv_.wait(lock, [this] { return shutdown_requested_; });
-    lock.unlock();
-    do_stop();
-  });
-}
-
-void ReplicationServer::request_stop() {
-  {
-    const std::lock_guard<std::mutex> lock(shutdown_mutex_);
-    shutdown_requested_ = true;
-  }
-  shutdown_cv_.notify_all();
+  loop_thread_ = std::thread([this] { loop(); });
 }
 
 void ReplicationServer::stop() {
-  request_stop();
-  const std::lock_guard<std::mutex> lock(stopper_join_mutex_);
-  if (stopper_thread_.joinable()) stopper_thread_.join();
+  if (!loop_thread_.joinable()) return;
+  stopping_.store(true);
+  wake();
+  loop_thread_.join();
+  ::close(std::exchange(wake_fd_, -1));
 }
 
-void ReplicationServer::do_stop() {
-  if (!running_.exchange(false)) return;
-
-  // Wake both accept loops, then every blocked reader and worker.
-  if (const int fd = listen_fd_.exchange(-1); fd >= 0) {
-    ::shutdown(fd, SHUT_RDWR);
-    ::close(fd);
-  }
-  if (const int fd = tcp_listen_fd_.exchange(-1); fd >= 0) {
-    ::shutdown(fd, SHUT_RDWR);
-    ::close(fd);
-  }
-  tcp_port_.store(-1);
-  {
-    const std::lock_guard<std::mutex> lock(conn_mutex_);
-    for (const int fd : conn_fds_) ::shutdown(fd, SHUT_RDWR);
-  }
-  {
-    // Cancel in-flight AND still-queued work so stop() does not wait out
-    // long fits; those requests answer with a structured
-    // deadline_exceeded, not silence. (Workers drain the queue before
-    // exiting, so queued items are processed — just instantly cancelled.)
-    const std::lock_guard<std::mutex> lock(queue_mutex_);
-    for (const auto& pending : in_flight_)
-      pending->cancel->store(true, std::memory_order_relaxed);
-    for (const auto& pending : interactive_queue_)
-      pending->cancel->store(true, std::memory_order_relaxed);
-    for (const auto& pending : batch_queue_)
-      pending->cancel->store(true, std::memory_order_relaxed);
-  }
-  queue_cv_.notify_all();
-
-  // Unanswered queued requests get a structured shutdown error so no
-  // client hangs on a promise that will never be fulfilled.
-  const auto fail_queued = [this] {
-    std::deque<std::shared_ptr<PendingRequest>> leftovers;
-    {
-      const std::lock_guard<std::mutex> lock(queue_mutex_);
-      leftovers.swap(interactive_queue_);
-      for (auto& pending : batch_queue_)
-        leftovers.push_back(std::move(pending));
-      batch_queue_.clear();
-    }
-    for (const auto& pending : leftovers)
-      pending->reply.set_value(shutdown_error_response());
-  };
-
-  if (accept_thread_.joinable()) accept_thread_.join();
-  if (tcp_accept_thread_.joinable()) tcp_accept_thread_.join();
-  for (std::thread& t : worker_threads_)
-    if (t.joinable()) t.join();
-  worker_threads_.clear();
-  if (watchdog_thread_.joinable()) watchdog_thread_.join();
-  // Drain BEFORE joining connection threads: a connection blocked in
-  // reply.get() on a request the retired workers will never pop must be
-  // answered now, or the join below deadlocks. (New enqueues are already
-  // impossible — connection_loop re-checks running_ under queue_mutex_.)
-  fail_queued();
-  {
-    const std::lock_guard<std::mutex> lock(conn_mutex_);
-    for (std::thread& t : conn_threads_)
-      if (t.joinable()) t.join();
-    conn_threads_.clear();
-    for (const int fd : conn_fds_) ::close(fd);
-    conn_fds_.clear();
-  }
-  fail_queued();  // defensive: nothing can enqueue after the joins
-
-  if (!options_.socket_path.empty())
-    ::unlink(options_.socket_path.c_str());
+void ReplicationServer::wake() {
+  const std::uint64_t one = 1;
+  [[maybe_unused]] const ssize_t n = ::write(wake_fd_, &one, sizeof one);
 }
 
-void ReplicationServer::accept_loop(std::atomic<int>* listen_fd_slot) {
-  while (running_.load()) {
-    const int listen_fd = listen_fd_slot->load();
-    if (listen_fd < 0) break;  // already closed by do_stop()
-    const int fd = ::accept(listen_fd, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      break;  // listener closed by stop()
+void ReplicationServer::loop() {
+  using Clock = std::chrono::steady_clock;
+  const auto budget = std::chrono::milliseconds(options_.watchdog_ms);
+  // The watchdog's tick, which is never longer than the accept pause.
+  const int tick_ms = options_.watchdog_ms > 0
+                          ? static_cast<int>(std::clamp<std::uint64_t>(
+                                options_.watchdog_ms / 4, 1, kAcceptPauseMs))
+                          : -1;
+  Clock::time_point accept_resume{};
+  std::vector<pollfd> fds;
+  std::vector<Job*> done;
+  while (!stopping_.load()) {
+    // poll() skips negative fds: a resting or disabled listener, and a
+    // connection with a request outstanding (a peer that hung up would
+    // make poll() report POLLHUP on every turn until the worker is done;
+    // its answer, or EPIPE, comes afterwards).
+    const bool resting = Clock::now() < accept_resume;
+    fds.clear();
+    fds.push_back(pollfd{wake_fd_, POLLIN, 0});
+    for (const int fd : listen_fds_)
+      fds.push_back(pollfd{resting ? -1 : fd, POLLIN, 0});
+    for (const auto& conn : connections_) {
+      const short events = conn->out.empty() ? POLLIN : POLLOUT;
+      fds.push_back(pollfd{conn->job ? -1 : conn->fd, events, 0});
     }
-    const std::lock_guard<std::mutex> lock(conn_mutex_);
-    if (!running_.load()) {
-      ::close(fd);
+    const int timeout_ms = resting && tick_ms < 0 ? kAcceptPauseMs : tick_ms;
+    if (::poll(fds.data(), fds.size(), timeout_ms) < 0 && errno != EINTR)
       break;
+
+    if (fds[0].revents != 0) {
+      // Answers the workers handed back, and batch entries admission shed.
+      std::uint64_t count = 0;
+      [[maybe_unused]] const ssize_t n = ::read(wake_fd_, &count, sizeof count);
+      {
+        const std::lock_guard<std::mutex> lock(queue_mutex_);
+        done.swap(done_);
+      }
+      for (Job* job : done) {
+        Connection& conn = *job->conn;
+        respond(conn, job->reply);
+        conn.job.reset();
+        serve(conn);
+      }
+      done.clear();
     }
-    conn_fds_.push_back(fd);
-    conn_threads_.emplace_back([this, fd] { connection_loop(fd); });
+    for (std::size_t i = 0; i < connections_.size(); ++i) {
+      Connection& conn = *connections_[i];
+      if (fds[3 + i].revents == 0) continue;
+      if (conn.out.empty()) {
+        read_from(conn);
+      } else {
+        flush(conn);
+      }
+      serve(conn);
+    }
+    std::erase_if(connections_, [](const auto& c) { return c->fd < 0; });
+    for (std::size_t i = 1; i <= 2; ++i)
+      if (fds[i].revents != 0 && !accept_from(fds[i].fd))
+        accept_resume =
+            Clock::now() + std::chrono::milliseconds(kAcceptPauseMs);
+    if (options_.watchdog_ms > 0) {
+      const Clock::time_point now = Clock::now();
+      const std::lock_guard<std::mutex> lock(queue_mutex_);
+      for (Job* job : in_flight_)
+        if (now - job->started > budget)
+          job->cancel.store(true, std::memory_order_relaxed);
+    }
   }
+  teardown();
 }
 
-void ReplicationServer::connection_loop(int fd) {
-  std::string buffer;
-  // Per-connection scratch arena (backs each request's parse tree, rewound
-  // after every response) and reusable write buffer: a warm request is
-  // served with no heap allocation on this thread.
-  util::Arena arena;
-  std::string out;
-  char chunk[4096];
-  while (running_.load()) {
-    const std::size_t newline = buffer.find('\n');
-    if (newline == std::string::npos) {
-      if (buffer.size() > kMaxLineBytes) {
-        const Json r = failure_response("bad_request",
-                                        "request line exceeds size limit");
-        write_all(fd, r.dump() + "\n");
-        break;  // no line framing left to recover; drop the connection
-      }
-      const ssize_t n = ::read(fd, chunk, sizeof chunk);
-      if (n <= 0) {
-        if (n < 0 && errno == EINTR) continue;
-        break;  // peer closed (or stop() shut the socket down)
-      }
-      buffer.append(chunk, static_cast<std::size_t>(n));
+bool ReplicationServer::accept_from(int listen_fd) {
+  while (true) {
+    const int fd =
+        ::accept4(listen_fd, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
+    if (fd < 0) {
+      if (errno == EINTR || errno == ECONNABORTED) continue;
+      // Out of fds or memory: the clients wait in the backlog while
+      // closing connections give resources back.
+      return errno != EMFILE && errno != ENFILE && errno != ENOBUFS &&
+             errno != ENOMEM;
+    }
+    if (connections_.size() >= kMaxConnections) {
+      // Best effort: one line into an empty socket buffer.
+      const std::string line =
+          overloaded_response("connection limit reached").dump() + "\n";
+      ::send(fd, line.data(), line.size(), MSG_NOSIGNAL);
+      ::close(fd);
       continue;
     }
-    const std::string_view line(buffer.data(), newline);
-    bool keep = true;
-    if (!line.empty()) keep = handle_request_line(fd, line, arena, out);
-    // The parse tree is dead (handle_request_line's locals are gone);
-    // rewind its memory before the next request.
-    arena.reset();
-    buffer.erase(0, newline + 1);
-    if (!keep) break;
+    connections_.push_back(std::make_unique<Connection>(fd));
   }
-  // This loop no longer reads: signal the peer instead of stranding it.
-  // Without this, a client mid-way through an oversized send blocks in
-  // write() forever (the fd itself is closed later, by do_stop()).
-  ::shutdown(fd, SHUT_RDWR);
 }
 
-bool ReplicationServer::write_response(int fd, const std::string& out) {
-  if (!net_faults_.plan().empty()) {
-    if (net_faults_.fire_next("net.stall")) {
-      // The socket goes quiet mid-exchange: nothing is written and the
-      // connection stays open, so the client's only exit is its own read
-      // timeout — indistinguishable from an arbitrarily slow peer.
-      return true;
+void ReplicationServer::read_from(Connection& conn) {
+  char chunk[4096];
+  while (true) {
+    const ssize_t n = ::read(conn.fd, chunk, sizeof chunk);
+    if (n > 0) {
+      const std::size_t scanned = conn.in.size();
+      conn.in.append(chunk, static_cast<std::size_t>(n));
+      // Read no further than the next line: the buffer then holds at most
+      // one line plus a chunk, and the kernel's socket buffer pushes back
+      // on a client that pipelines faster than it is answered.
+      if (conn.in.find('\n', scanned) != std::string::npos ||
+          conn.in.size() > kMaxLineBytes)
+        return;
+      continue;
     }
-    if (net_faults_.fire_next("net.partial")) {
-      // Short write then stall: the first half of the line, never the
-      // newline. The client sees bytes arrive and then silence, so line
-      // framing alone cannot tell this from a response still in flight.
-      const std::string half = out.substr(0, out.size() / 2);
-      write_all(fd, half);
-      return true;
-    }
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
+    conn.eof = true;  // peer closed (or the socket failed)
+    return;
   }
-  return write_all(fd, out);
 }
 
-bool ReplicationServer::handle_request_line(int fd, std::string_view line,
-                                            util::Arena& arena,
-                                            std::string& out) {
-  out.clear();
+void ReplicationServer::serve(Connection& conn) {
+  while (conn.fd >= 0 && conn.job == nullptr && conn.out.empty() &&
+         !stopping_.load(std::memory_order_relaxed)) {
+    const std::size_t newline = conn.in.find('\n');
+    if (newline == std::string::npos) {
+      if (conn.in.size() > kMaxLineBytes) {
+        respond(conn, failure_response("bad_request",
+                                       "request line exceeds size limit"));
+        // No line framing left to recover; drop the connection.
+        if (conn.fd >= 0) ::close(std::exchange(conn.fd, -1));
+      } else if (conn.eof) {
+        ::close(std::exchange(conn.fd, -1));
+      }
+      return;
+    }
+    if (newline > 0)
+      handle_line(conn, std::string_view(conn.in.data(), newline));
+    // The parse tree is dead (the queued copy lives on the heap); rewind
+    // its memory before the next request.
+    arena_.reset();
+    conn.in.erase(0, newline + 1);
+  }
+}
+
+void ReplicationServer::handle_line(Connection& conn, std::string_view line) {
   // A partitioned server stays reachable — accepts connects, reads
   // request bytes — but never answers anything again. Sticky once the
   // "net.partition" site fires; only client-side timeouts can see it.
   if (!net_faults_.plan().empty()) {
-    if (partitioned_.load(std::memory_order_relaxed)) return true;
+    if (partitioned_) return;
     if (net_faults_.fire_next("net.partition")) {
-      partitioned_.store(true, std::memory_order_relaxed);
-      return true;
+      partitioned_ = true;
+      return;
     }
   }
-  Json request{Json::allocator_type(&arena)};
+  Json request{Json::allocator_type(&arena_)};
   try {
-    request = Json::parse(line, &arena);
+    request = Json::parse(line, &arena_);
   } catch (const JsonError& e) {
-    failure_response("bad_request", e.what()).dump_to(out);
-    out.push_back('\n');
-    return write_response(fd, out);
+    respond(conn, failure_response("bad_request", e.what()));
+    return;
   }
 
-  // Answered on the connection thread, like "shutdown": an operator
-  // probing an overloaded server must not wait behind the very queue
-  // being probed.
-  if (request.is_object() && request.get_string("op", "") == "server_stats") {
-    Json r = ok_response("server_stats");
-    set_count(r, "workers", options_.workers);
-    set_count(r, "max_queue", options_.max_queue);
-    {
-      const std::lock_guard<std::mutex> lock(queue_mutex_);
-      set_count(r, "interactive_queued", interactive_queue_.size());
-      set_count(r, "batch_queued", batch_queue_.size());
-      set_count(r, "in_flight", in_flight_.size());
-      set_count(r, "interactive_enqueued",
-                overload_stats_.interactive_enqueued);
-      set_count(r, "batch_enqueued", overload_stats_.batch_enqueued);
-      set_count(r, "shed_batch", overload_stats_.shed_batch);
-      set_count(r, "overloaded_rejected", overload_stats_.overloaded_rejected);
-    }
-    r.dump_to(out);
-    out.push_back('\n');
-    return write_response(fd, out);
+  // Answered on the loop thread: an operator probing an overloaded server
+  // must not wait behind the very queue being probed.
+  const std::string op =
+      request.is_object() ? request.get_string("op", "") : std::string();
+  if (op == "server_stats") {
+    respond(conn, server_stats());
+    return;
+  }
+  if (op == "shutdown") {
+    respond(conn, ok_response("shutdown"));
+    stopping_.store(true);  // the loop tears down as it leaves this turn
+    return;
   }
 
-  if (request.is_object() && request.get_string("op", "") == "shutdown") {
-    Json r = ok_response("shutdown");
-    r.dump_to(out);
-    out.push_back('\n');
-    write_response(fd, out);
-    // Teardown joins this thread, so only signal the stopper here.
-    request_stop();
-    return false;
-  }
-
-  // Fast path: answered on this thread, skipping the queue and both
-  // worker handoffs. Only ever serves rendered cache hits, so it cannot
-  // block the connection.
+  // Fast path: rendered cache hits skip the queue and both worker
+  // handoffs.
+  line_.clear();
   const bool fast = options_.fast_path
-                        ? options_.fast_path(request, out)
+                        ? options_.fast_path(request, line_)
                         : (!options_.handler &&
-                           core_.try_serve_cached_line(request, out));
+                           core_.try_serve_cached_line(request, line_));
   if (fast) {
-    out.push_back('\n');
-    return write_response(fd, out);
+    line_.push_back('\n');
+    respond(conn, line_);
+    return;
   }
 
-  auto pending = std::make_shared<PendingRequest>();
-  // Deep copy onto the heap: the queued request outlives this stack frame
-  // (workers, watchdog, shutdown drain all hold it), so it must not point
-  // into the connection arena. pmr non-propagation makes plain assignment
-  // do exactly that.
-  pending->request = request;
-  pending->cancel = std::make_shared<std::atomic<bool>>(false);
-  pending->started = std::chrono::steady_clock::now();
-  std::future<Json> reply = pending->reply.get_future();
+  auto job = std::make_unique<Job>();
+  // Deep copy onto the heap: pmr non-propagation makes plain assignment
+  // copy off the scratch arena.
+  job->request = request;
+  job->started = std::chrono::steady_clock::now();
+  job->conn = &conn;
   const RequestLane lane = classify_lane(request);
-  // Decide under the lock, write outside it: a slow client with a full
-  // socket buffer must never stall workers or other connections.
-  enum class Admission { kEnqueued, kOverloaded, kShuttingDown };
-  Admission admission;
-  std::shared_ptr<PendingRequest> shed;
+  bool admitted = true;
   {
     const std::lock_guard<std::mutex> lock(queue_mutex_);
-    if (!running_.load()) {
-      // do_stop() may already have drained the queue and retired the
-      // workers; enqueuing now would leave this promise unfulfilled
-      // forever and deadlock the join in do_stop(). Answer instead.
-      admission = Admission::kShuttingDown;
-    } else if (interactive_queue_.size() + batch_queue_.size() <
-               options_.max_queue) {
+    if (interactive_queue_.size() + batch_queue_.size() < options_.max_queue) {
       if (lane == RequestLane::kBatch) {
-        batch_queue_.push_back(pending);
+        batch_queue_.push_back(job.get());
         ++overload_stats_.batch_enqueued;
       } else {
-        interactive_queue_.push_back(pending);
+        interactive_queue_.push_back(job.get());
         ++overload_stats_.interactive_enqueued;
       }
-      admission = Admission::kEnqueued;
     } else if (lane == RequestLane::kInteractive && !batch_queue_.empty()) {
       // Full queue, interactive arrival: shed the youngest queued batch
       // entry (it loses the least progress — it would have run last) and
-      // take its slot. The victim gets a structured overloaded answer
-      // below, outside the lock.
-      shed = std::move(batch_queue_.back());
+      // take its slot. The victim's answer goes out like a worker's.
+      Job* shed = batch_queue_.back();
       batch_queue_.pop_back();
-      interactive_queue_.push_back(pending);
+      Json r = overloaded_response("request queue is full");
+      r.set("shed", Json::boolean(true));
+      shed->reply = r.dump() + "\n";
+      done_.push_back(shed);
+      interactive_queue_.push_back(job.get());
       ++overload_stats_.interactive_enqueued;
       ++overload_stats_.shed_batch;
-      admission = Admission::kEnqueued;
+      wake();
     } else {
       // Backpressure: answer now instead of buffering unboundedly.
       ++overload_stats_.overloaded_rejected;
-      admission = Admission::kOverloaded;
+      admitted = false;
     }
   }
-  if (shed != nullptr) {
-    Json r = overloaded_response(options_.retry_after_ms);
-    r.set("shed", Json::boolean(true));
-    shed->reply.set_value(std::move(r));
+  if (!admitted) {
+    respond(conn, overloaded_response("request queue is full"));
+    return;
   }
-  if (admission == Admission::kShuttingDown) {
-    write_response(fd, shutdown_error_response().dump() + "\n");
-    return false;  // teardown is closing this connection anyway
-  }
-  if (admission == Admission::kOverloaded) {
-    return write_response(
-        fd, overloaded_response(options_.retry_after_ms).dump() + "\n");
-  }
+  conn.job = std::move(job);
   queue_cv_.notify_one();
-  out.clear();
-  reply.get().dump_to(out);
-  out.push_back('\n');
-  return write_response(fd, out);
+}
+
+Json ReplicationServer::server_stats() const {
+  Json r = ok_response("server_stats");
+  set_count(r, "workers", worker_threads_.size());
+  set_count(r, "max_queue", options_.max_queue);
+  set_count(r, "connections", connections_.size());
+  const std::lock_guard<std::mutex> lock(queue_mutex_);
+  set_count(r, "interactive_queued", interactive_queue_.size());
+  set_count(r, "batch_queued", batch_queue_.size());
+  set_count(r, "in_flight", in_flight_.size());
+  set_count(r, "interactive_enqueued", overload_stats_.interactive_enqueued);
+  set_count(r, "batch_enqueued", overload_stats_.batch_enqueued);
+  set_count(r, "shed_batch", overload_stats_.shed_batch);
+  set_count(r, "overloaded_rejected", overload_stats_.overloaded_rejected);
+  return r;
+}
+
+void ReplicationServer::respond(Connection& conn, const Json& response) {
+  line_.clear();
+  response.dump_to(line_);
+  line_.push_back('\n');
+  respond(conn, line_);
+}
+
+void ReplicationServer::respond(Connection& conn, std::string_view line) {
+  if (!net_faults_.plan().empty()) {
+    if (net_faults_.fire_next("net.stall")) return;  // silence, socket open
+    if (net_faults_.fire_next("net.partial"))  // half a line, then silence
+      line = line.substr(0, line.size() / 2);
+  }
+  conn.out.append(line);
+  flush(conn);
+}
+
+void ReplicationServer::flush(Connection& conn) {
+  std::size_t sent = 0;
+  while (sent < conn.out.size()) {
+    const ssize_t n = ::send(conn.fd, conn.out.data() + sent,
+                             conn.out.size() - sent, MSG_NOSIGNAL);
+    if (n >= 0) {
+      sent += static_cast<std::size_t>(n);
+    } else if (errno == EAGAIN || errno == EWOULDBLOCK) {
+      break;  // the loop polls for POLLOUT and comes back
+    } else if (errno != EINTR) {
+      ::close(std::exchange(conn.fd, -1));  // EPIPE and kin: the peer is gone
+      return;
+    }
+  }
+  conn.out.erase(0, sent);
 }
 
 void ReplicationServer::worker_loop() {
   while (true) {
-    std::shared_ptr<PendingRequest> pending;
+    Job* job = nullptr;
     {
       std::unique_lock<std::mutex> lock(queue_mutex_);
       queue_cv_.wait(lock, [this] {
-        return !interactive_queue_.empty() || !batch_queue_.empty() ||
-               !running_.load();
+        return workers_exit_ || !interactive_queue_.empty() ||
+               !batch_queue_.empty();
       });
+      if (workers_exit_) return;
       // Interactive lane drains first: queued batch work only runs when
       // no interactive request is waiting.
-      std::deque<std::shared_ptr<PendingRequest>>& lane =
+      std::deque<Job*>& lane =
           !interactive_queue_.empty() ? interactive_queue_ : batch_queue_;
-      if (lane.empty()) {
-        if (!running_.load()) return;
-        continue;
-      }
-      pending = std::move(lane.front());
+      job = lane.front();
       lane.pop_front();
-      in_flight_.push_back(pending);
+      in_flight_.push_back(job);
     }
-    Json response = options_.handler
-                        ? options_.handler(pending->request,
-                                           pending->cancel.get())
-                        : core_.handle(pending->request, pending->cancel.get());
+    const Json response =
+        options_.handler ? options_.handler(job->request, &job->cancel)
+                         : core_.handle(job->request, &job->cancel);
+    response.dump_to(job->reply);
+    job->reply.push_back('\n');
     {
       const std::lock_guard<std::mutex> lock(queue_mutex_);
-      in_flight_.erase(
-          std::remove(in_flight_.begin(), in_flight_.end(), pending),
-          in_flight_.end());
+      std::erase(in_flight_, job);
+      done_.push_back(job);
     }
-    pending->reply.set_value(std::move(response));
+    wake();
   }
 }
 
-void ReplicationServer::watchdog_loop() {
-  const auto budget = std::chrono::milliseconds(options_.watchdog_ms);
-  const auto tick =
-      std::chrono::milliseconds(std::max<std::uint64_t>(options_.watchdog_ms / 4, 1));
-  while (running_.load()) {
-    std::this_thread::sleep_for(tick);
-    const auto now = std::chrono::steady_clock::now();
+void ReplicationServer::teardown() {
+  running_.store(false);
+  for (int& fd : listen_fds_)
+    if (fd >= 0) ::close(std::exchange(fd, -1));
+  tcp_port_.store(-1);
+  if (!options_.socket_path.empty()) ::unlink(options_.socket_path.c_str());
+  {
+    // Queued work is dropped and in-flight work cancelled, so stop() does
+    // not wait out long fits; their clients see the connection close.
     const std::lock_guard<std::mutex> lock(queue_mutex_);
-    for (const auto& pending : in_flight_)
-      if (now - pending->started > budget)
-        pending->cancel->store(true, std::memory_order_relaxed);
+    workers_exit_ = true;
+    interactive_queue_.clear();
+    batch_queue_.clear();
+    for (Job* job : in_flight_)
+      job->cancel.store(true, std::memory_order_relaxed);
   }
+  queue_cv_.notify_all();
+  for (std::thread& t : worker_threads_) t.join();
+  worker_threads_.clear();
+  done_.clear();
+  for (const auto& conn : connections_)
+    if (conn->fd >= 0) ::close(conn->fd);
+  connections_.clear();
 }
 
 // ---------------------------------------------------------------------------

@@ -7,13 +7,19 @@
 // request, in order, on the same connection. Malformed JSON gets a
 // "bad_request" response, never a dropped connection.
 //
-// Architecture:
-//   accept loops — one thread per listener; spawns a reader thread per
-//                  connection
+// Architecture: workers + 1 threads, however many clients connect.
+//   loop thread  — poll()s an eventfd, the listeners and every connection;
+//                  accepts, frames lines, answers "server_stats",
+//                  "shutdown" and fast-path hits itself, queues the rest,
+//                  writes every answer and runs the watchdog. A connection
+//                  has at most one request queued or running, so answers
+//                  keep their order. DESIGN.md §2 has the state ownership,
+//                  the shutdown order, the hang-up rule, the connection
+//                  cap and the accept pause
 //   fast path    — before queueing, a cacheable request whose "ok" answer
 //                  is already in the core's result tier (filled by
-//                  ServiceCore::handle) is answered on the connection
-//                  thread; off while a service fault plan is armed
+//                  ServiceCore::handle) is answered on the loop thread;
+//                  off while a service fault plan is armed
 //   request queue — bounded, two priority lanes (interactive / batch,
 //                   see classify_lane in ops.h). When the combined queue
 //                   is full an arriving batch request answers immediately
@@ -23,13 +29,14 @@
 //                   overloaded answer, plus "shed":true) and takes its
 //                   slot, so sustained batch overload never starves the
 //                   interactive lane (backpressure, not buffering)
-//   workers      — options.workers threads popping the queue (interactive
-//                  lane first) and calling the handler
-//                  (ServiceCore::handle by default; the cluster
-//                  dispatcher plugs in a forwarding handler)
-//   watchdog     — one thread; flips the cancel flag of any request in
-//                  flight longer than watchdog_ms, which trips the
-//                  fitters' cooperative checkpoints and surfaces as a
+//   workers      — max(options.workers, 1) threads popping the queue
+//                  (interactive lane first), running the handler
+//                  (ServiceCore::handle by default; the cluster dispatcher
+//                  plugs in a forwarding handler) and rendering the answer
+//                  line, handed back to the loop through the eventfd
+//   watchdog     — on the loop's poll tick, flips the cancel flag of any
+//                  request in flight longer than watchdog_ms, which trips
+//                  the fitters' cooperative checkpoints and surfaces as a
 //                  structured "deadline_exceeded" response
 //
 // Network fault sites (serial-counter, from ServerOptions::fault_plan —
@@ -45,17 +52,18 @@
 //                   client-side timeout can detect
 //
 // {"op":"shutdown"} answers {"status":"ok"} and then stops the server.
-// {"op":"server_stats"} answers on the connection thread with the
-// admission counters (OverloadStats), live queue depths, and worker
-// configuration — readable even when the queue itself is saturated.
+// {"op":"server_stats"} answers on the loop thread with the admission
+// counters (OverloadStats), live queue depths, the worker count that
+// runs and the live connection count — readable even when the queue
+// itself is saturated.
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -83,7 +91,6 @@ struct ServerOptions {
   std::size_t workers = 2;
   /// Pending (unpopped) request cap, shared across both lanes.
   std::size_t max_queue = 8;
-  double retry_after_ms = 25.0;   ///< hint attached to overloaded responses
   std::uint64_t watchdog_ms = 0;  ///< 0 = watchdog disabled
   ServiceOptions service;
   /// Schedules for the transport-level "net.stall" / "net.partial" /
@@ -95,9 +102,10 @@ struct ServerOptions {
   /// own ServiceCore. The cluster dispatcher substitutes its forwarding
   /// logic here, reusing the queue/backpressure/shutdown machinery.
   std::function<Json(const Json&, const std::atomic<bool>*)> handler;
-  /// Connection-thread fast path, tried before a request is queued: when
-  /// it returns true it must have appended one full response line (no
-  /// newline) to the string. Cache hits answered here skip two thread
+  /// Loop-thread fast path, tried before a request is queued: when it
+  /// returns true it must have appended one full response line (no
+  /// newline) to the string. It must not block: every connection of the
+  /// server waits while it runs. Cache hits answered here skip two thread
   /// handoffs and the queue entirely. Default (empty): the core's result
   /// tier (ServiceCore::try_serve_cached_line) when no custom handler is
   /// set; a custom handler (dispatcher, cluster backend) supplies its own
@@ -119,17 +127,24 @@ struct OverloadStats {
 
 class ReplicationServer {
  public:
+  /// Hint attached to every "overloaded" answer.
+  static constexpr double kRetryAfterMs = 25.0;
+  /// Live connections per server; the next client gets one "overloaded"
+  /// line and is closed.
+  static constexpr std::size_t kMaxConnections = 256;
+
   explicit ReplicationServer(ServerOptions options);
   ~ReplicationServer();
 
   ReplicationServer(const ReplicationServer&) = delete;
   ReplicationServer& operator=(const ReplicationServer&) = delete;
 
-  /// Binds, listens, and spawns the accept/worker/watchdog threads.
-  /// Throws std::runtime_error when no listener can be bound.
+  /// Binds, listens, and spawns the loop and worker threads. Throws
+  /// std::runtime_error when no listener can be bound.
   void start();
-  /// Graceful stop: closes the listeners and every live connection, drains
-  /// workers, joins all threads. Idempotent.
+  /// Graceful stop: closes the listeners and every live connection,
+  /// cancels in-flight work, joins all threads. Idempotent; call it from
+  /// the thread that owns the server, never from a handler.
   void stop();
 
   bool running() const { return running_.load(); }
@@ -141,79 +156,80 @@ class ReplicationServer {
   OverloadStats overload_stats() const;
 
  private:
-  struct PendingRequest {
-    Json request;
-    std::shared_ptr<std::atomic<bool>> cancel;
+  struct Job;
+  /// Owned and touched by the loop thread only.
+  struct Connection {
+    int fd = -1;               ///< -1 once closed (swept by the loop)
+    std::string in;            ///< bytes read past the last framed line
+    std::string out;           ///< answer bytes the socket did not take yet
+    std::unique_ptr<Job> job;  ///< the request queued or running, if any
+    bool eof = false;          ///< peer stopped sending
+  };
+  /// Owned by its connection, which outlives it: the loop neither polls
+  /// nor closes a connection until the worker hands its job back.
+  struct Job {
+    Json request;  ///< heap copy: outlives the loop's scratch arena
+    std::atomic<bool> cancel{false};
     std::chrono::steady_clock::time_point started;
-    std::promise<Json> reply;
+    Connection* conn = nullptr;
+    std::string reply;  ///< the rendered answer line, set by the worker
   };
 
-  void accept_loop(std::atomic<int>* listen_fd);
-  void connection_loop(int fd);
-  /// Handles one framed request line on the connection thread. `arena`
-  /// backs the parse tree for the duration of the call only (the caller
-  /// resets it afterwards); `out` is the connection's reusable write
-  /// buffer. Returns false when the connection must close.
-  bool handle_request_line(int fd, std::string_view line, util::Arena& arena,
-                           std::string& out);
+  void loop();
   void worker_loop();
-  void watchdog_loop();
-  /// Writes one rendered response line, routed through the net.* fault
-  /// sites: a firing "net.stall"/"net.partial" suppresses some or all of
-  /// the bytes while keeping the connection open. Returns false only when
-  /// the connection must close.
-  bool write_response(int fd, const std::string& out);
-  /// Signals the stopper thread; safe from any thread, including a
-  /// connection thread handling the shutdown op.
-  void request_stop();
-  /// The actual teardown; runs exactly once, on the stopper thread only,
-  /// so it can join every other thread without ever joining itself.
-  void do_stop();
+  /// False when accept() ran out of fds or memory.
+  bool accept_from(int listen_fd);
+  void read_from(Connection& conn);
+  /// Handles buffered lines until the connection has a request
+  /// outstanding, unsent bytes or no complete line; closes it once the
+  /// peer has stopped sending and nothing is left to answer.
+  void serve(Connection& conn);
+  void handle_line(Connection& conn, std::string_view line);
+  /// Writes one answer line through the net.* fault sites.
+  void respond(Connection& conn, std::string_view line);
+  void respond(Connection& conn, const Json& response);
+  /// Sends what the socket takes; closes the connection on a dead peer.
+  void flush(Connection& conn);
+  Json server_stats() const;
+  void wake();  ///< signals the eventfd; safe from any thread
+  void teardown();
 
   ServerOptions options_;
   ServiceCore core_;
 
   std::atomic<bool> running_{false};
-  /// Atomic: the accept loops read these concurrently with do_stop()'s
-  /// close. One slot per listener (Unix-domain, TCP).
-  std::atomic<int> listen_fd_{-1};
-  std::atomic<int> tcp_listen_fd_{-1};
+  std::atomic<bool> stopping_{false};  ///< set by stop() or "shutdown"
   std::atomic<int> tcp_port_{-1};
+  int wake_fd_ = -1;  ///< eventfd; closed by stop() after the join
+
+  // Loop-thread state.
+  int listen_fds_[2] = {-1, -1};  ///< Unix-domain, TCP
+  std::vector<std::unique_ptr<Connection>> connections_;
+  /// Each request's parse tree, rewound after every line.
+  util::Arena arena_;
+  std::string line_;  ///< reusable render buffer for inline answers
+  /// Transport-level fault injection (net.* sites). `partitioned_` is the
+  /// sticky consequence of "net.partition": once set, every connection
+  /// keeps accepting bytes but nothing is ever answered.
+  util::FaultInjector net_faults_;
+  bool partitioned_ = false;
 
   mutable std::mutex queue_mutex_;
   std::condition_variable queue_cv_;
   /// Two priority lanes under one bound (options_.max_queue on the sum).
   /// Workers drain the interactive lane first; admission sheds the
   /// youngest batch entry when a full queue meets an interactive arrival.
-  std::deque<std::shared_ptr<PendingRequest>> interactive_queue_;
-  std::deque<std::shared_ptr<PendingRequest>> batch_queue_;
+  std::deque<Job*> interactive_queue_;
+  std::deque<Job*> batch_queue_;
   OverloadStats overload_stats_;  ///< guarded by queue_mutex_
   /// Requests popped by a worker but not yet answered (watchdog scan set).
-  std::vector<std::shared_ptr<PendingRequest>> in_flight_;
+  std::vector<Job*> in_flight_;
+  /// Answered requests waiting for the loop to write them.
+  std::vector<Job*> done_;
+  bool workers_exit_ = false;
 
-  /// Transport-level fault injection (net.* sites). `partitioned_` is the
-  /// sticky consequence of "net.partition": once set, every connection
-  /// keeps accepting bytes but nothing is ever answered.
-  util::FaultInjector net_faults_;
-  std::atomic<bool> partitioned_{false};
-
-  std::mutex conn_mutex_;
-  std::vector<int> conn_fds_;
-  std::vector<std::thread> conn_threads_;
-
-  std::thread accept_thread_;
-  std::thread tcp_accept_thread_;
+  std::thread loop_thread_;
   std::vector<std::thread> worker_threads_;
-  std::thread watchdog_thread_;
-
-  /// Teardown runs on this thread (woken by request_stop) so the shutdown
-  /// op never detaches work that could outlive the server object; stop()
-  /// and the destructor join it.
-  std::mutex shutdown_mutex_;
-  std::condition_variable shutdown_cv_;
-  bool shutdown_requested_ = false;
-  std::thread stopper_thread_;
-  std::mutex stopper_join_mutex_;
 };
 
 /// Minimal client for the line protocol: call() is the blocking round

@@ -102,7 +102,7 @@ class ServiceCore {
   /// Warm-path fast lane: when an identical cacheable request (canonical
   /// key; "threads"/"deadline_ms" don't count) was answered "ok" before,
   /// appends the cached rendered response line (no newline) to `out` and
-  /// returns true. The server calls this on the connection thread, before
+  /// returns true. The server calls this on its loop thread, before
   /// a request ever touches the queue/worker machinery. Disabled whenever
   /// a fault plan is active: skipping the queue would skip the
   /// "service.stall"/"service.request" hits and shift every chaos run's

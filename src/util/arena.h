@@ -17,15 +17,15 @@
 // degrade to element-wise moves instead of smuggling arena pointers out.
 //
 // The service layer uses arenas in two roles (the dual-arena idiom):
-//   scratch    per connection, reset after every response — request
+//   scratch    per server loop, reset after every request line — request
 //              parse trees, response nodes, render buffers
 //   permanent  per rendered-line cache, compacted rarely — interned
 //              response lines for warm requests (see
 //              service::RenderedLineCache)
 //
 // Thread safety: none. Each arena is owned by exactly one thread at a
-// time (a connection loop, a cache behind its mutex); that is the point —
-// no allocator lock on the hot path.
+// time (a server's loop thread, a cache behind its mutex); that is the
+// point — no allocator lock on the hot path.
 #pragma once
 
 #include <cstddef>

@@ -366,7 +366,6 @@ TEST(OverloadChaos, InteractiveLaneOvertakesBatchUnderSustainedOverload) {
   options.socket_path = unique_socket_path("lanes");
   options.workers = 1;  // one slot: queueing policy is the whole story
   options.max_queue = 8;
-  options.retry_after_ms = 3;
   std::atomic<bool> stop{false};
   options.handler = [](const Json& request, const std::atomic<bool>*) {
     if (service::classify_lane(request) == service::RequestLane::kBatch)

@@ -1,16 +1,29 @@
 // Service-layer tests: the JSON wire format, ServiceCore request handling
 // (statuses, retries, caching, deadlines), and the Unix-domain-socket
-// server round trip including watchdog cancellation and backpressure.
+// server round trip including watchdog cancellation, backpressure, and the
+// event loop's bounds: threads and fds that do not grow with clients, fd
+// exhaustion, the connection cap, pipelining, and hung-up clients.
+#include <dirent.h>
+#include <fcntl.h>
+#include <sys/resource.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <sys/un.h>
+#include <unistd.h>
+
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
+#include <cstring>
+#include <ctime>
 #include <functional>
 #include <future>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unistd.h>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -331,14 +344,14 @@ TEST(ReplicationServerTest, FullQueueAnswersOverloadedWithRetryHint) {
   ServerOptions options;
   options.socket_path = unique_socket_path("bp");
   options.max_queue = 0;  // degenerate bound: every request is backpressured
-  options.retry_after_ms = 40;
   ReplicationServer server(options);
   server.start();
   ServiceClient client;
   client.connect(server.socket_path());
   const Json r = client.call(make_request("ping"));
   EXPECT_EQ(r.get_string("status", ""), "overloaded");
-  EXPECT_EQ(r.get_number("retry_after_ms", 0), 40);
+  EXPECT_EQ(r.get_number("retry_after_ms", 0),
+            ReplicationServer::kRetryAfterMs);
   server.stop();
 }
 
@@ -501,7 +514,6 @@ TEST(ReplicationServerTest, ExactlyFullQueueRejectsBatchAndShedsForInteractive) 
   options.socket_path = unique_socket_path("b2");
   options.workers = 1;
   options.max_queue = 2;
-  options.retry_after_ms = 7;
   options.handler = gate.handler();
   ReplicationServer server(options);
   server.start();
@@ -527,7 +539,8 @@ TEST(ReplicationServerTest, ExactlyFullQueueRejectsBatchAndShedsForInteractive) 
   const Json rejected =
       call_once(server.socket_path(), make_request("run_study"));
   EXPECT_EQ(rejected.get_string("status", ""), "overloaded");
-  EXPECT_EQ(rejected.get_number("retry_after_ms", 0), 7.0);
+  EXPECT_EQ(rejected.get_number("retry_after_ms", 0),
+            ReplicationServer::kRetryAfterMs);
   EXPECT_FALSE(rejected.get_bool("shed", false));
   EXPECT_EQ(server.overload_stats().overloaded_rejected, 1u);
   EXPECT_EQ(server.overload_stats().shed_batch, 0u);
@@ -540,7 +553,8 @@ TEST(ReplicationServerTest, ExactlyFullQueueRejectsBatchAndShedsForInteractive) 
   const Json shed = youngest.get();
   EXPECT_EQ(shed.get_string("status", ""), "overloaded");
   EXPECT_TRUE(shed.get_bool("shed", false));
-  EXPECT_EQ(shed.get_number("retry_after_ms", 0), 7.0);
+  EXPECT_EQ(shed.get_number("retry_after_ms", 0),
+            ReplicationServer::kRetryAfterMs);
   EXPECT_EQ(server.overload_stats().shed_batch, 1u);
   EXPECT_EQ(server.overload_stats().interactive_enqueued, 1u);
 
@@ -549,6 +563,333 @@ TEST(ReplicationServerTest, ExactlyFullQueueRejectsBatchAndShedsForInteractive) 
   EXPECT_EQ(ping.get().get_string("status", ""), "ok");
   EXPECT_EQ(oldest.get().get_string("status", ""), "ok");
   EXPECT_EQ(blocker.get().get_string("status", ""), "ok");
+  server.stop();
+}
+
+// -- Event loop bounds -------------------------------------------------------
+
+// Lowers (or raises) the soft RLIMIT_NOFILE for one test; restores it on
+// exit, failed assertions included.
+class SoftFdLimit {
+ public:
+  explicit SoftFdLimit(rlim_t soft) {
+    ::getrlimit(RLIMIT_NOFILE, &saved_);
+    rlimit r = saved_;
+    r.rlim_cur = std::min(soft, saved_.rlim_max);
+    ::setrlimit(RLIMIT_NOFILE, &r);
+  }
+  ~SoftFdLimit() { ::setrlimit(RLIMIT_NOFILE, &saved_); }
+
+ private:
+  rlimit saved_{};
+};
+
+// Entries of a /proc directory (/proc/self/fd counts its own handle).
+std::size_t count_entries(const char* path) {
+  DIR* dir = ::opendir(path);
+  if (dir == nullptr) return 0;
+  std::size_t n = 0;
+  while (const dirent* e = ::readdir(dir))
+    if (std::strcmp(e->d_name, ".") != 0 && std::strcmp(e->d_name, "..") != 0)
+      ++n;
+  ::closedir(dir);
+  return n;
+}
+
+// A bare Unix-socket connection with a 3 s receive timeout, for byte-level
+// exchanges ServiceClient does not make (pipelining, half-close, reading
+// to EOF).
+int connect_raw(const std::string& socket_path) {
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, socket_path.c_str(), sizeof addr.sun_path - 1);
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) !=
+      0) {
+    ::close(fd);
+    return -1;
+  }
+  timeval tv{};
+  tv.tv_sec = 3;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
+  return fd;
+}
+
+// Every byte until the peer closes; the timeout or an error ends it early.
+std::string read_to_eof(int fd) {
+  std::string all;
+  char chunk[4096];
+  ssize_t n;
+  while ((n = ::read(fd, chunk, sizeof chunk)) > 0)
+    all.append(chunk, static_cast<std::size_t>(n));
+  if (n < 0) all += "<no eof>";
+  return all;
+}
+
+std::vector<Json> parse_lines(const std::string& text) {
+  std::vector<Json> out;
+  std::size_t from = 0;
+  for (std::size_t nl; (nl = text.find('\n', from)) != std::string::npos;
+       from = nl + 1)
+    out.push_back(Json::parse(text.substr(from, nl - from)));
+  return out;
+}
+
+Json ask(ServiceClient& client, const char* op) {
+  return client.call(make_request(op));
+}
+
+std::string status_of(const Json& r) { return r.get_string("status", ""); }
+
+TEST(ReplicationServerTest, ThousandConnectionsUnderA64FdLimitAreAllAnswered) {
+  // Regression: each connection kept its fd (and an exited thread) until
+  // stop(), and accept() failing with EMFILE ended the accept loop for
+  // good, so the 60th client or so hung until its own timeout.
+  ServerOptions options;
+  options.socket_path = unique_socket_path("churn");
+  ReplicationServer server(options);
+  server.start();
+  {
+    const SoftFdLimit limit(64);
+    for (int i = 0; i < 1000; ++i) {
+      ServiceClient client;
+      client.set_timeout_ms(3000);
+      client.connect(server.socket_path());
+      ASSERT_EQ(status_of(ask(client, "ping")), "ok") << "cycle " << i;
+    }
+  }
+  server.stop();
+}
+
+TEST(ReplicationServerTest, AcceptResumesAfterTheProcessRanOutOfFds) {
+  ServerOptions options;
+  options.socket_path = unique_socket_path("emfile");
+  ReplicationServer server(options);
+  server.start();
+  const SoftFdLimit limit(64);
+  std::vector<std::unique_ptr<ServiceClient>> idle(4);
+  for (auto& client : idle) {
+    client = std::make_unique<ServiceClient>();
+    client->connect(server.socket_path());
+    ASSERT_EQ(status_of(ask(*client, "ping")), "ok");
+  }
+  // Idle fds take what is left, then give one back: the next client's
+  // socket gets it, and the server's accept() finds none (EMFILE).
+  std::vector<int> taken;
+  for (int fd; (fd = ::open("/dev/null", O_RDONLY | O_CLOEXEC)) >= 0;)
+    taken.push_back(fd);
+  ASSERT_EQ(errno, EMFILE);
+  ::close(taken.back());
+  taken.pop_back();
+  ServiceClient next;
+  next.set_timeout_ms(3000);
+  next.connect(server.socket_path(), 1);
+  next.send(make_request("ping"));
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  // The idle holders close; the server must pick the waiting client up.
+  for (const int fd : taken) ::close(fd);
+  idle.clear();
+  Json reply;
+  while (!next.try_receive(reply)) {
+  }
+  EXPECT_EQ(status_of(reply), "ok");
+  ServiceClient after;
+  after.set_timeout_ms(3000);
+  after.connect(server.socket_path());
+  EXPECT_EQ(status_of(ask(after, "ping")), "ok");
+  server.stop();
+}
+
+TEST(ReplicationServerTest, ThreadsAndFdsDoNotGrowWithClients) {
+  // ThreadSanitizer starts a helper thread at the first pthread_create;
+  // one created and joined here puts it in the baseline.
+  std::thread([] {}).join();
+  const std::size_t threads_before = count_entries("/proc/self/task");
+  ServerOptions options;
+  options.socket_path = unique_socket_path("bounds");
+  options.workers = 2;
+  ReplicationServer server(options);
+  server.start();
+  // The loop plus the workers, however many clients connect.
+  EXPECT_EQ(count_entries("/proc/self/task"), threads_before + 3);
+  const std::size_t fds_before = count_entries("/proc/self/fd");
+
+  std::vector<std::unique_ptr<ServiceClient>> idle(64);
+  for (auto& client : idle) {
+    client = std::make_unique<ServiceClient>();
+    client->connect(server.socket_path());
+    ASSERT_EQ(status_of(ask(*client, "ping")), "ok");
+  }
+  EXPECT_EQ(count_entries("/proc/self/task"), threads_before + 3);
+  idle.clear();
+
+  for (int i = 0; i < 1000; ++i) {
+    ServiceClient client;
+    client.set_timeout_ms(3000);
+    client.connect(server.socket_path());
+    ASSERT_EQ(status_of(ask(client, "ping")), "ok") << "cycle " << i;
+  }
+  // Closed connections give their fd back as the loop sees them go.
+  EXPECT_TRUE(wait_until(
+      [&] { return count_entries("/proc/self/fd") <= fds_before + 4; }))
+      << count_entries("/proc/self/fd") << " fds, " << fds_before
+      << " before";
+  EXPECT_EQ(count_entries("/proc/self/task"), threads_before + 3);
+  server.stop();
+}
+
+TEST(ReplicationServerTest, ConnectionCapAnswersOverloadedOnceThenServesAgain) {
+  constexpr std::size_t kCap = ReplicationServer::kMaxConnections;
+  // Both ends of kCap + 1 connections live in this process.
+  const SoftFdLimit limit(2 * kCap + 64);
+  ServerOptions options;
+  options.socket_path = unique_socket_path("cap");
+  options.workers = 1;
+  ReplicationServer server(options);
+  server.start();
+  std::vector<std::unique_ptr<ServiceClient>> idle(kCap);
+  for (auto& client : idle) {
+    client = std::make_unique<ServiceClient>();
+    client->connect(server.socket_path());
+    ASSERT_EQ(status_of(ask(*client, "ping")), "ok");
+  }
+  EXPECT_EQ(ask(*idle.front(), "server_stats").get_number("connections", -1),
+            static_cast<double>(kCap));
+
+  // Past the cap: exactly one overloaded line, then EOF.
+  const int extra = connect_raw(server.socket_path());
+  ASSERT_GE(extra, 0);
+  const std::vector<Json> lines = parse_lines(read_to_eof(extra));
+  ::close(extra);
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_EQ(status_of(lines[0]), "overloaded");
+  EXPECT_EQ(lines[0].get_number("retry_after_ms", 0),
+            ReplicationServer::kRetryAfterMs);
+
+  // One client leaves; the next one to arrive is served.
+  idle.pop_back();
+  ASSERT_TRUE(wait_until([&] {
+    return ask(*idle.front(), "server_stats").get_number("connections", -1) ==
+           static_cast<double>(kCap - 1);
+  }));
+  ServiceClient next;
+  next.set_timeout_ms(3000);
+  next.connect(server.socket_path());
+  EXPECT_EQ(status_of(ask(next, "ping")), "ok");
+  server.stop();
+}
+
+TEST(ReplicationServerTest, PipelinedLinesThenHalfCloseGetEveryAnswerInOrder) {
+  ServerOptions options;
+  options.socket_path = unique_socket_path("pipe");
+  ReplicationServer server(options);
+  server.start();
+  const int fd = connect_raw(server.socket_path());
+  ASSERT_GE(fd, 0);
+  // Queued (ping), loop-answered (server_stats) and malformed lines, all
+  // sent before any answer is read, then no more bytes.
+  const std::string lines =
+      "{\"op\":\"ping\"}\n{\"op\":\"server_stats\"}\n{oops\n"
+      "{\"op\":\"ping\"}\n{\"op\":\"server_stats\"}\n";
+  ASSERT_EQ(::send(fd, lines.data(), lines.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(lines.size()));
+  ::shutdown(fd, SHUT_WR);
+  const std::vector<Json> answers = parse_lines(read_to_eof(fd));
+  ::close(fd);
+  ASSERT_EQ(answers.size(), 5u);
+  EXPECT_EQ(status_of(answers[0]), "ok");
+  EXPECT_FALSE(answers[0].get_string("version", "").empty());
+  // Each stats answer sees exactly the pings sent before it.
+  EXPECT_EQ(answers[1].get_number("interactive_enqueued", -1), 1.0);
+  EXPECT_EQ(status_of(answers[2]), "bad_request");
+  EXPECT_FALSE(answers[3].get_string("version", "").empty());
+  EXPECT_EQ(answers[4].get_number("interactive_enqueued", -1), 2.0);
+  server.stop();
+}
+
+// A handler that takes 300 ms and says when it starts and ends.
+struct SlowHandler {
+  std::atomic<bool> entered{false};
+  std::atomic<bool> finished{false};
+
+  std::function<Json(const Json&, const std::atomic<bool>*)> handler() {
+    return [this](const Json& request, const std::atomic<bool>*) {
+      entered.store(true);
+      std::this_thread::sleep_for(std::chrono::milliseconds(300));
+      finished.store(true);
+      return service::ok_response(request.get_string("op", ""));
+    };
+  }
+};
+
+// Sends one request, hangs up while the handler runs (a hedge loser, a
+// timed-out forward or ping), and returns the process CPU milliseconds
+// spent from the hang-up until the handler returned.
+double cpu_ms_while_hung_up(const std::string& socket_path, SlowHandler& slow) {
+  const int fd = connect_raw(socket_path);
+  EXPECT_GE(fd, 0);
+  const std::string line = "{\"op\":\"run_study\"}\n";
+  EXPECT_EQ(::send(fd, line.data(), line.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(line.size()));
+  EXPECT_TRUE(wait_until([&] { return slow.entered.load(); }));
+  timespec cpu0{};
+  ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &cpu0);
+  ::close(fd);
+  EXPECT_TRUE(wait_until([&] { return slow.finished.load(); }));
+  timespec cpu1{};
+  ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &cpu1);
+  return static_cast<double>(cpu1.tv_sec - cpu0.tv_sec) * 1e3 +
+         static_cast<double>(cpu1.tv_nsec - cpu0.tv_nsec) / 1e6;
+}
+
+TEST(ReplicationServerTest, ClientThatHangsUpMidRequestCostsNoCpu) {
+  SlowHandler slow;
+  ServerOptions options;
+  options.socket_path = unique_socket_path("hup");
+  options.handler = slow.handler();
+  ReplicationServer server(options);
+  server.start();
+  // poll() reports the hang-up whatever the events mask; a loop that kept
+  // polling the connection would spin for the whole request.
+  EXPECT_LT(cpu_ms_while_hung_up(server.socket_path(), slow), 50.0);
+  server.stop();
+}
+
+TEST(ReplicationServerTest, HungUpConnectionIsGoneOnceItsRequestEnds) {
+  SlowHandler slow;
+  ServerOptions options;
+  options.socket_path = unique_socket_path("hupc");
+  options.handler = slow.handler();
+  ReplicationServer server(options);
+  server.start();
+  ServiceClient probe;
+  probe.connect(server.socket_path());
+  const double baseline =
+      ask(probe, "server_stats").get_number("connections", -1);
+  EXPECT_EQ(baseline, 1.0);
+  cpu_ms_while_hung_up(server.socket_path(), slow);
+  EXPECT_TRUE(wait_until([&] {
+    return ask(probe, "server_stats").get_number("connections", -1) ==
+           baseline;
+  }));
+  server.stop();
+}
+
+TEST(ReplicationServerTest, ServerStatsReportsRunningWorkersAndConnections) {
+  ServerOptions options;
+  options.socket_path = unique_socket_path("stats");
+  options.workers = 0;  // still runs one worker
+  ReplicationServer server(options);
+  server.start();
+  std::vector<std::unique_ptr<ServiceClient>> clients(3);
+  for (auto& client : clients) {
+    client = std::make_unique<ServiceClient>();
+    client->connect(server.socket_path());
+    ASSERT_EQ(status_of(ask(*client, "ping")), "ok");
+  }
+  const Json stats = ask(*clients.front(), "server_stats");
+  EXPECT_EQ(stats.get_number("workers", -1), 1.0);
+  EXPECT_EQ(stats.get_number("connections", -1), 3.0);
   server.stop();
 }
 

@@ -8,7 +8,7 @@
 // on the same window's tuples), the stream.* fault sites, and the
 // cluster citizenship of the stream op family: journaled writes that
 // re-warm a restarted backend, stream-id routing, ring replication, and
-// the server_stats connection-thread probe.
+// the server_stats probe the server's loop thread answers.
 #include <unistd.h>
 
 #include <algorithm>

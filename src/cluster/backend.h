@@ -89,8 +89,7 @@ class ClusterBackend {
  public:
   explicit ClusterBackend(ClusterBackendOptions options);
 
-  /// Never throws (same contract as ServiceCore::handle). A request that
-  /// ran 50 ms or longer ends by returning freed heap to the OS.
+  /// Never throws (same contract as ServiceCore::handle).
   service::Json handle(const service::Json& request,
                        const std::atomic<bool>* cancel);
 

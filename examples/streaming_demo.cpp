@@ -1,13 +1,14 @@
 // Streaming study engine walkthrough.
 //
-//   ./streaming_demo [log_dir]
+//   ./streaming_demo [journal_dir]
 //
-// Opens a bursty live-population stream on an in-process cluster
-// backend, absorbs arrivals in waves while printing the windowed RQ
-// dashboard after each wave, then simulates a crash: the backend is
-// destroyed and a fresh one re-opens the same arrival log. The reloaded
-// stream reports the same digest as the one that "crashed" — the
-// streamed run replays bit-for-bit from its log.
+// Opens a bursty live-population stream on an in-process, journaled
+// cluster backend, absorbs arrivals in waves while printing the windowed
+// RQ dashboard after each wave, then simulates a crash: the backend is
+// destroyed and a fresh one on the same journal re-warms through
+// "journal_replay". The rebuilt stream reports the same digest as the one
+// that "crashed" — the streamed run replays bit-for-bit from the
+// journaled stream writes.
 //
 // Everything is deterministic: run it twice and every line (digests,
 // RQ numbers, window sizes) is byte-identical.
@@ -27,7 +28,7 @@ using service::Json;
 
 namespace {
 
-Json open_request(const std::string& log_path) {
+Json open_request() {
   Json req = Json::object();
   req.set("op", Json::string("stream_open"));
   req.set("stream", Json::string("live"));
@@ -37,7 +38,6 @@ Json open_request(const std::string& log_path) {
   req.set("window_events", Json::number(256));
   req.set("refit_every", Json::number(200));
   req.set("fit_starts", Json::number(2));
-  req.set("log", Json::string(log_path));
   return req;
 }
 
@@ -90,19 +90,18 @@ void print_dashboard(const Json& dash) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string log_dir =
+  const std::string journal_dir =
       argc > 1 ? argv[1]
                : "/tmp/decompeval-streaming-" + std::to_string(::getpid());
-  std::filesystem::remove_all(log_dir);
-  std::filesystem::create_directories(log_dir);
-  const std::string log_path = log_dir + "/live.log";
+  std::filesystem::remove_all(journal_dir);
+  std::filesystem::create_directories(journal_dir);
 
   // --- first life: open, absorb in waves, watch the dashboard ------------
   cluster::ClusterBackendOptions options;
-  options.stream_log_dir = log_dir;
+  options.journal.path = journal_dir + "/commands.journal";
   auto backend = std::make_unique<cluster::ClusterBackend>(options);
 
-  Json opened = backend->handle(open_request(log_path), nullptr);
+  Json opened = backend->handle(open_request(), nullptr);
   std::cout << "opened stream 'live': " << opened.get_string("status", "?")
             << " (bursty arrivals, 256-event window, refit every 200)\n";
 
@@ -118,15 +117,18 @@ int main(int argc, char** argv) {
   const std::string digest_before = before.get_string("digest", "?");
   std::cout << "\nstate digest before crash: " << digest_before << "\n";
 
-  // --- crash + re-open: the arrival log replays bit-for-bit --------------
+  // --- crash + re-warm: the journal replays bit-for-bit -----------------
   std::cout << "\n--- simulated crash: backend destroyed, fresh one "
-               "re-opens the arrival log ---\n";
+               "replays the journal ---\n";
   backend.reset();
   backend = std::make_unique<cluster::ClusterBackend>(options);
-  const Json reopened = backend->handle(open_request(log_path), nullptr);
-  std::cout << "re-open: reloaded="
-            << (reopened.get_bool("reloaded", false) ? "true" : "false")
-            << " from " << log_path << "\n";
+  Json replay = Json::object();
+  replay.set("op", Json::string("journal_replay"));
+  const Json report = backend->handle(replay, nullptr);
+  std::cout << "journal_replay: records=" << report.get_number("records", 0)
+            << " replayed=" << report.get_number("replayed", 0)
+            << " failures=" << report.get_number("failures", 0) << " from "
+            << options.journal.path << "\n";
 
   const Json after = backend->handle(stream_request("stream_stats"), nullptr);
   const std::string digest_after = after.get_string("digest", "?");
@@ -134,12 +136,12 @@ int main(int argc, char** argv) {
   std::cout << "replay bit-identical: "
             << (digest_after == digest_before ? "yes" : "NO — BUG") << "\n";
 
-  // The reloaded stream keeps absorbing from where the log left off.
+  // The rebuilt stream keeps absorbing from where the journal left off.
   const Json more = backend->handle(absorb_request(100), nullptr);
   std::cout << "\nabsorbed 100 more after replay: emitted="
             << more.get_number("emitted", 0)
             << " status=" << more.get_string("status", "?") << "\n";
 
-  std::filesystem::remove_all(log_dir);
+  std::filesystem::remove_all(journal_dir);
   return 0;
 }

@@ -20,7 +20,7 @@ ClusterBackend::ClusterBackend(ClusterBackendOptions options)
       core_(options_.service),
       cache_(options_.cache),
       journal_(options_.journal),
-      streaming_(&core_.faults(), nullptr, options_.stream_log_dir),
+      streaming_(&core_.faults()),
       // Serving or warming the memory tier from this layer would skip
       // service/cache/journal fault sites and shift their deterministic
       // hit sequences.
@@ -89,8 +89,10 @@ JournalReplayReport ClusterBackend::replay_journal(
     if (!seen_keys.insert(service::canonical_request_key(command)).second)
       continue;
     ++report.replayed;
-    const service::Json response = handle(command, cancel);
-    if (response.get_string("status", "") == "ok")
+    const std::string status = handle(command, cancel).get_string("status", "");
+    const service::OpSpec* spec = service::find_op(command);
+    if (status == "ok" ||
+        (status == "degraded" && spec != nullptr && spec->stream_write))
       ++report.ok;
     else
       ++report.failures;
@@ -103,7 +105,7 @@ std::size_t ClusterBackend::compact_journal() {
   if (!journal_.enabled()) return 0;
   // A record is snapshot-covered once its result file exists on disk;
   // unparseable records can never replay, so they are dropped too.
-  return journal_.compact([this](std::string_view record) {
+  const std::size_t kept = journal_.compact([this](std::string_view record) {
     if (!cache_.enabled()) return true;  // no snapshot: keep everything
     try {
       const service::Json command = service::Json::parse(record);
@@ -113,6 +115,8 @@ std::size_t ClusterBackend::compact_journal() {
       return false;
     }
   });
+  compacted_bytes_.store(journal_.stats().bytes);
+  return kept;
 }
 
 service::Json ClusterBackend::cache_install_op(const service::Json& request) {
@@ -259,7 +263,8 @@ service::Json ClusterBackend::handle(const service::Json& request,
   if (try_disk && response.get_string("status", "") == "ok") {
     cache_.store(digest, response, key);
     if (options_.journal_compact_bytes > 0 && journal_.enabled() &&
-        journal_.stats().bytes > options_.journal_compact_bytes)
+        journal_.stats().bytes >
+            compacted_bytes_.load() + options_.journal_compact_bytes)
       compact_journal();
   }
   return response;

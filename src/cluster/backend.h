@@ -39,9 +39,16 @@
 //   "stream_*"        the streaming study engine's op family (see
 //                     streaming/engine.h). Stream writes are journaled
 //                     in absolute (idempotent) form before execution and
-//                     replayed like any other command; stream ops are not
+//                     replayed like any other command — the journal is
+//                     the only durable record of a stream, and replay
+//                     rebuilds it bit-identically. Stream ops are not
 //                     cacheable, so their time-varying results never
 //                     reach any cache.
+//
+// Auto-compaction keys on the journal's growth since the last compaction,
+// not its size: stream records are never snapshot-covered and survive
+// every compaction, so a size trigger would rewrite and fsync the whole
+// journal on every cold store once they alone passed the threshold.
 #pragma once
 
 #include <atomic>
@@ -62,16 +69,12 @@ struct ClusterBackendOptions {
   service::ServiceOptions service;
   /// cache.directory empty → the backend runs with no disk cache.
   DiskCacheOptions cache;
-  /// journal.path empty → no journal (no durability for in-flight work).
+  /// journal.path empty → no journal (no durability for in-flight work,
+  /// and streams do not survive a restart).
   JournalOptions journal;
-  /// Root for *relative* stream arrival-log paths ("log" in stream_open).
-  /// Replicated stream commands ship the same logical path to every ring
-  /// replica; rooting each backend in its own directory keeps their logs
-  /// distinct on a shared filesystem. Empty = paths used verbatim.
-  std::string stream_log_dir;
-  /// Auto-compact the journal when it outgrows this many bytes (checked
-  /// after each store; 0 disables — compaction then only runs via the
-  /// "journal_compact" op).
+  /// Auto-compact the journal once it has grown by this many bytes since
+  /// the last compaction (checked after each store; 0 disables —
+  /// compaction then only runs via the "journal_compact" op).
   std::uint64_t journal_compact_bytes = 64u << 10;
 };
 
@@ -79,8 +82,11 @@ struct ClusterBackendOptions {
 struct JournalReplayReport {
   std::uint64_t records = 0;    ///< valid records found in the journal
   std::uint64_t replayed = 0;   ///< distinct commands re-issued
-  std::uint64_t ok = 0;         ///< replays that answered "ok"
-  std::uint64_t failures = 0;   ///< unparseable records + non-ok replays
+  /// Replays that applied: "ok", or "degraded" for a stream write (it
+  /// lost arrivals or a refit to the fault plan but still applied, as the
+  /// dispatcher's replica fan-out counts it).
+  std::uint64_t ok = 0;
+  std::uint64_t failures = 0;   ///< unparseable records + replays not applied
   bool clean = true;            ///< journal scanned to EOF without damage
   std::string warning;          ///< why the scan stopped, when !clean
 };
@@ -149,6 +155,8 @@ class ClusterBackend {
   /// stream.* sites share one deterministic plan with everything else.
   streaming::StreamEngine streaming_;
   std::atomic<bool> replaying_{false};
+  /// Journal size the last compaction left (0 before the first).
+  std::atomic<std::uint64_t> compacted_bytes_{0};
   mutable std::mutex journal_warn_mutex_;
   std::vector<std::string> journal_warnings_;
   /// Whether the core's memory tier may be read or warmed from this layer:

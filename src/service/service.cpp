@@ -17,6 +17,13 @@ namespace decompeval::service {
 
 namespace {
 
+/// LRU bound on the trained-embedding cache. Models are large, so only a
+/// handful of (corpus, seed) configurations stay warm.
+constexpr std::size_t kEmbedCacheCapacity = 4;
+/// LRU bound on the annotation engine's per-function digest cache — the
+/// incremental lane of the "annotate" op.
+constexpr std::size_t kAnnotateCacheCapacity = 256;
+
 std::uint64_t fnv1a(std::string_view text) {
   std::uint64_t h = 1469598103934665603ULL;
   for (const char c : text) {
@@ -70,8 +77,8 @@ ServiceCore::ServiceCore(ServiceOptions options)
     : options_(std::move(options)),
       faults_(options_.fault_plan),
       result_cache_(options_.result_cache_capacity),
-      embed_cache_(options_.embed_cache_capacity),
-      annotate_engine_(options_.annotate_cache_capacity) {}
+      embed_cache_(kEmbedCacheCapacity),
+      annotate_engine_(kAnnotateCacheCapacity) {}
 
 ServiceStats ServiceCore::stats() const {
   const std::lock_guard<std::mutex> lock(mutex_);
@@ -139,8 +146,7 @@ Json ServiceCore::dispatch(const Json& request,
   // admission check makes an already-expired request cost nothing — it
   // never touches pipeline state.
   util::Deadline deadline;
-  const double deadline_ms = request.get_number(
-      "deadline_ms", static_cast<double>(options_.default_deadline_ms));
+  const double deadline_ms = request.get_number("deadline_ms", 0.0);
   if (deadline_ms > 0.0)
     deadline = util::Deadline::after(std::chrono::nanoseconds(
         static_cast<std::int64_t>(deadline_ms * 1e6)));

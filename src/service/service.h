@@ -31,10 +31,10 @@
 // (try_serve_cached_line) and ClusterBackend, in front of its disk cache,
 // read the same tier. Embedding models are cached separately per
 // (corpus_sentences, corpus_seed) so repeated metric requests skip
-// training. Both caches are LRU-bounded
-// (ServiceOptions::{result,embed}_cache_capacity) so a long-lived backend
-// under a seed sweep cannot grow without limit; the "cache_stats" op
-// reports size/capacity/evictions.
+// training. Both caches are LRU-bounded (ServiceOptions::
+// result_cache_capacity entries and 4 embedding models) so a long-lived
+// backend under a seed sweep cannot grow without limit; the
+// "cache_stats" op reports size/capacity/evictions.
 #pragma once
 
 #include <atomic>
@@ -60,8 +60,6 @@ struct ServiceOptions {
   int max_attempts = 3;
   /// First backoff pause; doubles per retry. 0 disables sleeping (tests).
   double backoff_initial_ms = 2.0;
-  /// Deadline applied when a request carries no "deadline_ms"; 0 = none.
-  std::uint64_t default_deadline_ms = 0;
   /// Worker threads for pipeline stages when the request does not say.
   std::size_t default_threads = 1;
   /// How long an injected "service.stall" spins waiting for the watchdog
@@ -70,13 +68,6 @@ struct ServiceOptions {
   std::uint64_t stall_max_ms = 250;
   /// LRU bound on the result tier (entries; 0 disables caching).
   std::size_t result_cache_capacity = 256;
-  /// LRU bound on the trained-embedding cache. Models are large, so the
-  /// default keeps only a handful of (corpus, seed) configurations warm.
-  std::size_t embed_cache_capacity = 4;
-  /// LRU bound on the annotation engine's per-function digest cache — the
-  /// incremental lane of the "annotate" op (entries; 0 recomputes every
-  /// function on every request).
-  std::size_t annotate_cache_capacity = 256;
 };
 
 /// Monotonic counters, readable via the "stats" op.

@@ -4,8 +4,6 @@
 #include <bit>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <stdexcept>
 
 #include "util/check.h"
 
@@ -32,55 +30,6 @@ void append_bits(std::string& out, double v) {
                 static_cast<unsigned long long>(std::bit_cast<std::uint64_t>(v)));
   out += buf;
 }
-
-class RecordReader {
- public:
-  explicit RecordReader(std::string_view record) : record_(record) {}
-
-  std::uint64_t u64() {
-    const std::string tok = token();
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(tok.c_str(), &end, 10);
-    if (end == tok.c_str() || *end != '\0')
-      throw std::runtime_error("arrival record: bad integer '" + tok + "'");
-    return v;
-  }
-
-  double bits() {
-    const std::string tok = token();
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(tok.c_str(), &end, 16);
-    if (end == tok.c_str() || *end != '\0' || tok.size() != 16)
-      throw std::runtime_error("arrival record: bad bit pattern '" + tok +
-                               "'");
-    return std::bit_cast<double>(static_cast<std::uint64_t>(v));
-  }
-
-  bool flag() {
-    const std::uint64_t v = u64();
-    if (v > 1) throw std::runtime_error("arrival record: bad flag");
-    return v == 1;
-  }
-
-  std::string token() {
-    while (pos_ < record_.size() && record_[pos_] == ' ') ++pos_;
-    const std::size_t start = pos_;
-    while (pos_ < record_.size() && record_[pos_] != ' ') ++pos_;
-    if (start == pos_)
-      throw std::runtime_error("arrival record: truncated");
-    return std::string(record_.substr(start, pos_ - start));
-  }
-
-  void expect_end() {
-    while (pos_ < record_.size() && record_[pos_] == ' ') ++pos_;
-    if (pos_ != record_.size())
-      throw std::runtime_error("arrival record: trailing bytes");
-  }
-
- private:
-  std::string_view record_;
-  std::size_t pos_ = 0;
-};
 
 int clamp_likert(double mean) {
   const long r = std::lround(mean);
@@ -109,35 +58,6 @@ std::string Arrival::serialize() const {
   append_u64(out, static_cast<std::uint64_t>(likert_name));
   append_u64(out, static_cast<std::uint64_t>(likert_type));
   return out;
-}
-
-Arrival Arrival::parse(std::string_view record) {
-  RecordReader in(record);
-  if (in.token() != "a1")
-    throw std::runtime_error("arrival record: unknown version tag");
-  Arrival a;
-  a.seq = in.u64();
-  a.draw = in.u64();
-  a.virtual_us = in.u64();
-  a.user = in.u64();
-  a.snippet_index = in.u64();
-  a.question_index = in.u64();
-  a.question_global = in.u64();
-  a.treatment =
-      in.flag() ? study::Treatment::kDirty : study::Treatment::kHexRays;
-  a.answered = in.flag();
-  a.gradeable = in.flag();
-  a.correct = in.flag();
-  a.seconds = in.bits();
-  a.exp_coding = in.bits();
-  a.exp_re = in.bits();
-  a.has_opinion = in.flag();
-  a.likert_name = static_cast<int>(in.u64());
-  a.likert_type = static_cast<int>(in.u64());
-  if (a.likert_name > 5 || a.likert_type > 5)
-    throw std::runtime_error("arrival record: Likert out of range");
-  in.expect_end();
-  return a;
 }
 
 std::vector<study::Participant> streaming_population(std::size_t n,
@@ -179,7 +99,7 @@ WorkloadGenerator::WorkloadGenerator(const WorkloadConfig& config,
 bool WorkloadGenerator::phase_on_at(std::uint64_t t_us) {
   // The boundary list is consumed strictly left to right, so lazily
   // extending it keeps every boundary a pure function of the seed no
-  // matter when (or from what restored position) it is first needed.
+  // matter when it is first needed.
   while (phase_ends_us_.empty() || phase_ends_us_.back() <= t_us) {
     const bool next_is_on = phase_ends_us_.size() % 2 == 0;
     const double mean =
@@ -245,14 +165,6 @@ Arrival WorkloadGenerator::next() {
     }
     return a;
   }
-}
-
-void WorkloadGenerator::restore(std::uint64_t emitted, std::uint64_t drawn,
-                                std::uint64_t virtual_us) {
-  DE_EXPECTS_MSG(drawn >= emitted, "restore: drawn < emitted");
-  emitted_ = emitted;
-  drawn_ = drawn;
-  clock_us_ = virtual_us;
 }
 
 }  // namespace decompeval::streaming

@@ -15,17 +15,16 @@
 // stream — and the on/off phase timeline is a separate pure function of
 // the seed alone. Time is an injectable *virtual clock* (microseconds,
 // advanced by the drawn gaps, never read from the host), so a generator
-// restored to a (count, clock) position re-emits the exact byte-for-byte
-// arrival sequence at any thread count, on any machine.
+// re-emits the exact byte-for-byte arrival sequence at any thread count,
+// on any machine.
 //
 // Arrivals serialize to a one-line text record (doubles as raw bit
-// patterns, so round-trips are bit-exact) written to an append-only
-// arrival log that reuses the cluster::Journal record format.
+// patterns) that StreamState::snapshot() — and so its digest — is built
+// from.
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "snippets/snippet.h"
@@ -64,8 +63,7 @@ struct WorkloadConfig {
 /// One streamed observation: the (user, question, treatment, correct,
 /// time, likert) tuple of the ROADMAP, plus the covariates the windowed
 /// analyses need. `draw` is the candidate index (== seq for Poisson;
-/// for bursty processes rejected candidates advance it past seq), which
-/// is what makes a logged arrival sufficient to restore the generator.
+/// for bursty processes rejected candidates advance it past seq).
 struct Arrival {
   std::uint64_t seq = 0;         ///< ordinal among emitted arrivals
   std::uint64_t draw = 0;        ///< candidate index that produced it
@@ -85,11 +83,9 @@ struct Arrival {
   int likert_name = 0;  ///< 1 best … 5 worst; 0 = no opinion filed
   int likert_type = 0;
 
-  /// One-line text record; doubles are serialized as hex bit patterns so
-  /// parse(serialize()) is bit-exact. Contains no newline.
+  /// One-line text record; doubles are serialized as hex bit patterns,
+  /// so equal records mean bit-equal arrivals. Contains no newline.
   std::string serialize() const;
-  /// Throws std::runtime_error on malformed records.
-  static Arrival parse(std::string_view record);
 };
 
 /// The live population: the cohort model scaled to `n` participants
@@ -118,13 +114,6 @@ class WorkloadGenerator {
   std::uint64_t emitted() const { return emitted_; }
   std::uint64_t drawn() const { return drawn_; }
   std::uint64_t virtual_us() const { return clock_us_; }
-
-  /// Repositions the generator as if it had already emitted `emitted`
-  /// arrivals from `drawn` candidates with the clock at `virtual_us` —
-  /// the log re-warm path. Because candidate c is a pure function of
-  /// (config, c), generation resumes bit-identically.
-  void restore(std::uint64_t emitted, std::uint64_t drawn,
-               std::uint64_t virtual_us);
 
   /// True when the virtual instant falls in an "on" phase of the bursty
   /// timeline (phase 0 starts "on" at t = 0). Pure function of

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "analysis/rq1_correctness.h"
-#include "cluster/journal.h"
 #include "metrics/static_complexity.h"
 #include "snippets/snippet.h"
 #include "stats/correlation.h"
@@ -54,7 +53,6 @@ struct StreamOptions {
   WindowOptions window;
   std::uint64_t refit_every = 0;  ///< 0 disables refits
   int fit_starts = 4;
-  std::string log_path;
 };
 
 StreamOptions parse_stream_options(const Json& request) {
@@ -87,7 +85,6 @@ StreamOptions parse_stream_options(const Json& request) {
       static_cast<int>(request.get_number("fit_starts", 4.0));
   if (o.fit_starts < 1)
     throw std::runtime_error("fit_starts must be at least 1");
-  o.log_path = request.get_string("log", "");
   return o;
 }
 
@@ -133,22 +130,13 @@ class StreamSession {
         faults_(faults),
         pool_(pool),
         generator_(options_.workload, pool),
-        state_(options_.window) {
-    if (!options_.log_path.empty()) {
-      reload_from_log();
-      cluster::JournalOptions jo;
-      jo.path = options_.log_path;
-      log_ = std::make_unique<cluster::Journal>(jo);
-    }
-  }
+        state_(options_.window) {}
 
   Json open_response(bool already_open) {
     const std::lock_guard<std::mutex> lock(mutex_);
     Json r = service::ok_response("stream_open");
     r.set("stream", Json::string(id_));
     r.set("already_open", Json::boolean(already_open));
-    r.set("reloaded", Json::boolean(reloaded_records_ > 0));
-    set_count(r, "reloaded_records", reloaded_records_);
     set_count(r, "emitted", generator_.emitted());
     set_count(r, "absorbed", state_.absorbed());
     set_count(r, "population", generator_.population().size());
@@ -167,7 +155,7 @@ class StreamSession {
     const std::uint64_t faulted_before = refits_faulted_;
     while (generator_.emitted() < upto) {
       const Arrival a = generator_.next();
-      process_arrival(a, /*from_log=*/false, threads);
+      process_arrival(a, threads);
     }
     Json r = Json::object();
     const bool degraded = dropped_ > dropped_before ||
@@ -269,9 +257,9 @@ class StreamSession {
   /// cadence keys on arrival seq — not on absorption success — so a
   /// fault-dropped arrival still triggers the same refit schedule a
   /// clean run would see.
-  void process_arrival(const Arrival& a, bool from_log, std::size_t threads) {
+  void process_arrival(const Arrival& a, std::size_t threads) {
     bool dropped = false;
-    if (!from_log && faults_ != nullptr) {
+    if (faults_ != nullptr) {
       try {
         faults_->raise_if("stream.absorb", a.seq);
       } catch (const util::FaultError& e) {
@@ -280,18 +268,9 @@ class StreamSession {
         note("arrival " + std::to_string(a.seq) + " dropped: " + e.what());
       }
     }
-    if (!dropped) {
-      if (!from_log && log_ != nullptr) log_->append(a.serialize());
-      state_.absorb(a);
-    }
-    maybe_refit(a.seq, threads);
-  }
-
-  void maybe_refit(std::uint64_t seq, std::size_t threads) {
-    if (options_.refit_every == 0 ||
-        (seq + 1) % options_.refit_every != 0)
-      return;
-    run_refit(threads);
+    if (!dropped) state_.absorb(a);
+    if (options_.refit_every != 0 && (a.seq + 1) % options_.refit_every == 0)
+      run_refit(threads);
   }
 
   void run_refit(std::size_t threads) {
@@ -388,35 +367,6 @@ class StreamSession {
                                                a.question_global + 1);
     }
     return data;
-  }
-
-  void reload_from_log() {
-    const cluster::ReplayedJournal scanned =
-        cluster::Journal::replay(options_.log_path);
-    if (scanned.records.empty()) return;
-    std::vector<Arrival> records;
-    records.reserve(scanned.records.size());
-    for (const std::string& record : scanned.records)
-      records.push_back(Arrival::parse(record));
-    // Dropped (fault-suppressed) arrivals appear as seq gaps; replaying
-    // the gap as a drop keeps counters and the refit cadence on the
-    // exact schedule of the original run.
-    std::size_t next = 0;
-    const Arrival& last = records.back();
-    for (std::uint64_t seq = 0; seq <= last.seq; ++seq) {
-      if (next < records.size() && records[next].seq == seq) {
-        process_arrival(records[next], /*from_log=*/true, /*threads=*/0);
-        ++next;
-      } else {
-        ++dropped_;
-        note("arrival " + std::to_string(seq) + " dropped (log gap)");
-        maybe_refit(seq, /*threads=*/0);
-      }
-    }
-    if (next != records.size())
-      throw std::runtime_error("arrival log is not in seq order");
-    generator_.restore(last.seq + 1, last.draw + 1, last.virtual_us);
-    reloaded_records_ = records.size();
   }
 
   // ---- windowed RQ summaries (caller holds mutex_) ----
@@ -612,8 +562,6 @@ class StreamSession {
   mutable std::mutex mutex_;
   WorkloadGenerator generator_;
   StreamState state_;
-  std::unique_ptr<cluster::Journal> log_;
-  std::uint64_t reloaded_records_ = 0;
   std::uint64_t dropped_ = 0;
   std::uint64_t refit_attempts_ = 0;
   std::uint64_t refits_run_ = 0;
@@ -639,11 +587,9 @@ class StreamSession {
 // ---------------------------------------------------------------------------
 
 StreamEngine::StreamEngine(const util::FaultInjector* faults,
-                           const std::vector<snippets::Snippet>* pool,
-                           std::string log_root)
+                           const std::vector<snippets::Snippet>* pool)
     : faults_(faults),
-      pool_(pool != nullptr ? pool : &snippets::study_snippets()),
-      log_root_(std::move(log_root)) {}
+      pool_(pool != nullptr ? pool : &snippets::study_snippets()) {}
 
 StreamEngine::~StreamEngine() = default;
 
@@ -723,12 +669,8 @@ service::Json StreamEngine::open_op(const service::Json& request) {
     StreamSession* existing = find(id);
     if (existing != nullptr) return existing->open_response(true);
   }
-  StreamOptions options = parse_stream_options(request);
-  if (!options.log_path.empty() && options.log_path[0] != '/' &&
-      !log_root_.empty())
-    options.log_path = log_root_ + "/" + options.log_path;
-  auto session =
-      std::make_unique<StreamSession>(id, options, faults_, pool_);
+  auto session = std::make_unique<StreamSession>(
+      id, parse_stream_options(request), faults_, pool_);
   const std::lock_guard<std::mutex> lock(mutex_);
   auto [it, inserted] = sessions_.emplace(id, std::move(session));
   return it->second->open_response(!inserted);

@@ -10,11 +10,7 @@
 //                      "rate_per_s", "population", "seed", burst knobs,
 //                      "opinion_probability"), window bounds
 //                      ("window_events", "window_age_ms"), refit cadence
-//                      ("refit_every", "fit_starts"), and the arrival
-//                      log path ("log"). When the log already holds
-//                      records, opening *reloads*: state, refit chain,
-//                      and generator position are reconstructed from the
-//                      log bit-identically — the backend-restart re-warm.
+//                      ("refit_every", "fit_starts").
 //   "stream_absorb"    generate + absorb arrivals up to an absolute
 //                      target ("upto"; the relative "count" form is
 //                      canonicalized to "upto" before journaling, so the
@@ -30,13 +26,16 @@
 // in absolute form and replayed with the usual dedup, writes are
 // forwarded to R−1 ring replicas by the dispatcher, and results are
 // cache-exempt everywhere (they are time-varying by design; no stream
-// row is cacheable).
+// row is cacheable). The backend's journal is the only durable record
+// of a stream: the engine keeps everything in memory, and a restarted
+// backend rebuilds each stream by replaying its journaled stream_open
+// and absolute absorbs (ClusterBackend's "journal_replay").
 //
 // Fault sites (served from the owning ServiceCore's injector):
-//   "stream.absorb"  hit = arrival seq. The arrival is dropped — not
-//                    logged, not absorbed — and the stream degrades with
-//                    a structured note. Because hits key on seq, a
-//                    replayed run drops the exact same arrivals.
+//   "stream.absorb"  hit = arrival seq. The arrival is dropped (not
+//                    absorbed) and the stream degrades with a structured
+//                    note. Because hits key on seq, a replayed run under
+//                    the same plan drops the exact same arrivals.
 //   "stream.refit"   hit = refit attempt index. The refit is skipped,
 //                    the previous fit (and warm vector) stays current,
 //                    and the stream degrades with a note.
@@ -45,7 +44,7 @@
 // refit cadence is a pure function of arrival seq, fits are bit-identical
 // at any thread count (multi-start contract), and every summary is
 // computed from window contents in deque order — so a streamed run
-// replays bit-for-bit from the arrival log at threads 1/2/4.
+// replays bit-for-bit from its journaled commands at threads 1/2/4.
 #pragma once
 
 #include <map>
@@ -92,13 +91,8 @@ class StreamEngine {
  public:
   /// `faults` drives the stream.* sites (null = no injection). `pool`
   /// defaults to the paper's snippet pool; it must outlive the engine.
-  /// A *relative* "log" path in stream_open resolves under `log_root`
-  /// (when non-empty) — so ring replicas on one filesystem, each backend
-  /// rooted in its own directory, keep distinct logs for the same
-  /// logical stream command.
   explicit StreamEngine(const util::FaultInjector* faults = nullptr,
-                        const std::vector<snippets::Snippet>* pool = nullptr,
-                        std::string log_root = "");
+                        const std::vector<snippets::Snippet>* pool = nullptr);
   ~StreamEngine();
 
   /// Rewrites a relative "count" absorb into the absolute, idempotent
@@ -129,7 +123,6 @@ class StreamEngine {
 
   const util::FaultInjector* faults_;
   const std::vector<snippets::Snippet>* pool_;
-  const std::string log_root_;
   mutable std::mutex mutex_;  ///< guards sessions_ (sessions self-lock)
   std::map<std::string, std::unique_ptr<StreamSession>> sessions_;
 };

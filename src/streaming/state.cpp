@@ -3,8 +3,7 @@
 #include <bit>
 #include <cstdio>
 #include <stdexcept>
-
-#include "util/check.h"
+#include <string_view>
 
 namespace decompeval::streaming {
 
@@ -38,47 +37,6 @@ void append_bits_line(std::string& out, const char* key, double v) {
   out += buf;
 }
 
-class LineReader {
- public:
-  explicit LineReader(std::string_view text) : text_(text) {}
-
-  bool done() const { return pos_ >= text_.size(); }
-
-  std::string_view line() {
-    const std::size_t start = pos_;
-    while (pos_ < text_.size() && text_[pos_] != '\n') ++pos_;
-    const std::string_view out = text_.substr(start, pos_ - start);
-    if (pos_ < text_.size()) ++pos_;  // swallow the newline
-    return out;
-  }
-
-  std::uint64_t u64(const char* key) { return value(key, /*hex=*/false); }
-
-  double bits(const char* key) {
-    return std::bit_cast<double>(value(key, /*hex=*/true));
-  }
-
- private:
-  std::uint64_t value(const char* key, bool hex) {
-    const std::string_view l = line();
-    const std::string_view k(key);
-    if (l.size() < k.size() + 2 || l.substr(0, k.size()) != k ||
-        l[k.size()] != ' ')
-      throw std::runtime_error("stream snapshot: expected key '" +
-                               std::string(key) + "'");
-    const std::string tok(l.substr(k.size() + 1));
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(tok.c_str(), &end, hex ? 16 : 10);
-    if (end == tok.c_str() || *end != '\0')
-      throw std::runtime_error("stream snapshot: bad value for '" +
-                               std::string(key) + "'");
-    return v;
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
-
 void snapshot_counts(std::string& out, const char* prefix,
                      const TreatmentCounts& c) {
   std::string key(prefix);
@@ -105,22 +63,6 @@ void snapshot_counts(std::string& out, const char* prefix,
     key += static_cast<char>('1' + i);
     append_u64_line(out, key.c_str(), c.likert_type[i]);
   }
-}
-
-TreatmentCounts restore_counts(LineReader& in, const std::string& prefix) {
-  TreatmentCounts c;
-  c.arrivals = in.u64((prefix + "arrivals").c_str());
-  c.answered = in.u64((prefix + "answered").c_str());
-  c.gradeable = in.u64((prefix + "gradeable").c_str());
-  c.correct = in.u64((prefix + "correct").c_str());
-  c.opinions = in.u64((prefix + "opinions").c_str());
-  for (int i = 0; i < 5; ++i)
-    c.likert_name[i] =
-        in.u64((prefix + "likert_name_" + static_cast<char>('1' + i)).c_str());
-  for (int i = 0; i < 5; ++i)
-    c.likert_type[i] =
-        in.u64((prefix + "likert_type_" + static_cast<char>('1' + i)).c_str());
-  return c;
 }
 
 }  // namespace
@@ -223,38 +165,6 @@ std::string StreamState::snapshot() const {
     out += '\n';
   }
   return out;
-}
-
-StreamState StreamState::restore(std::string_view snapshot) {
-  LineReader in(snapshot);
-  if (in.line() != "stream_state_v1")
-    throw std::runtime_error("stream snapshot: unknown version tag");
-  WindowOptions options;
-  options.max_events = static_cast<std::size_t>(in.u64("max_events"));
-  options.max_age_us = in.u64("max_age_us");
-  StreamState state(options);
-  state.absorbed_ = in.u64("absorbed");
-  state.evicted_ = in.u64("evicted");
-  state.newest_virtual_us_ = in.u64("newest_virtual_us");
-  for (int t = 0; t < 2; ++t) {
-    const std::string prefix = t == 0 ? "hexrays_" : "dirty_";
-    state.lifetime_counts_[t] = restore_counts(in, prefix);
-    state.lifetime_sums_[t].sum_seconds =
-        in.bits((prefix + "sum_seconds").c_str());
-    state.lifetime_sums_[t].sum_sq_seconds =
-        in.bits((prefix + "sum_sq_seconds").c_str());
-  }
-  const std::uint64_t n = in.u64("window");
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const Arrival a = Arrival::parse(in.line());
-    state.window_counts_[arm(a.treatment)].add(a);
-    state.window_.push_back(a);
-  }
-  if (!in.done())
-    throw std::runtime_error("stream snapshot: trailing bytes");
-  DE_EXPECTS_MSG(state.absorbed_ - state.evicted_ == state.window_.size(),
-                 "stream snapshot: inconsistent window accounting");
-  return state;
 }
 
 }  // namespace decompeval::streaming

@@ -16,15 +16,15 @@
 //    (add-on-absorb / subtract-on-evict is exact for integers) so
 //    stream_stats stays O(1).
 //
-// snapshot()/restore() serialize the whole state (window records
-// included, bit-exact via Arrival::serialize), so a backend restart can
-// re-warm either from a snapshot or by replaying the arrival log.
+// snapshot() serializes the whole state (window records included,
+// bit-exact via Arrival::serialize); digest() hashes it. A backend
+// restart rebuilds the state by replaying the journaled stream writes,
+// not from a snapshot.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <string>
-#include <string_view>
 
 #include "streaming/arrival.h"
 
@@ -85,9 +85,8 @@ class StreamState {
   /// thread counts, replays, and restarts.
   std::string digest() const;
 
-  /// Full state as a multi-line text blob; restore() inverts it exactly.
+  /// Full state as a multi-line text blob (what digest() hashes).
   std::string snapshot() const;
-  static StreamState restore(std::string_view snapshot);
 
  private:
   void evict_front();

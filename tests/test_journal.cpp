@@ -1,11 +1,12 @@
 // Append-only command journal contract suite (CTest label: tier1).
 //
 // Covers the record format (golden bytes), round trips, fsync batching,
-// the "journal.append" fault site, compaction, the corruption fuzz
-// battery — truncate at *every* byte offset and flip *every* byte: replay
-// must stop at the last valid record with a structured warning and never
-// crash — and re-warm bit-identity: a journal replayed through fresh
-// backends at threads 1/2/4 reproduces byte-identical responses.
+// the "journal.append" fault site, compaction (and the backend's
+// growth-keyed auto-compaction), the corruption fuzz battery — truncate
+// at *every* byte offset and flip *every* byte: replay must stop at the
+// last valid record with a structured warning and never crash — and
+// re-warm bit-identity: a journal replayed through fresh backends at
+// threads 1/2/4 reproduces byte-identical responses.
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -222,6 +223,70 @@ TEST(JournalTest, CompactionKeepsOnlySelectedRecordsAndStaysAppendable) {
   EXPECT_EQ(replayed.records[1], "keep-2");
   EXPECT_EQ(replayed.records[2], "keep-4");
   EXPECT_EQ(replayed.records[3], "post-compact");
+  std::remove(path.c_str());
+}
+
+// Auto-compaction keys on growth since the last compaction, not on size.
+// Stream records are never covered by the disk cache, so they survive
+// every compaction; a size trigger would rewrite and fsync the whole
+// journal after every cold store once they alone passed the threshold.
+TEST(JournalTest, AutoCompactionKeysOnGrowthNotOnSurvivingStreamRecords) {
+  constexpr std::uint64_t kThreshold = 4096;
+  const std::string path = fresh_journal_path("autocompact");
+  const std::string dir =
+      "/tmp/decompeval-autocompact-" + std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
+  const auto run_study = [](int seed) {
+    Json request = Json::object();
+    request.set("op", Json::string("run_study"));
+    request.set("seed", Json::number(seed));
+    request.set("run_models", Json::boolean(false));
+    return request;
+  };
+  ClusterBackendOptions options;
+  options.cache.directory = dir;
+  options.cache.version = core::version();
+  options.journal.path = path;
+  options.journal_compact_bytes = kThreshold;
+  {
+    ClusterBackend backend(options);
+    Json open = Json::object();
+    open.set("op", Json::string("stream_open"));
+    open.set("stream", Json::string("s"));
+    ASSERT_EQ(backend.handle(open, nullptr).get_string("status", ""), "ok");
+    for (int upto = 1; upto <= 100; ++upto) {
+      Json absorb = Json::object();
+      absorb.set("op", Json::string("stream_absorb"));
+      absorb.set("stream", Json::string("s"));
+      absorb.set("upto", Json::number(upto));
+      ASSERT_EQ(backend.handle(absorb, nullptr).get_string("status", ""),
+                "ok");
+    }
+    const std::uint64_t stream_bytes = backend.journal().stats().bytes;
+    ASSERT_GT(stream_bytes, kThreshold);
+
+    for (int seed = 1; seed <= 20; ++seed)
+      ASSERT_EQ(backend.handle(run_study(seed), nullptr)
+                    .get_string("status", ""),
+                "ok");
+    EXPECT_LE(backend.journal().stats().compactions, 1u);
+    EXPECT_GE(backend.journal().stats().bytes, stream_bytes);
+  }
+
+  // A journal of cacheable records alone still compacts past a small
+  // threshold, down to the records not yet on disk.
+  std::filesystem::remove_all(dir);
+  std::remove(path.c_str());
+  options.journal_compact_bytes = 256;
+  ClusterBackend backend(options);
+  for (int seed = 1; seed <= 10; ++seed)
+    ASSERT_EQ(
+        backend.handle(run_study(seed), nullptr).get_string("status", ""),
+        "ok");
+  EXPECT_GE(backend.journal().stats().compactions, 1u);
+  EXPECT_LE(backend.journal().stats().bytes, 256u);
+
+  std::filesystem::remove_all(dir);
   std::remove(path.c_str());
 }
 

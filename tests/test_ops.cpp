@@ -100,7 +100,6 @@ struct OpCluster {
       options.cache.version = core::version();
       options.journal.path = home + "/commands.journal";
       options.journal_compact_bytes = 0;  // records stay countable
-      options.stream_log_dir = home;
       backends.push_back(std::make_unique<cluster::ClusterBackend>(options));
       service::ServerOptions server_options;
       server_options.socket_path = dir + "-" + id + ".sock";
@@ -169,7 +168,6 @@ Json exercise_request(const OpSpec& spec) {
     if (spec.name == "stream_open") {
       r.set("population", Json::number(24));
       r.set("window_events", Json::number(256));
-      r.set("log", Json::string("arrivals.log"));
     } else if (spec.name == "stream_absorb") {
       r.set("count", Json::number(40));  // relative: must journal as "upto"
     }

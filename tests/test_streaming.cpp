@@ -1,14 +1,15 @@
 // Streaming study engine contract suite (CTest labels: tier1, streaming).
 //
 // Covers the arrival processes (Poisson inter-arrival distribution by a
-// KS test, bursty on/off occupancy, batching invariance), the record and
-// snapshot round trips, the headline determinism property (a streamed
-// run replays bit-for-bit from the arrival log at threads 1/2/4), the
-// warm-refit contract (a windowed refit equals a from-scratch batch fit
-// on the same window's tuples), the stream.* fault sites, and the
-// cluster citizenship of the stream op family: journaled writes that
-// re-warm a restarted backend, stream-id routing, ring replication, and
-// the server_stats probe the server's loop thread answers.
+// KS test, bursty on/off occupancy, batching invariance), the windowed
+// state's counters, the headline determinism property (a streamed run is
+// bit-identical at threads 1/2/4 and replays bit-for-bit from the
+// backend journal), the warm-refit contract (a windowed refit equals a
+// from-scratch batch fit on the same window's tuples), the stream.*
+// fault sites, and the cluster citizenship of the stream op family:
+// journaled writes that re-warm a restarted backend, stream-id routing,
+// ring replication, and the server_stats probe the server's loop thread
+// answers.
 #include <unistd.h>
 
 #include <algorithm>
@@ -61,8 +62,7 @@ std::string unique_socket_path(const std::string& tag) {
          std::to_string(::getpid()) + ".sock";
 }
 
-Json open_request(const std::string& stream, const std::string& log_path,
-                  std::uint64_t refit_every = 0) {
+Json open_request(const std::string& stream, std::uint64_t refit_every = 0) {
   Json req = Json::object();
   req.set("op", Json::string("stream_open"));
   req.set("stream", Json::string(stream));
@@ -72,7 +72,6 @@ Json open_request(const std::string& stream, const std::string& log_path,
     req.set("refit_every", Json::number(static_cast<double>(refit_every)));
     req.set("fit_starts", Json::number(2));
   }
-  if (!log_path.empty()) req.set("log", Json::string(log_path));
   return req;
 }
 
@@ -171,7 +170,7 @@ TEST(StreamingWorkload, BurstyOccupancyMatchesOnOffConfiguration) {
   EXPECT_GT(emitted_rate, 0.10 * config.rate_per_s);
 }
 
-TEST(StreamingWorkload, GenerationIsBatchingInvariantAndRestorable) {
+TEST(StreamingWorkload, GenerationIsBatchingInvariant) {
   WorkloadConfig config;
   config.process = ArrivalProcess::kBursty;
   config.population = 12;
@@ -187,58 +186,11 @@ TEST(StreamingWorkload, GenerationIsBatchingInvariantAndRestorable) {
     EXPECT_EQ(a.serialize(), first[static_cast<std::size_t>(i)].serialize())
         << "arrival " << i;
   }
-
-  // Restore mid-sequence: a third generator repositioned from arrival 99
-  // re-emits arrivals 100.. byte-for-byte.
-  WorkloadGenerator restored(config, &snippets::study_snippets());
-  const Arrival& pivot = first[99];
-  restored.restore(pivot.seq + 1, pivot.draw + 1, pivot.virtual_us);
-  for (int i = 100; i < 200; ++i)
-    EXPECT_EQ(restored.next().serialize(),
-              first[static_cast<std::size_t>(i)].serialize())
-        << "arrival " << i;
-}
-
-TEST(StreamingWorkload, ArrivalRecordRoundTripIsBitExact) {
-  WorkloadConfig config;
-  config.population = 8;
-  WorkloadGenerator generator(config, &snippets::study_snippets());
-  for (int i = 0; i < 64; ++i) {
-    const Arrival a = generator.next();
-    const std::string line = a.serialize();
-    const Arrival b = Arrival::parse(line);
-    EXPECT_EQ(b.serialize(), line);
-    EXPECT_EQ(b.seq, a.seq);
-    EXPECT_EQ(b.virtual_us, a.virtual_us);
-    // Doubles survive exactly (hex bit patterns, not decimal).
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(b.seconds),
-              std::bit_cast<std::uint64_t>(a.seconds));
-  }
-  EXPECT_THROW(Arrival::parse("a1 not-a-record"), std::runtime_error);
-  EXPECT_THROW(Arrival::parse("b9 1 2 3"), std::runtime_error);
 }
 
 // ---------------------------------------------------------------------------
 // Incremental state
 // ---------------------------------------------------------------------------
-
-TEST(StreamingState, SnapshotRestoreRoundTripsAndDigestsMatch) {
-  WorkloadConfig config;
-  config.population = 12;
-  WorkloadGenerator generator(config, &snippets::study_snippets());
-  WindowOptions window;
-  window.max_events = 100;
-  StreamState state(window);
-  for (int i = 0; i < 300; ++i) state.absorb(generator.next());
-  EXPECT_EQ(state.window().size(), 100u);
-  EXPECT_EQ(state.absorbed(), 300u);
-  EXPECT_EQ(state.evicted(), 200u);
-
-  const StreamState restored = StreamState::restore(state.snapshot());
-  EXPECT_EQ(restored.snapshot(), state.snapshot());
-  EXPECT_EQ(restored.digest(), state.digest());
-  EXPECT_THROW(StreamState::restore("bogus\n"), std::runtime_error);
-}
 
 TEST(StreamingState, WindowCountsEqualRecountOfWindowContents) {
   WorkloadConfig config;
@@ -248,6 +200,9 @@ TEST(StreamingState, WindowCountsEqualRecountOfWindowContents) {
   window.max_events = 64;
   StreamState state(window);
   for (int i = 0; i < 500; ++i) state.absorb(generator.next());
+  EXPECT_EQ(state.window().size(), 64u);
+  EXPECT_EQ(state.absorbed(), 500u);
+  EXPECT_EQ(state.evicted(), 436u);
 
   for (const study::Treatment arm :
        {study::Treatment::kHexRays, study::Treatment::kDirty}) {
@@ -286,7 +241,7 @@ TEST(StreamingState, AgeBoundEvictsOldArrivals) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine: determinism, re-warm, refits, faults
+// Engine: determinism, refits, faults
 // ---------------------------------------------------------------------------
 
 TEST(StreamEngineTest, StreamedRunIsBitIdenticalAtEveryThreadCount) {
@@ -294,7 +249,7 @@ TEST(StreamEngineTest, StreamedRunIsBitIdenticalAtEveryThreadCount) {
   std::string reference_dashboard;
   for (const double threads : {1.0, 2.0, 4.0}) {
     StreamEngine engine;
-    Json open = open_request("s", "", /*refit_every=*/150);
+    Json open = open_request("s", /*refit_every=*/150);
     ASSERT_EQ(engine.handle(open).get_string("status", ""), "ok");
     Json absorb = absorb_request("s", 450);
     absorb.set("threads", Json::number(threads));
@@ -334,55 +289,9 @@ TEST(StreamEngineTest, YoungWindowDashboardsAnswerOk) {
   }
 }
 
-TEST(StreamEngineTest, ReopenFromArrivalLogReplaysBitForBit) {
-  const std::string dir = fresh_dir("reopen");
-  const std::string log = dir + "/arrivals.log";
-
-  // Uninterrupted reference run: 600 arrivals, refits every 150.
-  StreamEngine reference;
-  ASSERT_EQ(reference.handle(open_request("s", log + ".ref", 150))
-                .get_string("status", ""),
-            "ok");
-  ASSERT_EQ(reference.handle(absorb_request("s", 600))
-                .get_string("status", ""),
-            "ok");
-  const std::string want_stats =
-      reference.handle(stream_request("stream_stats", "s")).dump();
-  const std::string want_dashboard =
-      reference.handle(stream_request("stream_dashboard", "s")).dump();
-
-  // Interrupted run: absorb 350, drop the engine (the "crash"), re-open
-  // from the log, absorb the rest.
-  {
-    StreamEngine first;
-    ASSERT_EQ(first.handle(open_request("s", log, 150))
-                  .get_string("status", ""),
-              "ok");
-    ASSERT_EQ(
-        first.handle(absorb_request("s", 350)).get_string("status", ""),
-        "ok");
-  }
-  StreamEngine revived;
-  const Json reopened = revived.handle(open_request("s", log, 150));
-  ASSERT_EQ(reopened.get_string("status", ""), "ok");
-  EXPECT_TRUE(reopened.get_bool("reloaded", false));
-  EXPECT_EQ(reopened.get_number("emitted", 0.0), 350.0);
-  ASSERT_EQ(
-      revived.handle(absorb_request("s", 600)).get_string("status", ""),
-      "ok");
-
-  // Normalize the only legitimately differing field: none — the stats
-  // and dashboard must match byte-for-byte.
-  EXPECT_EQ(revived.handle(stream_request("stream_stats", "s")).dump(),
-            want_stats);
-  EXPECT_EQ(revived.handle(stream_request("stream_dashboard", "s")).dump(),
-            want_dashboard);
-  std::filesystem::remove_all(dir);
-}
-
 TEST(StreamEngineTest, WindowedRefitEqualsFromScratchBatchFit) {
   StreamEngine engine;
-  ASSERT_EQ(engine.handle(open_request("s", "", /*refit_every=*/200))
+  ASSERT_EQ(engine.handle(open_request("s", /*refit_every=*/200))
                 .get_string("status", ""),
             "ok");
   // Absorb exactly 2 * refit_every arrivals: the second refit ran on the
@@ -429,30 +338,44 @@ TEST(StreamEngineTest, WindowedRefitEqualsFromScratchBatchFit) {
 TEST(StreamEngineTest, AbsorbFaultDropsArrivalsAndReplaysIdentically) {
   util::FaultPlan plan(11);
   plan.set("stream.absorb", util::FaultSpec::every_nth(97));
-  const util::FaultInjector faults(plan);
   const std::string dir = fresh_dir("absorbfault");
-  const std::string log = dir + "/arrivals.log";
+  cluster::ClusterBackendOptions options;
+  options.service.fault_plan = plan;
+  options.journal.path = dir + "/commands.journal";
 
-  StreamEngine engine(&faults);
-  ASSERT_EQ(engine.handle(open_request("s", log, 150))
-                .get_string("status", ""),
-            "ok");
-  const Json absorbed = engine.handle(absorb_request("s", 400));
-  EXPECT_EQ(absorbed.get_string("status", ""), "degraded");
-  EXPECT_EQ(absorbed.get_number("dropped", 0.0), 4.0);  // 400 / 97
-  const Json stats = engine.handle(stream_request("stream_stats", "s"));
-  EXPECT_TRUE(stats.get_bool("degraded", false));
-  const Json dashboard =
-      engine.handle(stream_request("stream_dashboard", "s"));
-  EXPECT_TRUE(dashboard.get_bool("window_degraded", false));
+  std::string stats;
+  {
+    cluster::ClusterBackend backend(options);
+    ASSERT_EQ(backend.handle(open_request("s", 150), nullptr)
+                  .get_string("status", ""),
+              "ok");
+    const Json absorbed = backend.handle(absorb_request("s", 400), nullptr);
+    EXPECT_EQ(absorbed.get_string("status", ""), "degraded");
+    EXPECT_EQ(absorbed.get_number("dropped", 0.0), 4.0);  // 400 / 97
+    const Json stats_json =
+        backend.handle(stream_request("stream_stats", "s"), nullptr);
+    EXPECT_TRUE(stats_json.get_bool("degraded", false));
+    stats = stats_json.dump();
+    const Json dashboard =
+        backend.handle(stream_request("stream_dashboard", "s"), nullptr);
+    EXPECT_TRUE(dashboard.get_bool("window_degraded", false));
+  }
 
-  // The dropped arrivals are seq gaps in the log; a re-open (no injector
-  // needed — the gaps replay as drops) reproduces the state exactly.
-  StreamEngine revived;
-  const Json reopened = revived.handle(open_request("s", log, 150));
-  ASSERT_EQ(reopened.get_string("status", ""), "ok");
-  EXPECT_EQ(revived.handle(stream_request("stream_stats", "s")).dump(),
-            stats.dump());
+  // A restarted backend under the same plan replays the journal. The
+  // fault hits key on arrival seq, so the replay drops the same arrivals
+  // and reproduces the state exactly; a degraded stream write still
+  // applied, so the replay reports no failure.
+  cluster::ClusterBackend revived(options);
+  Json replay = Json::object();
+  replay.set("op", Json::string("journal_replay"));
+  const Json report = revived.handle(replay, nullptr);
+  ASSERT_EQ(report.get_string("status", ""), "ok");
+  EXPECT_EQ(report.get_number("replayed", 0.0), 2.0);
+  EXPECT_EQ(report.get_number("replay_ok", 0.0), 2.0);
+  EXPECT_EQ(report.get_number("failures", -1.0), 0.0);
+  EXPECT_EQ(
+      revived.handle(stream_request("stream_stats", "s"), nullptr).dump(),
+      stats);
   std::filesystem::remove_all(dir);
 }
 
@@ -462,7 +385,7 @@ TEST(StreamEngineTest, RefitFaultSkipsRefitAndKeepsPreviousFit) {
   const util::FaultInjector faults(plan);
 
   StreamEngine engine(&faults);
-  ASSERT_EQ(engine.handle(open_request("s", "", 150))
+  ASSERT_EQ(engine.handle(open_request("s", 150))
                 .get_string("status", ""),
             "ok");
   const Json absorbed = engine.handle(absorb_request("s", 450));
@@ -475,7 +398,7 @@ TEST(StreamEngineTest, RefitFaultSkipsRefitAndKeepsPreviousFit) {
 
   // A clean run differs (3 refits) — the fault visibly changed the chain.
   StreamEngine clean;
-  ASSERT_EQ(clean.handle(open_request("s", "", 150))
+  ASSERT_EQ(clean.handle(open_request("s", 150))
                 .get_string("status", ""),
             "ok");
   ASSERT_EQ(clean.handle(absorb_request("s", 450)).get_string("status", ""),
@@ -491,7 +414,7 @@ TEST(StreamEngineTest, BadRequestsAnswerStructuredErrors) {
   Json no_id = Json::object();
   no_id.set("op", Json::string("stream_stats"));
   EXPECT_EQ(engine.handle(no_id).get_string("status", ""), "bad_request");
-  Json bad_process = open_request("s", "");
+  Json bad_process = open_request("s");
   bad_process.set("process", Json::string("fractal"));
   EXPECT_EQ(engine.handle(bad_process).get_string("status", ""), "error");
 
@@ -504,7 +427,7 @@ TEST(StreamEngineTest, BadRequestsAnswerStructuredErrors) {
   EXPECT_FALSE(engine.canonicalize(relative, &error));
   EXPECT_EQ(error.get_string("status", ""), "error");
   // ...and on a live stream rewrites to the absolute form.
-  ASSERT_EQ(engine.handle(open_request("live", "")).get_string("status", ""),
+  ASSERT_EQ(engine.handle(open_request("live")).get_string("status", ""),
             "ok");
   ASSERT_EQ(
       engine.handle(absorb_request("live", 10)).get_string("status", ""),
@@ -545,14 +468,25 @@ TEST(StreamingCluster, RoutingKeyUsesStreamIdAndLaneIsBatch) {
 }
 
 TEST(StreamingCluster, BackendJournalsWritesAndReplayRewarmsTheStream) {
+  // Uninterrupted reference run: 600 arrivals, refits every 150.
+  StreamEngine reference;
+  ASSERT_EQ(reference.handle(open_request("s", 150)).get_string("status", ""),
+            "ok");
+  ASSERT_EQ(reference.handle(absorb_request("s", 600))
+                .get_string("status", ""),
+            "ok");
+  const std::string want_stats =
+      reference.handle(stream_request("stream_stats", "s")).dump();
+  const std::string want_dashboard =
+      reference.handle(stream_request("stream_dashboard", "s")).dump();
+
   const std::string dir = fresh_dir("backend");
   cluster::ClusterBackendOptions options;
   options.journal.path = dir + "/commands.journal";
-  options.stream_log_dir = dir;
-  std::string want_stats;
+  std::string stats_before_restart;
   {
     cluster::ClusterBackend backend(options);
-    ASSERT_EQ(backend.handle(open_request("s", "arrivals.log", 150), nullptr)
+    ASSERT_EQ(backend.handle(open_request("s", 150), nullptr)
                   .get_string("status", ""),
               "ok");
     // Relative absorb: the backend canonicalizes before journaling.
@@ -562,11 +496,11 @@ TEST(StreamingCluster, BackendJournalsWritesAndReplayRewarmsTheStream) {
     relative.set("count", Json::number(300));
     ASSERT_EQ(backend.handle(relative, nullptr).get_string("status", ""),
               "ok");
-    want_stats =
+    stats_before_restart =
         backend.handle(stream_request("stream_stats", "s"), nullptr).dump();
   }
-  // Restarted backend: journal replay re-opens the stream (which reloads
-  // the arrival log) and re-issues the absolute absorb as a no-op.
+  // Restarted backend: journal replay re-opens the stream and re-issues
+  // the absolute absorb, rebuilding the state and the refit chain.
   cluster::ClusterBackend revived(options);
   EXPECT_EQ(revived.streaming().open_streams(), 0u);
   Json replay = Json::object();
@@ -577,12 +511,23 @@ TEST(StreamingCluster, BackendJournalsWritesAndReplayRewarmsTheStream) {
   EXPECT_EQ(revived.streaming().open_streams(), 1u);
   EXPECT_EQ(
       revived.handle(stream_request("stream_stats", "s"), nullptr).dump(),
+      stats_before_restart);
+
+  // The rebuilt stream keeps absorbing as if it had never stopped: stats
+  // and dashboard match the uninterrupted run byte for byte.
+  ASSERT_EQ(revived.handle(absorb_request("s", 600), nullptr)
+                .get_string("status", ""),
+            "ok");
+  EXPECT_EQ(
+      revived.handle(stream_request("stream_stats", "s"), nullptr).dump(),
       want_stats);
+  EXPECT_EQ(
+      revived.handle(stream_request("stream_dashboard", "s"), nullptr).dump(),
+      want_dashboard);
   std::filesystem::remove_all(dir);
 }
 
 TEST(StreamingCluster, DispatcherReplicatesStreamWritesToRingReplicas) {
-  const std::string dir = fresh_dir("replicate");
   std::vector<std::unique_ptr<cluster::ClusterBackend>> backends;
   std::vector<std::unique_ptr<service::ReplicationServer>> servers;
   cluster::DispatcherOptions dispatch;
@@ -591,8 +536,6 @@ TEST(StreamingCluster, DispatcherReplicatesStreamWritesToRingReplicas) {
   for (int i = 0; i < 2; ++i) {
     const std::string id = "rep-" + std::to_string(i);
     cluster::ClusterBackendOptions backend_options;
-    backend_options.stream_log_dir = dir + "/" + id;
-    std::filesystem::create_directories(backend_options.stream_log_dir);
     backends.push_back(
         std::make_unique<cluster::ClusterBackend>(backend_options));
     service::ServerOptions server_options;
@@ -612,8 +555,7 @@ TEST(StreamingCluster, DispatcherReplicatesStreamWritesToRingReplicas) {
 
   std::atomic<bool> cancel{false};
   ASSERT_EQ(dispatcher
-                .handle(open_request("s", "arrivals.log", /*refit_every=*/0),
-                        &cancel)
+                .handle(open_request("s"), &cancel)
                 .get_string("status", ""),
             "ok");
   ASSERT_EQ(dispatcher.handle(absorb_request("s", 200), &cancel)
@@ -621,7 +563,7 @@ TEST(StreamingCluster, DispatcherReplicatesStreamWritesToRingReplicas) {
             "ok");
 
   // Both backends hold the stream, absorbed to the same point, with the
-  // same digest (their logs live in distinct per-backend directories).
+  // same digest.
   for (const auto& backend : backends) {
     ASSERT_EQ(backend->streaming().open_streams(), 1u);
     const SessionView view = backend->streaming().view("s");
@@ -633,7 +575,6 @@ TEST(StreamingCluster, DispatcherReplicatesStreamWritesToRingReplicas) {
 
   dispatcher.stop();
   for (auto& server : servers) server->stop();
-  std::filesystem::remove_all(dir);
 }
 
 TEST(StreamingCluster, ServerStatsAnswersOnConnectionThread) {

@@ -1054,9 +1054,9 @@ int main(int argc, char** argv) {
     //     "ok" response — this measures exactly that overhead, which is
     //     the price of surviving a kill -9 with zero lost requests. Its
     //     warm-forwarded column times 20 passes, as 5 chunks of 48 with
-    //     the median chunk rate reported: every R=2 warm forward
-    //     re-installs its result on the replica, which runs at tens of
-    //     forwards per second (ROADMAP's replicate-once item).
+    //     the median chunk rate reported: every R=2 warm forward still
+    //     pays a cache_install round trip to the replica, which keeps the
+    //     entry it already holds (ROADMAP's replicate-once item).
     const std::vector<std::size_t> replication_ladder = {1, 2};
     std::vector<ClusterReading> replication_readings;
     for (const std::size_t r : replication_ladder)

@@ -109,9 +109,9 @@ int main(int argc, char** argv) {
                         const std::atomic<bool>* cancel) -> Json {
     if (work_op(request)) {
       const std::uint64_t n = work_seen.fetch_add(1) + 1;
-      // Dies before the handler (and its journal append) runs: the
-      // caller sees a torn connection, exactly like kill -9 between
-      // accept and reply.
+      // Dies before the handler runs: the caller sees a torn
+      // connection, exactly like kill -9 between accept and reply. Work
+      // ops are never journaled, so the restart replays nothing of it.
       if (exit_after > 0 && n == exit_after) std::_Exit(9);
       if (wedge_after > 0 && n >= wedge_after)
         for (;;) std::this_thread::sleep_for(std::chrono::seconds(1));

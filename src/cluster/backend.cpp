@@ -1,5 +1,7 @@
 #include "cluster/backend.h"
 
+#include <unistd.h>
+
 #include <unordered_set>
 #include <vector>
 
@@ -22,11 +24,13 @@ ClusterBackend::ClusterBackend(ClusterBackendOptions options)
       journal_(options_.journal),
       streaming_(&core_.faults()),
       // Serving or warming the memory tier from this layer would skip
-      // service/cache/journal fault sites and shift their deterministic
-      // hit sequences.
+      // service/cache fault sites and shift their deterministic hit
+      // sequences.
       memory_tier_(options_.service.fault_plan.empty() &&
-                   options_.cache.faults == nullptr &&
-                   options_.journal.faults == nullptr) {}
+                   options_.cache.faults == nullptr) {
+  if (!journal_.repair_warning().empty())
+    journal_warnings_.push_back(journal_.repair_warning());
+}
 
 bool ClusterBackend::try_serve_cached_line(const service::Json& request,
                                            std::string& out) {
@@ -35,25 +39,6 @@ bool ClusterBackend::try_serve_cached_line(const service::Json& request,
     return false;
   memory_hits_.fetch_add(1, std::memory_order_relaxed);
   return true;
-}
-
-void ClusterBackend::journal_command(const service::Json& request) {
-  if (!journal_.enabled() || replaying_.load(std::memory_order_acquire))
-    return;
-  // The durable command form: volatile fields stripped, so the record
-  // replays to the same canonical key (and bit-identical result) at any
-  // thread count. Json objects are insertion-ordered and dump() is
-  // deterministic, so identical logical commands journal identically.
-  const service::Json command = service::strip_volatile_fields(request);
-  if (!journal_.append(command.dump())) {
-    const std::lock_guard<std::mutex> lock(journal_warn_mutex_);
-    if (journal_warnings_.size() >= kMaxJournalWarnings)
-      journal_warnings_.erase(journal_warnings_.begin());
-    journal_warnings_.push_back(
-        "journal append failed for key '" +
-        service::canonical_request_key(request) +
-        "': command served but not durable until cached");
-  }
 }
 
 std::vector<std::string> ClusterBackend::journal_warnings() const {
@@ -72,10 +57,6 @@ JournalReplayReport ClusterBackend::replay_journal(
   report.clean = scanned.clean;
   report.warning = scanned.warning;
 
-  // Replays must not re-journal: every command below is already in the
-  // journal. Requests arriving concurrently skip journaling for the
-  // duration too — a bounded durability window during a re-warm.
-  replaying_.store(true, std::memory_order_release);
   std::unordered_set<std::string> seen_keys;
   for (const std::string& record : scanned.records) {
     if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) break;
@@ -86,37 +67,24 @@ JournalReplayReport ClusterBackend::replay_journal(
       ++report.failures;
       continue;
     }
+    // Only stream writes replay. Any other record (a cacheable request an
+    // older binary journaled) is skipped unexecuted, so it cannot
+    // crash-loop a restart.
+    const service::OpSpec* spec = service::find_op(command);
+    if (spec == nullptr || !spec->stream_write) continue;
     if (!seen_keys.insert(service::canonical_request_key(command)).second)
       continue;
     ++report.replayed;
-    const std::string status = handle(command, cancel).get_string("status", "");
-    const service::OpSpec* spec = service::find_op(command);
-    if (status == "ok" ||
-        (status == "degraded" && spec != nullptr && spec->stream_write))
+    // Straight to the engine: the record is already journaled, in the
+    // absolute form handle_stream_op gave it.
+    const std::string status =
+        streaming_.handle(command).get_string("status", "");
+    if (status == "ok" || status == "degraded")
       ++report.ok;
     else
       ++report.failures;
   }
-  replaying_.store(false, std::memory_order_release);
   return report;
-}
-
-std::size_t ClusterBackend::compact_journal() {
-  if (!journal_.enabled()) return 0;
-  // A record is snapshot-covered once its result file exists on disk;
-  // unparseable records can never replay, so they are dropped too.
-  const std::size_t kept = journal_.compact([this](std::string_view record) {
-    if (!cache_.enabled()) return true;  // no snapshot: keep everything
-    try {
-      const service::Json command = service::Json::parse(record);
-      return ::access(cache_.path_for(cache_.digest(command)).c_str(),
-                      F_OK) != 0;
-    } catch (const std::exception&) {
-      return false;
-    }
-  });
-  compacted_bytes_.store(journal_.stats().bytes);
-  return kept;
 }
 
 service::Json ClusterBackend::cache_install_op(const service::Json& request) {
@@ -131,8 +99,15 @@ service::Json ClusterBackend::cache_install_op(const service::Json& request) {
   const service::OpSpec* spec = service::find_op(*installed);
   if (spec == nullptr || !spec->cacheable)
     return bad_request("cache_install only accepts cacheable ops");
-  const std::string key = service::canonical_request_key(*installed);
-  const bool stored = cache_.store(cache_.digest(*installed), *response, key);
+  // Every warm read at R >= 2 re-installs its result. An entry already on
+  // disk is kept: its bytes are the same, so rewriting it would only cost
+  // a file write and a rename over the old file.
+  const std::string digest = cache_.digest(*installed);
+  const bool on_disk =
+      cache_.enabled() && ::access(cache_.path_for(digest).c_str(), F_OK) == 0;
+  const bool stored =
+      on_disk || cache_.store(digest, *response,
+                              service::canonical_request_key(*installed));
   // Warm the memory tier too: the replica can then answer a failover read
   // on the server's loop thread.
   if (stored && memory_tier_) core_.result_cache().put(*installed, *response);
@@ -165,8 +140,6 @@ service::Json ClusterBackend::journal_stats_op() {
   set_count(r, "appends", s.appends);
   set_count(r, "append_failures", s.append_failures);
   set_count(r, "fsyncs", s.fsyncs);
-  set_count(r, "compactions", s.compactions);
-  set_count(r, "records_dropped", s.records_dropped);
   set_count(r, "bytes", s.bytes);
   r.set("warnings", service::string_array(journal_warnings()));
   return r;
@@ -186,23 +159,26 @@ service::Json ClusterBackend::journal_replay_op(
   return r;
 }
 
-service::Json ClusterBackend::journal_compact_op() {
-  const std::size_t kept = compact_journal();
-  service::Json r = service::ok_response("journal_compact");
-  set_count(r, "records_kept", kept);
-  set_count(r, "bytes", journal_.stats().bytes);
-  return r;
-}
-
 service::Json ClusterBackend::handle_stream_op(const service::Json& request) {
   // Stream writes journal in *absolute* form only: a relative "count"
   // absorb is canonicalized to "upto" first, so the durable record is
-  // idempotent under replay dedup and replica fan-out. Stream results
-  // are time-varying and never touch the disk or memory tiers.
+  // idempotent under replay dedup and replica fan-out. Volatile fields
+  // are stripped, so the record replays to the same canonical key (and
+  // bit-identical state) at any thread count; Json objects are
+  // insertion-ordered and dump() is deterministic. Stream results are
+  // time-varying and never touch the disk or memory tiers.
   service::Json canonical = request;
   service::Json error;
   if (!streaming_.canonicalize(canonical, &error)) return error;
-  if (service::find_op(canonical)->stream_write) journal_command(canonical);
+  if (journal_.enabled() && service::find_op(canonical)->stream_write &&
+      !journal_.append(service::strip_volatile_fields(canonical).dump())) {
+    const std::lock_guard<std::mutex> lock(journal_warn_mutex_);
+    if (journal_warnings_.size() >= kMaxJournalWarnings)
+      journal_warnings_.erase(journal_warnings_.begin());
+    journal_warnings_.push_back("journal append failed for key '" +
+                                service::canonical_request_key(canonical) +
+                                "': stream write applied but not durable");
+  }
   return streaming_.handle(canonical);
 }
 
@@ -232,7 +208,6 @@ service::Json ClusterBackend::handle(const service::Json& request,
     if (op == "cache_gc") return cache_gc_op(request);
     if (op == "journal_stats") return journal_stats_op();
     if (op == "journal_replay") return journal_replay_op(cancel);
-    if (op == "journal_compact") return journal_compact_op();
   }
   const service::OpSpec* spec = service::find_op(request);
   if (spec != nullptr && spec->routing == service::Routing::kStreamId)
@@ -255,18 +230,9 @@ service::Json ClusterBackend::handle(const service::Json& request,
     }
   }
 
-  // In-flight from here until the disk store lands: journal the command
-  // so a crash mid-computation can be replayed.
-  if (spec != nullptr && spec->cacheable) journal_command(request);
-
   service::Json response = core_.handle(request, cancel);
-  if (try_disk && response.get_string("status", "") == "ok") {
+  if (try_disk && response.get_string("status", "") == "ok")
     cache_.store(digest, response, key);
-    if (options_.journal_compact_bytes > 0 && journal_.enabled() &&
-        journal_.stats().bytes >
-            compacted_bytes_.load() + options_.journal_compact_bytes)
-      compact_journal();
-  }
   return response;
 }
 

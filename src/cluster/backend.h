@@ -8,22 +8,23 @@
 // on the server's loop thread, and clean "ok" responses are stored on disk
 // after computation. A hit replays the exact bytes handle() produced, so
 // it is bit-identical to recomputing (the cold-restart identity test).
-// Degraded responses are never stored. While any fault injector
-// (service, cache or journal) is armed, this layer neither reads nor
-// warms the memory tier, so chaos runs keep their exact per-site hit
-// sequences; the core still consults it after its own fault sites.
+// Degraded responses are never stored. While a service or cache fault
+// injector is armed, this layer neither reads nor warms the memory tier,
+// so chaos runs keep their exact per-site hit sequences; the core still
+// consults it after its own fault sites.
 //
-// Durability: a cacheable request that misses both tiers is *in-flight
-// work* — its durable command form (volatile fields stripped) is
-// appended to the journal before computation, and once the result
-// reaches the disk cache it is *permanent state* (snapshot-covered), so
-// compaction drops its journal record. replay_journal() re-issues every
-// journaled command through handle(): snapshot-covered commands become
-// disk hits, in-flight ones recompute bit-identically — this is how a
-// supervisor re-warms a restarted backend (the "journal_replay" op).
-// A journal append failure degrades durability, never availability: the
-// request is still served and the failure surfaces as a structured
-// warning in "journal_stats".
+// Durability: the journal is the durable record of stream state only. A
+// cacheable request is never journaled: its answer is a pure function of
+// the request, so a read lost with a crashed backend fails over and is
+// recomputed bit-identically. Stream writes are journaled in absolute
+// (idempotent) form before they run, and replay_journal() (the
+// "journal_replay" op a supervisor re-warms with) hands them straight to
+// the stream engine, deduplicated by canonical key, so only the replay's
+// own writes skip the journal. Records of other ops are skipped
+// unexecuted, so none can crash-loop a restart. A journal append failure
+// degrades durability, never availability: the write still applies and
+// the failure surfaces as a structured warning in "journal_stats", as
+// does a damaged tail cut off when the journal opens.
 //
 // Cluster ops beyond ServiceCore's:
 //   "cache_stats"     core stats + disk_* fields (incl. byte totals);
@@ -31,24 +32,17 @@
 //                     gave in front of the disk
 //   "cache_install"   store a replicated {request, response} pair (the
 //                     dispatcher's write fan-out; never journaled — the
-//                     disk write IS the durability)
+//                     disk write IS the durability). An entry already on
+//                     disk is kept: a repeat install only warms the
+//                     memory tier
 //   "cache_gc"        run the janitor (params "max_bytes", "max_age_ms")
 //   "journal_stats"   journal counters + structured warnings
-//   "journal_replay"  re-warm from the journal (returns replay counts)
-//   "journal_compact" drop snapshot-covered records now
+//   "journal_replay"  rebuild the streams from the journal (returns
+//                     replay counts)
 //   "stream_*"        the streaming study engine's op family (see
-//                     streaming/engine.h). Stream writes are journaled
-//                     in absolute (idempotent) form before execution and
-//                     replayed like any other command — the journal is
-//                     the only durable record of a stream, and replay
-//                     rebuilds it bit-identically. Stream ops are not
-//                     cacheable, so their time-varying results never
-//                     reach any cache.
-//
-// Auto-compaction keys on the journal's growth since the last compaction,
-// not its size: stream records are never snapshot-covered and survive
-// every compaction, so a size trigger would rewrite and fsync the whole
-// journal on every cold store once they alone passed the threshold.
+//                     streaming/engine.h). Stream ops are not cacheable,
+//                     so their time-varying results never reach any
+//                     cache.
 #pragma once
 
 #include <atomic>
@@ -69,22 +63,17 @@ struct ClusterBackendOptions {
   service::ServiceOptions service;
   /// cache.directory empty → the backend runs with no disk cache.
   DiskCacheOptions cache;
-  /// journal.path empty → no journal (no durability for in-flight work,
-  /// and streams do not survive a restart).
+  /// journal.path empty → no journal: streams do not survive a restart.
   JournalOptions journal;
-  /// Auto-compact the journal once it has grown by this many bytes since
-  /// the last compaction (checked after each store; 0 disables —
-  /// compaction then only runs via the "journal_compact" op).
-  std::uint64_t journal_compact_bytes = 64u << 10;
 };
 
 /// Outcome of one replay_journal() pass (the "journal_replay" op).
 struct JournalReplayReport {
   std::uint64_t records = 0;    ///< valid records found in the journal
-  std::uint64_t replayed = 0;   ///< distinct commands re-issued
-  /// Replays that applied: "ok", or "degraded" for a stream write (it
-  /// lost arrivals or a refit to the fault plan but still applied, as the
-  /// dispatcher's replica fan-out counts it).
+  std::uint64_t replayed = 0;   ///< distinct stream writes re-issued
+  /// Replays that applied: "ok", or "degraded" (the write lost arrivals
+  /// or a refit to the fault plan but still applied, as the dispatcher's
+  /// replica fan-out counts it).
   std::uint64_t ok = 0;
   std::uint64_t failures = 0;   ///< unparseable records + replays not applied
   bool clean = true;            ///< journal scanned to EOF without damage
@@ -99,14 +88,10 @@ class ClusterBackend {
   service::Json handle(const service::Json& request,
                        const std::atomic<bool>* cancel);
 
-  /// Re-issues every journaled command through handle() (deduplicated by
-  /// canonical key, original order). Appends are suppressed while the
-  /// replay runs so records are not re-journaled.
+  /// Re-issues every journaled stream write to the stream engine
+  /// (deduplicated by canonical key, original order) without journaling
+  /// it again; records of other ops are skipped.
   JournalReplayReport replay_journal(const std::atomic<bool>* cancel);
-
-  /// Compacts the journal down to records not yet covered by the disk
-  /// cache snapshot. Returns the number of records kept.
-  std::size_t compact_journal();
 
   /// Warm-path fast lane for ReplicationServer::fast_path: appends the
   /// core's cached rendered line for an identical earlier "ok" request
@@ -134,16 +119,14 @@ class ClusterBackend {
   DiskCache& cache() { return cache_; }
   Journal& journal() { return journal_; }
   streaming::StreamEngine& streaming() { return streaming_; }
-  /// Recent journal-append warnings (bounded; oldest dropped first).
+  /// Recent journal warnings (bounded; oldest dropped first).
   std::vector<std::string> journal_warnings() const;
 
  private:
-  void journal_command(const service::Json& request);
   service::Json cache_install_op(const service::Json& request);
   service::Json cache_gc_op(const service::Json& request);
   service::Json journal_stats_op();
   service::Json journal_replay_op(const std::atomic<bool>* cancel);
-  service::Json journal_compact_op();
 
   service::Json handle_stream_op(const service::Json& request);
 
@@ -154,13 +137,11 @@ class ClusterBackend {
   /// Stream sessions, driven by the core's fault injector so the
   /// stream.* sites share one deterministic plan with everything else.
   streaming::StreamEngine streaming_;
-  std::atomic<bool> replaying_{false};
-  /// Journal size the last compaction left (0 before the first).
-  std::atomic<std::uint64_t> compacted_bytes_{0};
   mutable std::mutex journal_warn_mutex_;
   std::vector<std::string> journal_warnings_;
   /// Whether the core's memory tier may be read or warmed from this layer:
-  /// false whenever a fault injector is armed (see the file comment).
+  /// false while a service or cache fault injector is armed (see the file
+  /// comment).
   const bool memory_tier_;
   std::atomic<std::uint64_t> memory_hits_{0};
 };

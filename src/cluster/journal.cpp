@@ -5,8 +5,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <utility>
@@ -48,11 +46,22 @@ constexpr std::size_t kHeaderBytes = 12;  // u32 length + u64 checksum
 Journal::Journal(JournalOptions options) : options_(std::move(options)) {
   if (!enabled()) return;
   const std::lock_guard<std::mutex> lock(mutex_);
-  if (open_for_append()) {
-    struct stat st{};
-    if (::fstat(fd_, &st) == 0)
-      stats_.bytes = static_cast<std::uint64_t>(st.st_size);
-  }
+  struct stat st{};
+  if (!open_for_append() || ::fstat(fd_, &st) != 0) return;
+  stats_.bytes = static_cast<std::uint64_t>(st.st_size);
+  // Cut a torn or corrupt tail before the first append: a record appended
+  // behind it would sit past the point where replay stops, and be lost.
+  const ReplayedJournal existing = replay(options_.path);
+  if (existing.clean) return;
+  const std::uint64_t dropped = stats_.bytes - existing.bytes_scanned;
+  const bool cut =
+      ::ftruncate(fd_, static_cast<off_t>(existing.bytes_scanned)) == 0;
+  if (cut) stats_.bytes = existing.bytes_scanned;
+  repair_warning_ = (cut ? "journal cut on open, " + std::to_string(dropped) +
+                               " bytes dropped: "
+                         : std::string("journal tail could not be cut on "
+                                       "open; appends will not replay: ")) +
+                    existing.warning;
 }
 
 Journal::~Journal() {
@@ -71,7 +80,7 @@ bool Journal::open_for_append() {
   return fd_ >= 0;
 }
 
-bool Journal::write_record(int fd, std::string_view payload) {
+bool Journal::write_record(std::string_view payload) {
   // One buffer, one write(2): an O_APPEND write from a single process is
   // the closest POSIX gets to an atomic record append, and replay treats
   // any torn tail as the crash artifact it is.
@@ -83,7 +92,7 @@ bool Journal::write_record(int fd, std::string_view payload) {
   std::size_t written = 0;
   while (written < record.size()) {
     const ssize_t n =
-        ::write(fd, record.data() + written, record.size() - written);
+        ::write(fd_, record.data() + written, record.size() - written);
     if (n < 0) {
       if (errno == EINTR) continue;
       return false;
@@ -117,7 +126,7 @@ bool Journal::append(std::string_view payload) {
   // the journal either gains one whole record or stays byte-identical.
   struct stat st{};
   const bool have_size = ::fstat(fd_, &st) == 0;
-  if (!write_record(fd_, payload)) {
+  if (!write_record(payload)) {
     if (have_size) {
       if (::ftruncate(fd_, st.st_size) != 0) {
         // Torn record left behind; replay will stop at it cleanly.
@@ -129,7 +138,7 @@ bool Journal::append(std::string_view payload) {
   ++stats_.appends;
   stats_.bytes = (have_size ? static_cast<std::uint64_t>(st.st_size) : 0) +
                  kHeaderBytes + payload.size();
-  if (++unsynced_ >= options_.fsync_every) sync_locked();
+  if (++unsynced_ >= kFsyncEvery) sync_locked();
   return true;
 }
 
@@ -194,51 +203,6 @@ ReplayedJournal Journal::replay(const std::string& path,
   }
   out.bytes_scanned = offset;
   return out;
-}
-
-std::size_t Journal::compact(
-    const std::function<bool(std::string_view)>& keep) {
-  if (!enabled()) return 0;
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (unsynced_ > 0) sync_locked();
-
-  const ReplayedJournal current = replay(options_.path);
-  std::vector<const std::string*> survivors;
-  survivors.reserve(current.records.size());
-  for (const std::string& record : current.records)
-    if (keep(record)) survivors.push_back(&record);
-
-  const std::string temp_path =
-      options_.path + ".compact." + std::to_string(::getpid());
-  const int temp_fd = ::open(temp_path.c_str(),
-                             O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  if (temp_fd < 0) return current.records.size();
-  std::uint64_t new_bytes = 0;
-  for (const std::string* record : survivors) {
-    if (!write_record(temp_fd, *record)) {
-      ::close(temp_fd);
-      std::remove(temp_path.c_str());
-      return current.records.size();
-    }
-    new_bytes += kHeaderBytes + record->size();
-  }
-  ::fsync(temp_fd);
-  ::close(temp_fd);
-  if (std::rename(temp_path.c_str(), options_.path.c_str()) != 0) {
-    std::remove(temp_path.c_str());
-    return current.records.size();
-  }
-  // The append fd still points at the old (now unlinked) inode; reopen so
-  // future appends land in the compacted file.
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
-  }
-  open_for_append();
-  ++stats_.compactions;
-  stats_.records_dropped += current.records.size() - survivors.size();
-  stats_.bytes = new_bytes;
-  return survivors.size();
 }
 
 JournalStats Journal::stats() const {

@@ -1,14 +1,9 @@
-// Append-only command journal: the replay half of the durability story.
+// Append-only command journal: the durable record of stream state.
 //
-// The snapshot/replay split follows the permanent-state vs in-flight-work
-// line: results that made it into the DiskCache are *permanent state*
-// (the snapshot — they survive a crash as complete, digest-verified
-// files), while commands whose results are not yet on disk are
-// *in-flight work* and live here as replayable records. A restarted
-// backend is re-warmed by replaying the journal: snapshot-covered
-// commands turn into disk hits, in-flight ones recompute — and because
-// every pipeline stage is bit-identical at any thread count, replay
-// reproduces the exact pre-crash responses.
+// A cacheable answer is a pure function of its request and can always be
+// recomputed; a stream cannot. Each stream write is appended here, in
+// absolute form, before it runs, and a restarted backend rebuilds every
+// stream bit-identically by replaying the records (see backend.h).
 //
 // Record format (little-endian, fixed):
 //   [u32 payload length][u64 FNV-1a checksum of payload][payload bytes]
@@ -16,18 +11,13 @@
 // within the file) and the checksum matches. replay() scans from the
 // start and stops at the first invalid record, returning every record
 // before it plus a structured warning — a torn tail (the expected shape
-// of a crash mid-append) costs the tail, never the journal.
+// of a crash mid-append) costs the tail, never the journal. Opening a
+// journal cuts such a tail off, so later appends stay replayable.
 //
 // Durability batching: append() buffers nothing (each record is one
 // write(2) to an O_APPEND fd) but fsync(2) is batched — every
-// `fsync_every` appends, plus on flush() and close. A crash can
-// therefore lose at most the last fsync_every-1 records; fsync_every=1
-// gives per-record durability.
-//
-// Compaction rewrites the journal keeping only records the caller still
-// wants (in practice: records whose digest is NOT yet in the disk
-// cache), via temp-file + rename(2) so a crash mid-compaction leaves the
-// old journal intact.
+// kFsyncEvery appends, plus on flush() and close. A crash can therefore
+// lose at most the last kFsyncEvery-1 records.
 //
 // Fault sites (serial-counter, from JournalOptions::faults):
 //   "journal.append"  the append fails cleanly (no bytes written); the
@@ -38,7 +28,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -52,9 +41,6 @@ struct JournalOptions {
   /// Journal file path. Empty disables the journal (append() is a no-op
   /// returning false, stats stay zero).
   std::string path;
-  /// fsync after this many appends (1 = every append). flush() and the
-  /// destructor always sync outstanding records.
-  std::size_t fsync_every = 8;
   /// Optional injector for the "journal.append" site.
   util::FaultInjector* faults = nullptr;
 };
@@ -63,8 +49,6 @@ struct JournalStats {
   std::uint64_t appends = 0;
   std::uint64_t append_failures = 0;  ///< IO errors and injected faults
   std::uint64_t fsyncs = 0;
-  std::uint64_t compactions = 0;
-  std::uint64_t records_dropped = 0;  ///< by compaction
   std::uint64_t bytes = 0;            ///< current journal file size
 };
 
@@ -103,20 +87,22 @@ class Journal {
   static ReplayedJournal replay(const std::string& path,
                                 util::FaultInjector* faults = nullptr);
 
-  /// Rewrites the journal keeping only records for which keep() returns
-  /// true (temp + rename; the old journal survives any failure). Returns
-  /// the number of records kept. Also drops any torn tail.
-  std::size_t compact(const std::function<bool(std::string_view)>& keep);
-
   JournalStats stats() const;
+
+  /// What opening the journal cut off its damaged tail (offset, bytes
+  /// dropped, why); empty when the file was whole.
+  const std::string& repair_warning() const { return repair_warning_; }
 
   /// Hard cap on a single record; longer appends fail, longer lengths in
   /// a file mark the record (and everything after it) invalid.
   static constexpr std::uint32_t kMaxRecordBytes = 16u << 20;
+  /// fsync after this many appends; flush() and the destructor always
+  /// sync outstanding records.
+  static constexpr std::size_t kFsyncEvery = 8;
 
  private:
   bool open_for_append();        ///< caller holds mutex_
-  bool write_record(int fd, std::string_view payload);
+  bool write_record(std::string_view payload);  ///< caller holds mutex_
   void sync_locked();            ///< caller holds mutex_
 
   JournalOptions options_;
@@ -124,6 +110,7 @@ class Journal {
   int fd_ = -1;
   std::size_t unsynced_ = 0;
   JournalStats stats_;
+  std::string repair_warning_;
 };
 
 }  // namespace decompeval::cluster

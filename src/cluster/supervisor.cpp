@@ -14,6 +14,13 @@ namespace decompeval::cluster {
 
 namespace {
 
+constexpr std::uint64_t kPollIntervalMs = 20;
+constexpr double kBackoffInitialMs = 10.0;
+constexpr double kBackoffMaxMs = 2000.0;
+/// How long a freshly (re)started backend gets to answer its first ping
+/// before the attempt counts as failed.
+constexpr std::uint64_t kServingTimeoutMs = 5000;
+
 // Static pid registry for the abnormal-exit signal handler. Slots are
 // plain atomics so the handler (async-signal context) only does loads
 // and kill(2) — both async-signal-safe. 0 means empty.
@@ -145,13 +152,11 @@ bool Supervisor::wait_until_serving(const std::string& id,
 }
 
 void Supervisor::rewarm(const SupervisedBackend& spec) {
-  if (!spec.rewarm) return;
   try {
     service::ServiceClient client;
     client.connect(spec.socket_path, /*attempts=*/10);
-    // Replay may recompute every in-flight command; give it room.
-    client.set_timeout_ms(static_cast<double>(options_.serving_timeout_ms) +
-                          30000.0);
+    // Replay re-runs every journaled absorb and its refits; give it room.
+    client.set_timeout_ms(static_cast<double>(kServingTimeoutMs) + 30000.0);
     service::Json request = service::Json::object();
     request.set("op", service::Json::string("journal_replay"));
     const service::Json r = client.call(request);
@@ -168,17 +173,15 @@ void Supervisor::rewarm(const SupervisedBackend& spec) {
 }
 
 double Supervisor::backoff_ms(int consecutive_failures) const {
-  double ms = options_.backoff_initial_ms;
-  for (int i = 0; i < consecutive_failures && ms < options_.backoff_max_ms;
-       ++i)
+  double ms = kBackoffInitialMs;
+  for (int i = 0; i < consecutive_failures && ms < kBackoffMaxMs; ++i)
     ms *= 2.0;
-  return std::min(ms, options_.backoff_max_ms);
+  return std::min(ms, kBackoffMaxMs);
 }
 
 void Supervisor::watch_loop() {
   while (running_.load()) {
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(options_.poll_interval_ms));
+    std::this_thread::sleep_for(std::chrono::milliseconds(kPollIntervalMs));
     const auto now = std::chrono::steady_clock::now();
 
     // Phase 1 (under the lock): reap exits, schedule restarts, and spawn
@@ -245,8 +248,7 @@ void Supervisor::watch_loop() {
 
     // Phase 2 (no lock): serving checks and re-warm for fresh restarts.
     for (const SupervisedBackend& spec : just_restarted) {
-      const bool serving =
-          wait_until_serving(spec.id, options_.serving_timeout_ms);
+      const bool serving = wait_until_serving(spec.id, kServingTimeoutMs);
       if (serving) rewarm(spec);
       const std::lock_guard<std::mutex> lock(mutex_);
       BackendState& backend = backends_[index_of(spec.id)];

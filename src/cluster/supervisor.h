@@ -4,13 +4,14 @@
 // The supervisor owns a set of backend *processes* (each an exec'd
 // binary serving a ClusterBackend on a Unix socket — see
 // examples/cluster_backend.cpp). A watch thread reaps children with
-// waitpid(WNOHANG); any exit — clean, crash, or kill -9 — schedules a
-// restart after an exponential backoff (consecutive failed restart
-// attempts double the pause; a restart that reaches "serving" resets
-// it). After a successful restart the supervisor *re-warms* the backend
-// by sending it the "journal_replay" op: snapshot-covered commands come
-// back from the disk cache, in-flight ones recompute bit-identically
-// (see journal.h for the snapshot/replay split).
+// waitpid(WNOHANG) every 20 ms; any exit — clean, crash, or kill -9 —
+// schedules a restart after an exponential backoff (10 ms, doubled by
+// each consecutive failed restart attempt up to 2 s; a restart that
+// answers a ping within 5 s resets it). After a successful restart the
+// supervisor *re-warms* the backend by sending it the "journal_replay"
+// op: the backend rebuilds its streams from their journaled writes (see
+// journal.h). A backend without a journal answers with zero records;
+// its disk cache survived the restart on its own.
 //
 // Liveness beyond exit: with ping_interval_ms set, the watch thread
 // reuses the prober idiom — a cheap "ping" op per backend — and a
@@ -51,20 +52,12 @@ struct SupervisedBackend {
   std::string id;                  ///< unique, non-empty
   std::vector<std::string> argv;   ///< absolute binary path + args, exec'd
   std::string socket_path;         ///< for ping / re-warm / shutdown
-  /// Set false for a backend with no journal (skips the replay op).
-  bool rewarm = true;
 };
 
 struct SupervisorOptions {
   std::vector<SupervisedBackend> backends;
-  std::uint64_t poll_interval_ms = 20;
-  double backoff_initial_ms = 10.0;
-  double backoff_max_ms = 2000.0;
   /// Restarts allowed per backend; < 0 = unbounded, 0 = never restart.
   int max_restarts = -1;
-  /// How long a freshly (re)started backend gets to answer its first
-  /// ping before the attempt counts as failed.
-  std::uint64_t serving_timeout_ms = 5000;
   /// Liveness probing of running backends; 0 disables.
   std::uint64_t ping_interval_ms = 0;
   int ping_failures_before_kill = 3;
@@ -80,7 +73,7 @@ struct SupervisorStats {
   std::uint64_t restart_failures = 0; ///< attempts that never reached serving
   std::uint64_t restart_faults = 0;   ///< "supervisor.restart" firings
   std::uint64_t gave_up = 0;          ///< backends past max_restarts
-  std::uint64_t rewarm_replayed = 0;  ///< commands re-issued by re-warms
+  std::uint64_t rewarm_replayed = 0;  ///< stream writes re-issued by re-warms
   std::uint64_t rewarm_failures = 0;  ///< replay failures + unclean journals
   std::uint64_t hang_kills = 0;       ///< wedged backends SIGKILLed
 };

@@ -22,7 +22,6 @@ constexpr OpSpec kOps[] = {
     {"cache_gc",         kInteractive, false, Routing::kCanonical, false},
     {"journal_stats",    kInteractive, false, Routing::kCanonical, false},
     {"journal_replay",   kBatch,       false, Routing::kCanonical, false},
-    {"journal_compact",  kInteractive, false, Routing::kCanonical, false},
     // The streaming engine's op family.
     {"stream_open",      kInteractive, false, Routing::kStreamId,  true},
     {"stream_absorb",    kBatch,       false, Routing::kStreamId,  true},

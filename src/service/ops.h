@@ -8,10 +8,11 @@
 //
 //   cacheable     the answer is a pure function of the canonical request:
 //                 "ok" answers live in every rendered-line tier and in the
-//                 disk cache, the backend journals the command before
-//                 computing it, and the dispatcher installs the result on
-//                 the ring replicas and may hedge the read. A "no_cache"
-//                 field opts one request out (cacheable_request).
+//                 disk cache, and the dispatcher installs the result on
+//                 the ring replicas and may hedge the read. It is never
+//                 journaled: a lost answer is recomputed bit-identically.
+//                 A "no_cache" field opts one request out
+//                 (cacheable_request).
 //   stream_write  the command mutates stream state: every backend that
 //                 executes it journals it in absolute form, and the
 //                 dispatcher replicates it to the ring replicas as a

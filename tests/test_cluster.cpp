@@ -689,9 +689,13 @@ TEST(ClusterTest, ReplicatedWriteWarmsTheReplicaAndSurvivesPrimaryDeath) {
   cluster::DispatcherStats stats = cluster.dispatcher->stats();
   EXPECT_EQ(stats.replicated, 1u);
   EXPECT_EQ(stats.replication_failures, 0u);
+  // A warm repeat read forwards (the dispatcher caches nothing here) and
+  // installs again; the replica keeps the file it already holds.
+  EXPECT_EQ(client.call(request).dump(), cold.dump());
 
-  // Both members of the replica set now hold the result on disk: the
-  // primary stored its computation, the secondary got a cache_install.
+  // Both members of the replica set now hold the result on disk, written
+  // once each: the primary stored its computation, the secondary got a
+  // cache_install.
   const std::string key = service::canonical_request_key(request);
   const auto replicas = cluster.dispatcher->ring().replicas_for(key, 2);
   ASSERT_EQ(replicas.size(), 2u);

@@ -8,7 +8,7 @@
 // ends in a structured ok/degraded/error/timeout response (no crash,
 // no hang), zero requests are lost at R=2, no stale or partial cache
 // file is ever left on disk, a degraded result is never cached, and a
-// surviving journal replays bit-identically at any thread count.
+// backend that served only cacheable requests leaves an empty journal.
 #include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -287,26 +287,6 @@ bool wait_for(const std::function<bool()>& done, std::uint64_t timeout_ms) {
   return done();
 }
 
-// Replays every record of `journal_path` through a fresh, cache-less
-// in-process backend at the given thread count and returns the
-// concatenated response dumps. The chaos acceptance bar: this string is
-// identical for threads 1, 2, and 4.
-std::string replay_dump_at_threads(const std::string& journal_path,
-                                   int threads) {
-  const cluster::ReplayedJournal replayed =
-      cluster::Journal::replay(journal_path);
-  EXPECT_TRUE(replayed.clean) << journal_path << ": " << replayed.warning;
-  ClusterBackend local{ClusterBackendOptions{}};
-  std::string dumps;
-  for (const std::string& record : replayed.records) {
-    Json command = Json::parse(record);
-    command.set("threads", Json::number(static_cast<double>(threads)));
-    dumps += local.handle(command, nullptr).dump();
-    dumps += '\n';
-  }
-  return dumps;
-}
-
 TEST(ClusterChaos, SupervisedKill9MidStreamLosesNothingAtR2) {
   constexpr int kBackends = 3;
   cluster::SupervisorOptions supervise;
@@ -371,14 +351,15 @@ TEST(ClusterChaos, SupervisedKill9MidStreamLosesNothingAtR2) {
   EXPECT_TRUE(no_children_left());
 
   // Post-mortem on what the kill left on disk: every cache directory is
-  // parseable with only clean "ok" entries, and every surviving journal
-  // replays bit-identically at threads 1, 2, and 4.
+  // parseable with only clean "ok" entries, and every journal replays
+  // clean and empty — cacheable requests are never journaled.
   for (const std::string& dir : shard_dirs) {
     assert_cache_dir_clean(dir);
     const std::string journal_path = dir + ".journal";
-    const std::string at1 = replay_dump_at_threads(journal_path, 1);
-    EXPECT_EQ(replay_dump_at_threads(journal_path, 2), at1) << journal_path;
-    EXPECT_EQ(replay_dump_at_threads(journal_path, 4), at1) << journal_path;
+    const cluster::ReplayedJournal replayed =
+        cluster::Journal::replay(journal_path);
+    EXPECT_TRUE(replayed.clean) << journal_path << ": " << replayed.warning;
+    EXPECT_EQ(replayed.records.size(), 0u) << journal_path;
     cleanup_shard(dir);
   }
 }

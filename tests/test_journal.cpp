@@ -1,22 +1,26 @@
 // Append-only command journal contract suite (CTest label: tier1).
 //
-// Covers the record format (golden bytes), round trips, fsync batching,
-// the "journal.append" fault site, compaction (and the backend's
-// growth-keyed auto-compaction), the corruption fuzz battery — truncate
-// at *every* byte offset and flip *every* byte: replay must stop at the
-// last valid record with a structured warning and never crash — and
-// re-warm bit-identity: a journal replayed through fresh backends at
-// threads 1/2/4 reproduces byte-identical responses.
+// The journal is the durable record of stream state. Covers the record
+// format (golden bytes), round trips, fsync batching, the
+// "journal.append" fault site, the tail cut on open that keeps appends
+// after a crash replayable, the corruption fuzz battery — truncate at
+// *every* byte offset and flip *every* byte: replay must stop at the
+// last valid record with a structured warning and never crash — replay
+// bit-identity (journaled stream writes replayed through fresh backends
+// at threads 1/2/4 rebuild byte-identical streams), and a backend's
+// replay: it skips records that are not stream writes and leaves a
+// stream write that arrives meanwhile journaled.
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -24,7 +28,6 @@
 #include "cluster/backend.h"
 #include "cluster/hash_ring.h"
 #include "cluster/journal.h"
-#include "core/replication.h"
 #include "util/fault.h"
 
 namespace {
@@ -134,12 +137,11 @@ TEST(JournalTest, FsyncsAreBatchedEveryNAppendsAndOnFlush) {
   const std::string path = fresh_journal_path("fsync");
   JournalOptions options;
   options.path = path;
-  options.fsync_every = 4;
   Journal journal(options);
-  for (int i = 0; i < 4; ++i)
+  for (std::size_t i = 0; i < Journal::kFsyncEvery; ++i)
     ASSERT_TRUE(journal.append("r" + std::to_string(i)));
   EXPECT_EQ(journal.stats().fsyncs, 1u);
-  for (int i = 0; i < 3; ++i)
+  for (std::size_t i = 0; i + 1 < Journal::kFsyncEvery; ++i)
     ASSERT_TRUE(journal.append("s" + std::to_string(i)));
   EXPECT_EQ(journal.stats().fsyncs, 1u);  // batch not full yet
   journal.flush();
@@ -196,97 +198,48 @@ TEST(JournalTest, ReplayFaultStopsScanWithStructuredWarning) {
   std::remove(path.c_str());
 }
 
-TEST(JournalTest, CompactionKeepsOnlySelectedRecordsAndStaysAppendable) {
-  const std::string path = fresh_journal_path("compact");
-  JournalOptions options;
-  options.path = path;
-  Journal journal(options);
-  for (int i = 0; i < 6; ++i)
-    ASSERT_TRUE(
-        journal.append((i % 2 == 0 ? "keep-" : "drop-") + std::to_string(i)));
-
-  const std::size_t kept = journal.compact([](std::string_view record) {
-    return record.substr(0, 4) == "keep";
-  });
-  EXPECT_EQ(kept, 3u);
-  EXPECT_EQ(journal.stats().compactions, 1u);
-  EXPECT_EQ(journal.stats().records_dropped, 3u);
-  EXPECT_EQ(journal.stats().bytes, file_size(path));
-
-  // The append fd was reopened onto the compacted inode.
-  ASSERT_TRUE(journal.append("post-compact"));
-  journal.flush();
-  const ReplayedJournal replayed = Journal::replay(path);
-  EXPECT_TRUE(replayed.clean);
-  ASSERT_EQ(replayed.records.size(), 4u);
-  EXPECT_EQ(replayed.records[0], "keep-0");
-  EXPECT_EQ(replayed.records[1], "keep-2");
-  EXPECT_EQ(replayed.records[2], "keep-4");
-  EXPECT_EQ(replayed.records[3], "post-compact");
-  std::remove(path.c_str());
-}
-
-// Auto-compaction keys on growth since the last compaction, not on size.
-// Stream records are never covered by the disk cache, so they survive
-// every compaction; a size trigger would rewrite and fsync the whole
-// journal after every cold store once they alone passed the threshold.
-TEST(JournalTest, AutoCompactionKeysOnGrowthNotOnSurvivingStreamRecords) {
-  constexpr std::uint64_t kThreshold = 4096;
-  const std::string path = fresh_journal_path("autocompact");
-  const std::string dir =
-      "/tmp/decompeval-autocompact-" + std::to_string(::getpid());
-  std::filesystem::remove_all(dir);
-  const auto run_study = [](int seed) {
-    Json request = Json::object();
-    request.set("op", Json::string("run_study"));
-    request.set("seed", Json::number(seed));
-    request.set("run_models", Json::boolean(false));
-    return request;
-  };
-  ClusterBackendOptions options;
-  options.cache.directory = dir;
-  options.cache.version = core::version();
-  options.journal.path = path;
-  options.journal_compact_bytes = kThreshold;
+// A restarted backend opens its journal on whatever the crash left. A
+// record appended behind a torn tail would sit past the point where
+// replay stops, so opening the journal cuts the tail off first and says
+// so in journal_stats.
+TEST(JournalTest, AppendsAfterATornTailStayReplayable) {
+  const std::string path = fresh_journal_path("torn");
   {
-    ClusterBackend backend(options);
-    Json open = Json::object();
-    open.set("op", Json::string("stream_open"));
-    open.set("stream", Json::string("s"));
-    ASSERT_EQ(backend.handle(open, nullptr).get_string("status", ""), "ok");
-    for (int upto = 1; upto <= 100; ++upto) {
-      Json absorb = Json::object();
-      absorb.set("op", Json::string("stream_absorb"));
-      absorb.set("stream", Json::string("s"));
-      absorb.set("upto", Json::number(upto));
-      ASSERT_EQ(backend.handle(absorb, nullptr).get_string("status", ""),
-                "ok");
-    }
-    const std::uint64_t stream_bytes = backend.journal().stats().bytes;
-    ASSERT_GT(stream_bytes, kThreshold);
-
-    for (int seed = 1; seed <= 20; ++seed)
-      ASSERT_EQ(backend.handle(run_study(seed), nullptr)
-                    .get_string("status", ""),
-                "ok");
-    EXPECT_LE(backend.journal().stats().compactions, 1u);
-    EXPECT_GE(backend.journal().stats().bytes, stream_bytes);
+    JournalOptions options;
+    options.path = path;
+    Journal journal(options);
+    ASSERT_TRUE(journal.append("first"));
+    ASSERT_TRUE(journal.append("second"));
   }
+  const std::uint64_t whole = file_size(path);
+  // The crash: a 15-byte record whose header promises a 50-byte payload.
+  std::string torn(kHeaderBytes + 3, 'x');
+  torn[0] = 50;
+  torn[1] = torn[2] = torn[3] = 0;
+  write_file(path, read_file(path) + torn);
 
-  // A journal of cacheable records alone still compacts past a small
-  // threshold, down to the records not yet on disk.
-  std::filesystem::remove_all(dir);
-  std::remove(path.c_str());
-  options.journal_compact_bytes = 256;
+  ClusterBackendOptions options;
+  options.journal.path = path;
   ClusterBackend backend(options);
-  for (int seed = 1; seed <= 10; ++seed)
-    ASSERT_EQ(
-        backend.handle(run_study(seed), nullptr).get_string("status", ""),
-        "ok");
-  EXPECT_GE(backend.journal().stats().compactions, 1u);
-  EXPECT_LE(backend.journal().stats().bytes, 256u);
+  EXPECT_EQ(file_size(path), whole);
+  ASSERT_TRUE(backend.journal().append("third"));
+  backend.journal().flush();
+  const ReplayedJournal replayed = Journal::replay(path);
+  EXPECT_TRUE(replayed.clean) << replayed.warning;
+  ASSERT_EQ(replayed.records.size(), 3u);
+  EXPECT_EQ(replayed.records[2], "third");
 
-  std::filesystem::remove_all(dir);
+  Json stats_request = Json::object();
+  stats_request.set("op", Json::string("journal_stats"));
+  const Json stats = backend.handle(stats_request, nullptr);
+  const Json* warnings = stats.get("warnings");
+  ASSERT_NE(warnings, nullptr);
+  ASSERT_EQ(warnings->items().size(), 1u);
+  const std::string warning(warnings->items().front().as_string());
+  EXPECT_NE(warning.find("offset " + std::to_string(whole)), std::string::npos)
+      << warning;
+  EXPECT_NE(warning.find("15 bytes dropped"), std::string::npos) << warning;
+  EXPECT_NE(warning.find("torn payload"), std::string::npos) << warning;
   std::remove(path.c_str());
 }
 
@@ -375,94 +328,123 @@ TEST(JournalFuzzTest, FlippingAnyByteStopsAtLastValidRecordWithWarning) {
   std::remove(path.c_str());
 }
 
-// Re-warm identity: replaying one journal through fresh backends pinned
-// to 1, 2, and 4 threads produces byte-identical responses — the whole
-// reason journal records strip volatile fields like "threads".
+Json stream_op(const char* op, const char* stream) {
+  Json request = Json::object();
+  request.set("op", Json::string(op));
+  request.set("stream", Json::string(stream));
+  return request;
+}
+
+std::string status_of(const Json& response) {
+  return response.get_string("status", "");
+}
+
+// Replay identity: one journal of stream writes, replayed through fresh
+// backends pinned to 1, 2, and 4 threads, rebuilds byte-identical stream
+// state — the whole reason journal records strip volatile fields like
+// "threads".
 TEST(JournalReplayIdentityTest, ReplayIsBitIdenticalAcrossThreadCounts) {
   const std::string path = fresh_journal_path("identity");
-  std::vector<std::string> reference;  // dumps from the journaling backend
+  std::string want_stats;
+  std::string want_dashboard;
   {
     ClusterBackendOptions options;
-    options.journal.path = path;  // no disk cache: every command journals
+    options.journal.path = path;
     ClusterBackend backend(options);
-    for (std::uint64_t seed = 1; seed <= 2; ++seed) {
-      Json request = Json::object();
-      request.set("op", Json::string("run_study"));
-      request.set("seed", Json::number(static_cast<double>(seed)));
-      request.set("threads", Json::number(3.0));  // stripped when journaled
-      const Json response = backend.handle(request, nullptr);
-      ASSERT_EQ(response.get_string("status", ""), "ok");
-      reference.push_back(response.dump());
+    Json open = stream_op("stream_open", "s");
+    open.set("population", Json::number(24));
+    open.set("refit_every", Json::number(40));
+    Json first = stream_op("stream_absorb", "s");
+    first.set("upto", Json::number(100));
+    Json second = stream_op("stream_absorb", "s");
+    second.set("upto", Json::number(200));
+    for (Json command : {open, first, second}) {
+      command.set("threads", Json::number(3.0));  // stripped when journaled
+      ASSERT_EQ(status_of(backend.handle(command, nullptr)), "ok");
     }
-    backend.journal().flush();
+    want_stats = backend.handle(stream_op("stream_stats", "s"), nullptr).dump();
+    want_dashboard =
+        backend.handle(stream_op("stream_dashboard", "s"), nullptr).dump();
   }
 
+  const ReplayedJournal replayed = Journal::replay(path);
+  ASSERT_TRUE(replayed.clean);
+  ASSERT_EQ(replayed.records.size(), 3u);
   for (const double threads : {1.0, 2.0, 4.0}) {
-    const ReplayedJournal replayed = Journal::replay(path);
-    ASSERT_TRUE(replayed.clean);
-    ASSERT_EQ(replayed.records.size(), reference.size());
-    ClusterBackendOptions options;
-    ClusterBackend backend(options);
-    for (std::size_t i = 0; i < replayed.records.size(); ++i) {
-      Json command = Json::parse(replayed.records[i]);
+    ClusterBackend backend{ClusterBackendOptions{}};
+    for (const std::string& record : replayed.records) {
+      Json command = Json::parse(record);
       EXPECT_EQ(command.get("threads"), nullptr)
           << "volatile field survived journaling";
       command.set("threads", Json::number(threads));
-      const Json response = backend.handle(command, nullptr);
-      EXPECT_EQ(response.dump(), reference[i])
-          << "threads=" << threads << " record " << i;
+      ASSERT_EQ(status_of(backend.handle(command, nullptr)), "ok");
     }
+    EXPECT_EQ(backend.handle(stream_op("stream_stats", "s"), nullptr).dump(),
+              want_stats)
+        << "threads=" << threads;
+    EXPECT_EQ(
+        backend.handle(stream_op("stream_dashboard", "s"), nullptr).dump(),
+        want_dashboard)
+        << "threads=" << threads;
   }
   std::remove(path.c_str());
 }
 
-TEST(JournalReplayIdentityTest, BackendReplayRewarmsAFreshCacheBitIdentically) {
-  const std::string path = fresh_journal_path("rewarm");
-  const std::string dir_a = "/tmp/decompeval-rewarm-a-" +
-                            std::to_string(::getpid());
-  const std::string dir_b = "/tmp/decompeval-rewarm-b-" +
-                            std::to_string(::getpid());
-  std::filesystem::remove_all(dir_a);
-  std::filesystem::remove_all(dir_b);
-
-  Json request = Json::object();
-  request.set("op", Json::string("run_study"));
-  request.set("seed", Json::number(11.0));
-
-  std::string reference;
+// Replay turns journaling off for its own calls, not for the backend: a
+// stream write that arrives while journal_replay re-runs a refit-heavy
+// absorb is journaled like any other. A record that is not a stream
+// write (a cacheable request an older binary journaled) is skipped, never
+// executed.
+TEST(JournalReplayTest, StreamWriteDuringReplayIsJournaled) {
+  const std::string path = fresh_journal_path("during-replay");
   {
-    ClusterBackendOptions options;
-    options.cache.directory = dir_a;
-    options.cache.version = core::version();
-    options.journal.path = path;
-    options.journal_compact_bytes = 0;  // keep the record for B's replay
+    JournalOptions options;
+    options.path = path;
+    Journal legacy(options);
+    ASSERT_TRUE(legacy.append(R"({"op":"run_study","seed":5})"));
+  }
+  ClusterBackendOptions options;
+  options.journal.path = path;
+  {
     ClusterBackend backend(options);
-    reference = backend.handle(request, nullptr).dump();
-    backend.journal().flush();
+    Json open = stream_op("stream_open", "s");
+    open.set("population", Json::number(24));
+    open.set("refit_every", Json::number(10));
+    Json absorb = stream_op("stream_absorb", "s");
+    absorb.set("upto", Json::number(400));  // 40 refits
+    ASSERT_EQ(status_of(backend.handle(open, nullptr)), "ok");
+    ASSERT_EQ(status_of(backend.handle(absorb, nullptr)), "ok");
   }
 
-  ClusterBackendOptions options;
-  options.cache.directory = dir_b;  // fresh cache, same journal
-  options.cache.version = core::version();
-  options.journal.path = path;
-  ClusterBackend backend(options);
-  const cluster::JournalReplayReport report = backend.replay_journal(nullptr);
-  EXPECT_TRUE(report.clean);
-  EXPECT_EQ(report.replayed, 1u);
-  EXPECT_EQ(report.ok, 1u);
-  // The replay recomputed and cached the result; serving it again is a
-  // hit in the backend's memory tier in front of the disk, byte-identical
-  // to the original backend's response.
-  EXPECT_EQ(backend.handle(request, nullptr).dump(), reference);
-  Json stats_request = Json::object();
-  stats_request.set("op", Json::string("cache_stats"));
-  const Json stats = backend.handle(stats_request, nullptr);
-  EXPECT_GE(stats.get_number("disk_hits", 0) +
-                stats.get_number("disk_memory_hits", 0),
-            1);
+  ClusterBackend revived(options);
+  std::atomic<bool> replay_returned{false};
+  Json report;
+  std::thread replay([&] {
+    Json request = Json::object();
+    request.set("op", Json::string("journal_replay"));
+    report = revived.handle(request, nullptr);
+    replay_returned.store(true);
+  });
+  // Once the replayed stream is open, the replay is re-running its absorb.
+  while (revived.streaming().open_streams() == 0 && !replay_returned.load())
+    std::this_thread::yield();
+  const Json answer =
+      revived.handle(stream_op("stream_open", "t"), nullptr);
+  const bool replay_was_running = !replay_returned.load();
+  replay.join();
+  ASSERT_EQ(status_of(answer), "ok");
+  EXPECT_TRUE(replay_was_running)
+      << "the replay returned before the write was answered";
+  EXPECT_EQ(report.get_number("records", 0), 3.0);
+  EXPECT_EQ(report.get_number("replayed", 0), 2.0);
+  EXPECT_EQ(report.get_number("replay_ok", 0), 2.0);
+  EXPECT_EQ(report.get_number("failures", -1), 0.0);
+  EXPECT_EQ(revived.core().stats().requests, 0u);
 
-  std::filesystem::remove_all(dir_a);
-  std::filesystem::remove_all(dir_b);
+  std::vector<std::string> streams;
+  for (const std::string& record : Journal::replay(path).records)
+    streams.push_back(Json::parse(record).get_string("stream", ""));
+  EXPECT_EQ(std::count(streams.begin(), streams.end(), "t"), 1);
   std::remove(path.c_str());
 }
 

@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Full verification in one invocation:
-#   1. regular build + the complete test suite,
+#   1. regular build + the complete test suite, then the cluster
+#      benchmark's smoke run (clusterbench/smoke.py: every workload for
+#      2 s, untraced and traced, through the rig's dispatcher front),
 #   2. ThreadSanitizer build + the tier-1 and chaos labeled tests,
 #   3. AddressSanitizer build + the tier-1 and chaos labeled tests,
 #   4. UndefinedBehaviorSanitizer build (recovery off) + tier-1 tests.
@@ -33,6 +35,11 @@
 # backends and a replicating dispatcher, and the absorb path mutates
 # per-stream state under the server's worker threads — the exact shape
 # where a missing lock shows up only under a race detector.
+#
+# The smoke run builds the benchmark's own Release tree into .bench_build/
+# on first use (a few minutes on 4 cores); later runs rebuild only what
+# changed. It fails when any run answers wrongly, fails a request, or
+# reports metric names BENCHMARK.json does not list.
 #
 # The soak label (20x kill/restart endurance loop under load) is excluded
 # from every default sweep; opt in with --soak.
@@ -90,6 +97,9 @@ if [[ "$RUN_REGULAR" == 1 ]]; then
   cmake --build build -j "$JOBS"
   ctest --test-dir build --output-on-failure -j "$JOBS" -LE soak
   assert_no_orphaned_backends "the regular test suite"
+
+  echo "=== cluster benchmark smoke: every workload, untraced and traced ==="
+  python3 clusterbench/smoke.py
 
   if [[ "$RUN_SOAK" == 1 ]]; then
     echo "=== soak: restart endurance loop under load (label: soak) ==="

@@ -142,6 +142,9 @@ Dispatcher::Attempt Dispatcher::attempt(const service::Json& request,
   Leg legs[2];
   std::size_t n_legs = 0;
   Attempt result;
+  // Connect, send and the wait for a line leave the front's compute slot
+  // to another request.
+  const service::BlockingWait wait;
 
   // Transport failure (connect/send/recv error, timeout) or injected
   // forward fault: the connection may be mid-reply, so it is dropped, and
@@ -303,8 +306,10 @@ void Dispatcher::replicate(const service::Json& request,
   }
   // The walk is replicas_for(key, R) extended with the failover tail, so
   // the write set is its first R entries. Synchronous and hedge-free: one
-  // run leaves a deterministic set of warm replicas.
+  // run leaves a deterministic set of warm replicas. The round trips wait
+  // outside the front's compute slots, as a forward does.
   const std::size_t r = std::min(options_.replication_factor, walk.size());
+  const service::BlockingWait wait;
   for (std::size_t i = 0; i < r; ++i) {
     const std::size_t backend_index = walk[i];
     if (backend_index == served_index) continue;
@@ -330,7 +335,8 @@ void Dispatcher::replicate(const service::Json& request,
       bump(landed ? &DispatcherStats::replicated
                   : &DispatcherStats::replication_failures);
     } catch (const std::exception&) {
-      backend.up.store(false);
+      // The connection is gone with `conn`. A slow replica is not a dead
+      // one, so `up` stays for forwards and the prober to decide.
       bump(&DispatcherStats::replication_failures);
     }
   }

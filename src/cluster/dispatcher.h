@@ -11,10 +11,13 @@
 // been tried does the dispatcher answer
 // {"status":"error","error":"no backend available"}.
 //
-// A backend is marked down on any transport failure (connect/send/recv
-// error or timeout) and skipped until the health prober's ping succeeds
-// again. Forwarded responses are returned verbatim — byte-identical to
-// asking the backend directly, which the bit-identity tests assert.
+// A backend is marked down when a forward meets a transport failure
+// (connect/send/recv error or timeout) and skipped until the health
+// prober's ping succeeds again. A replica install or stream command that
+// fails only books replication_failures: a replica too busy to answer in
+// time is not a dead one. Forwarded responses are returned verbatim —
+// byte-identical to asking the backend directly, which the bit-identity
+// tests assert.
 //
 // Replication (replication_factor = R > 1): a computed result is the
 // "write" of this system, so after a cacheable request (its op row says
@@ -30,7 +33,11 @@
 //
 // handle() plugs into ServerOptions::handler, so the dispatcher front-end
 // reuses ReplicationServer's bounded queue, backpressure, watchdog, and
-// clean-shutdown machinery unchanged. The front server intercepts the
+// clean-shutdown machinery unchanged. Forwards and replica round trips
+// wait inside a service::BlockingWait, outside the front's compute slots:
+// a front with few workers still forwards one request per waiting client
+// (up to its workers + max_queue threads), so the backends, not the
+// front, bound how much computes at once. The front server intercepts the
 // "shutdown" op itself; backends are shut down by their own operators
 // (see examples/replication_cluster.cpp).
 //

@@ -16,6 +16,7 @@
 #include <cstring>
 #include <stdexcept>
 #include <string_view>
+#include <system_error>
 #include <utility>
 
 namespace decompeval::service {
@@ -53,6 +54,10 @@ constexpr std::size_t kMaxLineBytes = 4u << 20;
 // How long the listeners rest after accept() ran out of fds or memory.
 constexpr int kAcceptPauseMs = 50;
 
+// The server whose worker this thread is, while no BlockingWait is open
+// on it; null on every other thread.
+thread_local ReplicationServer* t_worker_of = nullptr;
+
 // Binds and listens on a fresh non-blocking socket; -1 on failure.
 int listen_on(int family, const sockaddr* addr, socklen_t len) {
   const int fd =
@@ -75,6 +80,7 @@ int listen_on(int family, const sockaddr* addr, socklen_t len) {
 ReplicationServer::ReplicationServer(ServerOptions options)
     : options_(std::move(options)),
       core_(options_.service),
+      slots_(std::max<std::size_t>(options_.workers, 1)),
       net_faults_(options_.fault_plan) {}
 
 OverloadStats ReplicationServer::overload_stats() const {
@@ -136,10 +142,15 @@ void ReplicationServer::start() {
   wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
   if (wake_fd_ < 0) fail("eventfd() failed");
   stopping_.store(false);
-  workers_exit_ = false;
   running_.store(true);
-  for (std::size_t i = 0; i < std::max<std::size_t>(options_.workers, 1); ++i)
-    worker_threads_.emplace_back([this] { worker_loop(); });
+  {
+    const std::lock_guard<std::mutex> lock(queue_mutex_);
+    workers_exit_ = false;
+    for (std::size_t i = 0; i < slots_; ++i) {
+      worker_threads_.emplace_back([this] { worker_loop(); });
+      ++idle_;
+    }
+  }
   loop_thread_ = std::thread([this] { loop(); });
 }
 
@@ -379,21 +390,22 @@ void ReplicationServer::handle_line(Connection& conn, std::string_view line) {
       ++overload_stats_.overloaded_rejected;
       admitted = false;
     }
+    if (admitted) staff_locked();
   }
   if (!admitted) {
     respond(conn, overloaded_response("request queue is full"));
     return;
   }
   conn.job = std::move(job);
-  queue_cv_.notify_one();
 }
 
 Json ReplicationServer::server_stats() const {
   Json r = ok_response("server_stats");
-  set_count(r, "workers", worker_threads_.size());
+  set_count(r, "workers", slots_);
   set_count(r, "max_queue", options_.max_queue);
   set_count(r, "connections", connections_.size());
   const std::lock_guard<std::mutex> lock(queue_mutex_);
+  set_count(r, "threads", worker_threads_.size());
   set_count(r, "interactive_queued", interactive_queue_.size());
   set_count(r, "batch_queued", batch_queue_.size());
   set_count(r, "in_flight", in_flight_.size());
@@ -438,34 +450,75 @@ void ReplicationServer::flush(Connection& conn) {
   conn.out.erase(0, sent);
 }
 
+std::size_t ReplicationServer::startable_locked() const {
+  // Leaving waits take free slots before queued requests do.
+  const std::size_t busy = computing_ + resuming_;
+  return busy < slots_
+             ? std::min(interactive_queue_.size() + batch_queue_.size(),
+                        slots_ - busy)
+             : 0;
+}
+
+void ReplicationServer::staff_locked() {
+  const std::size_t startable = startable_locked();
+  if (startable == 0) return;
+  if (idle_ > 0) queue_cv_.notify_one();
+  if (idle_ >= startable ||
+      worker_threads_.size() >= slots_ + options_.max_queue)
+    return;
+  try {
+    worker_threads_.emplace_back([this] { worker_loop(); });
+    ++idle_;
+  } catch (const std::system_error&) {
+    // No thread to spare: the request waits for a worker to come free.
+  }
+}
+
+void ReplicationServer::enter_wait() {
+  const std::lock_guard<std::mutex> lock(queue_mutex_);
+  --computing_;
+  if (resuming_ > 0) slot_cv_.notify_one();
+  staff_locked();
+}
+
+void ReplicationServer::leave_wait() {
+  std::unique_lock<std::mutex> lock(queue_mutex_);
+  ++resuming_;
+  // Teardown lets a cancelled handler finish without waiting for a slot.
+  slot_cv_.wait(lock,
+                [this] { return workers_exit_ || computing_ < slots_; });
+  --resuming_;
+  ++computing_;
+}
+
 void ReplicationServer::worker_loop() {
+  t_worker_of = this;
+  std::unique_lock<std::mutex> lock(queue_mutex_);
   while (true) {
-    Job* job = nullptr;
-    {
-      std::unique_lock<std::mutex> lock(queue_mutex_);
-      queue_cv_.wait(lock, [this] {
-        return workers_exit_ || !interactive_queue_.empty() ||
-               !batch_queue_.empty();
-      });
-      if (workers_exit_) return;
-      // Interactive lane drains first: queued batch work only runs when
-      // no interactive request is waiting.
-      std::deque<Job*>& lane =
-          !interactive_queue_.empty() ? interactive_queue_ : batch_queue_;
-      job = lane.front();
-      lane.pop_front();
-      in_flight_.push_back(job);
-    }
+    queue_cv_.wait(lock,
+                   [this] { return workers_exit_ || startable_locked() > 0; });
+    --idle_;
+    if (workers_exit_) return;
+    // Interactive lane drains first: queued batch work only runs when
+    // no interactive request is waiting.
+    std::deque<Job*>& lane =
+        !interactive_queue_.empty() ? interactive_queue_ : batch_queue_;
+    Job* job = lane.front();
+    lane.pop_front();
+    in_flight_.push_back(job);
+    ++computing_;
+    lock.unlock();
     const Json response =
         options_.handler ? options_.handler(job->request, &job->cancel)
                          : core_.handle(job->request, &job->cancel);
     response.dump_to(job->reply);
     job->reply.push_back('\n');
-    {
-      const std::lock_guard<std::mutex> lock(queue_mutex_);
-      std::erase(in_flight_, job);
-      done_.push_back(job);
-    }
+    lock.lock();
+    std::erase(in_flight_, job);
+    done_.push_back(job);
+    --computing_;
+    ++idle_;
+    if (resuming_ > 0) slot_cv_.notify_one();
     wake();
   }
 }
@@ -476,23 +529,36 @@ void ReplicationServer::teardown() {
     if (fd >= 0) ::close(std::exchange(fd, -1));
   tcp_port_.store(-1);
   if (!options_.socket_path.empty()) ::unlink(options_.socket_path.c_str());
+  std::vector<std::thread> workers;
   {
     // Queued work is dropped and in-flight work cancelled, so stop() does
     // not wait out long fits; their clients see the connection close.
+    // With the queue empty no worker starts another.
     const std::lock_guard<std::mutex> lock(queue_mutex_);
     workers_exit_ = true;
     interactive_queue_.clear();
     batch_queue_.clear();
     for (Job* job : in_flight_)
       job->cancel.store(true, std::memory_order_relaxed);
+    workers.swap(worker_threads_);
   }
   queue_cv_.notify_all();
-  for (std::thread& t : worker_threads_) t.join();
-  worker_threads_.clear();
+  slot_cv_.notify_all();
+  for (std::thread& t : workers) t.join();
   done_.clear();
   for (const auto& conn : connections_)
     if (conn->fd >= 0) ::close(conn->fd);
   connections_.clear();
+}
+
+BlockingWait::BlockingWait() : server_(std::exchange(t_worker_of, nullptr)) {
+  if (server_ != nullptr) server_->enter_wait();
+}
+
+BlockingWait::~BlockingWait() {
+  if (server_ == nullptr) return;
+  server_->leave_wait();
+  t_worker_of = server_;
 }
 
 // ---------------------------------------------------------------------------

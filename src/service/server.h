@@ -7,7 +7,8 @@
 // request, in order, on the same connection. Malformed JSON gets a
 // "bad_request" response, never a dropped connection.
 //
-// Architecture: workers + 1 threads, however many clients connect.
+// Architecture: at most max(workers, 1) + max_queue + 1 threads, whatever
+// the client count.
 //   loop thread  — poll()s an eventfd, the listeners and every connection;
 //                  accepts, frames lines, answers "server_stats",
 //                  "shutdown" and fast-path hits itself, queues the rest,
@@ -29,11 +30,18 @@
 //                   overloaded answer, plus "shed":true) and takes its
 //                   slot, so sustained batch overload never starves the
 //                   interactive lane (backpressure, not buffering)
-//   workers      — max(options.workers, 1) threads popping the queue
-//                  (interactive lane first), running the handler
-//                  (ServiceCore::handle by default; the cluster dispatcher
-//                  plugs in a forwarding handler) and rendering the answer
-//                  line, handed back to the loop through the eventfd
+//   workers      — threads popping the queue (interactive lane first),
+//                  running the handler (ServiceCore::handle by default; the
+//                  cluster dispatcher plugs in a forwarding handler) and
+//                  rendering the answer line, handed back to the loop
+//                  through the eventfd. At most max(options.workers, 1) of
+//                  them compute at once; start() runs that many. A handler
+//                  that waits inside a BlockingWait (a forward's round
+//                  trip) gives up its compute slot, and the server starts
+//                  another worker, up to max(workers, 1) + max_queue, when
+//                  no idle one can take the next queued request. Leaving
+//                  the wait takes a slot back before any queued request
+//                  gets one
 //   watchdog     — on the loop's poll tick, flips the cancel flag of any
 //                  request in flight longer than watchdog_ms, which trips
 //                  the fitters' cooperative checkpoints and surfaces as a
@@ -53,9 +61,9 @@
 //
 // {"op":"shutdown"} answers {"status":"ok"} and then stops the server.
 // {"op":"server_stats"} answers on the loop thread with the admission
-// counters (OverloadStats), live queue depths, the worker count that
-// runs and the live connection count — readable even when the queue
-// itself is saturated.
+// counters (OverloadStats), live queue depths, the compute slots
+// ("workers"), the worker threads running ("threads") and the live
+// connection count — readable even when the queue itself is saturated.
 #pragma once
 
 #include <atomic>
@@ -88,6 +96,8 @@ struct ServerOptions {
   /// TCP bind address. Loopback by default: exposing the service beyond
   /// the machine is an explicit operator decision, never an accident.
   std::string tcp_host = "127.0.0.1";
+  /// Requests computing at once (at least 1). A handler waiting inside a
+  /// BlockingWait does not count against it.
   std::size_t workers = 2;
   /// Pending (unpopped) request cap, shared across both lanes.
   std::size_t max_queue = 8;
@@ -156,6 +166,7 @@ class ReplicationServer {
   OverloadStats overload_stats() const;
 
  private:
+  friend class BlockingWait;
   struct Job;
   /// Owned and touched by the loop thread only.
   struct Connection {
@@ -177,6 +188,16 @@ class ReplicationServer {
 
   void loop();
   void worker_loop();
+  /// Under queue_mutex_: queued requests that free compute slots let
+  /// start now (slots a resuming worker waits for are taken).
+  std::size_t startable_locked() const;
+  /// Under queue_mutex_: wakes an idle worker for a startable request,
+  /// and starts a worker when too few are idle.
+  void staff_locked();
+  /// BlockingWait's halves, on a worker thread: give the compute slot up,
+  /// then wait for one again.
+  void enter_wait();
+  void leave_wait();
   /// False when accept() ran out of fds or memory.
   bool accept_from(int listen_fd);
   void read_from(Connection& conn);
@@ -196,6 +217,7 @@ class ReplicationServer {
 
   ServerOptions options_;
   ServiceCore core_;
+  const std::size_t slots_;  ///< max(options_.workers, 1): compute slots
 
   std::atomic<bool> running_{false};
   std::atomic<bool> stopping_{false};  ///< set by stop() or "shutdown"
@@ -227,9 +249,32 @@ class ReplicationServer {
   /// Answered requests waiting for the loop to write them.
   std::vector<Job*> done_;
   bool workers_exit_ = false;
+  /// Worker threads by state; a thread inside a BlockingWait is in none.
+  std::size_t computing_ = 0;  ///< holding a compute slot
+  std::size_t idle_ = 0;       ///< waiting for a request (or starting)
+  std::size_t resuming_ = 0;   ///< leaving a BlockingWait, waiting for a slot
+  std::condition_variable slot_cv_;  ///< wakes resuming workers
+  std::vector<std::thread> worker_threads_;  ///< guarded by queue_mutex_
 
   std::thread loop_thread_;
-  std::vector<std::thread> worker_threads_;
+};
+
+/// Marks a blocking wait inside a handler: a forward's connect, send and
+/// wait for the reply line, say. On a ReplicationServer worker it gives
+/// the worker's compute slot up for its lifetime, so a queued request can
+/// compute meanwhile (on a worker the server starts if none is idle), and
+/// its destructor waits for a free slot again. On any other thread, or
+/// nested in another BlockingWait, it does nothing.
+class BlockingWait {
+ public:
+  BlockingWait();
+  ~BlockingWait();
+
+  BlockingWait(const BlockingWait&) = delete;
+  BlockingWait& operator=(const BlockingWait&) = delete;
+
+ private:
+  ReplicationServer* server_;  ///< null: a no-op
 };
 
 /// Minimal client for the line protocol: call() is the blocking round

@@ -14,11 +14,14 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <string>
 #include <string_view>
@@ -338,45 +341,73 @@ TEST(ClusterTest, ColdRestartServesBitIdenticalResultFromDisk) {
   std::filesystem::remove_all(dir);
 }
 
-// Spins up `n` backends (Unix sockets, each with its own disk cache dir)
-// plus a dispatcher front server, and hands everything back ready to use.
-struct TestCluster {
+// `n` backends served over Unix sockets at the default 2 workers, each
+// with its own disk cache dir, listed in `dispatch` for a dispatcher.
+// `wrap` may decorate each backend's handler, and `net_faults[i]` arms
+// backend i's net.* sites.
+struct BackendSet {
+  using Handler = std::function<Json(const Json&, const std::atomic<bool>*)>;
+
   std::vector<std::unique_ptr<ClusterBackend>> backends;
   std::vector<std::unique_ptr<service::ReplicationServer>> servers;
-  std::unique_ptr<Dispatcher> dispatcher;
-  std::unique_ptr<service::ReplicationServer> front;
   std::vector<std::string> cache_dirs;
-  std::string front_socket;
+  DispatcherOptions dispatch;
 
-  explicit TestCluster(const std::string& tag, std::size_t n,
-                       util::FaultPlan dispatcher_faults = {},
-                       std::size_t response_cache_capacity = 0,
-                       std::size_t replication_factor = 1) {
-    DispatcherOptions dispatch;
-    dispatch.fault_plan = std::move(dispatcher_faults);
-    dispatch.health_interval_ms = 20;
-    dispatch.response_cache_capacity = response_cache_capacity;
-    dispatch.replication_factor = replication_factor;
+  BackendSet(const std::string& tag, std::size_t n,
+             const std::function<Handler(Handler)>& wrap = {},
+             const std::vector<util::FaultPlan>& net_faults = {}) {
     for (std::size_t i = 0; i < n; ++i) {
       const std::string id = tag + "-backend-" + std::to_string(i);
       cache_dirs.push_back(fresh_cache_dir(id));
       ClusterBackendOptions backend_options;
       backend_options.cache = cache_options(cache_dirs.back());
       backends.push_back(std::make_unique<ClusterBackend>(backend_options));
-
       service::ServerOptions server_options;
       server_options.socket_path = unique_socket_path(id);
-      server_options.workers = 2;
-      server_options.handler = backends.back()->handler();
+      server_options.handler = wrap ? wrap(backends.back()->handler())
+                                    : backends.back()->handler();
+      if (i < net_faults.size()) server_options.fault_plan = net_faults[i];
       servers.push_back(
           std::make_unique<service::ReplicationServer>(server_options));
       servers.back()->start();
-
       cluster::BackendEndpoint endpoint;
       endpoint.id = id;
       endpoint.socket_path = server_options.socket_path;
       dispatch.backends.push_back(endpoint);
     }
+  }
+
+  ~BackendSet() {
+    for (auto& server : servers) server->stop();
+    for (const std::string& dir : cache_dirs) std::filesystem::remove_all(dir);
+  }
+
+  // The first seed from `from` whose run_study key the ring puts on
+  // backend `primary` first.
+  std::uint64_t seed_owned_by(const Dispatcher& dispatcher,
+                              std::size_t primary, std::uint64_t from) const {
+    for (std::uint64_t seed = from;; ++seed)
+      if (dispatcher.ring().primary(service::canonical_request_key(
+              study_request(seed))) == dispatch.backends[primary].id)
+        return seed;
+  }
+};
+
+// A BackendSet behind a dispatcher and a front server, ready to use.
+struct TestCluster : BackendSet {
+  std::unique_ptr<Dispatcher> dispatcher;
+  std::unique_ptr<service::ReplicationServer> front;
+  std::string front_socket;
+
+  explicit TestCluster(const std::string& tag, std::size_t n,
+                       util::FaultPlan dispatcher_faults = {},
+                       std::size_t response_cache_capacity = 0,
+                       std::size_t replication_factor = 1)
+      : BackendSet(tag, n) {
+    dispatch.fault_plan = std::move(dispatcher_faults);
+    dispatch.health_interval_ms = 20;
+    dispatch.response_cache_capacity = response_cache_capacity;
+    dispatch.replication_factor = replication_factor;
     dispatcher = std::make_unique<Dispatcher>(dispatch);
     dispatcher->start();
 
@@ -395,9 +426,6 @@ struct TestCluster {
   ~TestCluster() {
     if (front) front->stop();
     if (dispatcher) dispatcher->stop();
-    for (auto& server : servers) server->stop();
-    for (const std::string& dir : cache_dirs)
-      std::filesystem::remove_all(dir);
   }
 };
 
@@ -718,6 +746,102 @@ TEST(ClusterTest, ReplicatedWriteWarmsTheReplicaAndSurvivesPrimaryDeath) {
   const Json failover = client.call(request);
   EXPECT_EQ(failover.dump(), cold.dump());
   EXPECT_EQ(cluster.dispatcher->stats().exhausted, 0u);
+}
+
+TEST(ClusterTest, OneWorkerFrontForwardsConcurrentReadsInOverlappingTime) {
+  // Backend requests wait (up to 2 s each) until two have been inside at
+  // once, so forwards that overlap in time pass at once.
+  std::mutex mutex;
+  std::condition_variable cv;
+  int inside = 0, peak = 0;
+  const auto overlap = [&](BackendSet::Handler handle) -> BackendSet::Handler {
+    return [&, handle](const Json& request, const std::atomic<bool>* cancel) {
+      {
+        std::unique_lock<std::mutex> lock(mutex);
+        peak = std::max(peak, ++inside);
+        cv.notify_all();
+        cv.wait_for(lock, std::chrono::seconds(2), [&] { return peak >= 2; });
+      }
+      Json response = handle(request, cancel);
+      const std::lock_guard<std::mutex> lock(mutex);
+      --inside;
+      return response;
+    };
+  };
+  BackendSet set("overlap", 2, overlap);
+  Dispatcher dispatcher(set.dispatch);
+  dispatcher.start();
+  service::ServerOptions front_options;
+  front_options.socket_path = unique_socket_path("overlap-front");
+  front_options.workers = 1;
+  front_options.handler = dispatcher.handler();
+  service::ReplicationServer front(front_options);
+  front.start();
+
+  std::vector<std::string> statuses(4);
+  std::vector<std::thread> clients;
+  const auto t0 = std::chrono::steady_clock::now();
+  for (std::size_t i = 0; i < statuses.size(); ++i)
+    clients.emplace_back([&, i] {
+      service::ServiceClient client;
+      client.connect(front_options.socket_path);
+      statuses[i] = client.call(study_request(300 + i)).get_string("status", "");
+    });
+  for (std::thread& t : clients) t.join();
+  const double elapsed_s = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - t0)
+                               .count();
+  for (const std::string& status : statuses) EXPECT_EQ(status, "ok");
+  EXPECT_GE(peak, 2);
+  // One forward at a time, every request would wait out the 2 s.
+  EXPECT_LT(elapsed_s, 4.0);
+  service::ServiceClient probe;
+  probe.connect(front_options.socket_path);
+  const Json stats = probe.call(Json::parse(R"({"op":"server_stats"})"));
+  EXPECT_EQ(stats.get_number("workers", -1), 1.0);
+  EXPECT_GE(stats.get_number("threads", -1), 2.0);
+  front.stop();
+  dispatcher.stop();
+}
+
+TEST(ClusterTest, StalledInstallCountsAsAFailureAndLeavesTheReplicaUp) {
+  // Backend 1 never answers its second request, the install below.
+  util::FaultPlan stall_second;
+  stall_second.set("net.stall", util::FaultSpec::once(1));
+  BackendSet set("slowinstall", 2, {}, {util::FaultPlan{}, stall_second});
+  set.dispatch.replication_factor = 2;
+  set.dispatch.forward_timeout_ms = 300;
+  set.dispatch.health_interval_ms = 0;  // no prober to mask a down mark
+  Dispatcher dispatcher(set.dispatch);
+  const std::string replica = set.dispatch.backends[1].id;
+  const std::uint64_t on_primary = set.seed_owned_by(dispatcher, 0, 1);
+  const std::uint64_t on_replica = set.seed_owned_by(dispatcher, 1, 1);
+
+  // Warm each owner directly (backend 1's first answer), so the forwards
+  // below answer well inside the short timeout.
+  const auto warm = [&](std::size_t backend, std::uint64_t seed) {
+    service::ServiceClient direct;
+    direct.connect(set.servers[backend]->socket_path());
+    return direct.call(study_request(seed)).get_string("status", "");
+  };
+  ASSERT_EQ(warm(0, on_primary), "ok");
+  ASSERT_EQ(warm(1, on_replica), "ok");
+
+  const Json read = dispatcher.handle(study_request(on_primary), nullptr);
+  EXPECT_EQ(read.get_string("status", ""), "ok");
+  cluster::DispatcherStats stats = dispatcher.stats();
+  EXPECT_EQ(stats.replication_failures, 1u);
+  EXPECT_EQ(stats.replicated, 0u);
+  EXPECT_TRUE(dispatcher.backend_up(replica));
+
+  // The replica still serves what it owns, with nothing skipped.
+  const Json next = dispatcher.handle(study_request(on_replica), nullptr);
+  EXPECT_EQ(next.get_string("status", ""), "ok");
+  stats = dispatcher.stats();
+  EXPECT_EQ(stats.down_skips, 0u);
+  EXPECT_EQ(stats.failovers, 0u);
+  EXPECT_EQ(stats.replicated, 1u);
+  dispatcher.stop();
 }
 
 // --- disk cache: growth bound ---------------------------------------------

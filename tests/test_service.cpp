@@ -2,7 +2,10 @@
 // (statuses, retries, caching, deadlines), and the Unix-domain-socket
 // server round trip including watchdog cancellation, backpressure, and the
 // event loop's bounds: threads and fds that do not grow with clients, fd
-// exhaustion, the connection cap, pipelining, and hung-up clients.
+// exhaustion, the connection cap, pipelining, and hung-up clients. The
+// worker pool: waits inside a BlockingWait overlap on one compute slot,
+// handlers without it never outnumber the workers, the thread cap and
+// stop() with workers blocked in waits.
 #include <dirent.h>
 #include <fcntl.h>
 #include <sys/resource.h>
@@ -889,8 +892,186 @@ TEST(ReplicationServerTest, ServerStatsReportsRunningWorkersAndConnections) {
   }
   const Json stats = ask(*clients.front(), "server_stats");
   EXPECT_EQ(stats.get_number("workers", -1), 1.0);
+  EXPECT_EQ(stats.get_number("threads", -1), 1.0);
   EXPECT_EQ(stats.get_number("connections", -1), 3.0);
   server.stop();
+}
+
+// -- the worker pool and BlockingWait ----------------------------------------
+
+// Counts the handlers inside a section and keeps the highest count seen.
+struct Occupancy {
+  std::atomic<int> inside{0};
+  std::atomic<int> peak{0};
+
+  void enter() {
+    const int now = inside.fetch_add(1) + 1;
+    int seen = peak.load();
+    while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+    }
+  }
+  void leave() { inside.fetch_sub(1); }
+};
+
+// Sends a ping from a new thread and records its answer's status
+// ("closed" when the connection went away first).
+std::thread ping_in_thread(const std::string& socket_path,
+                           std::string& status) {
+  return std::thread([&socket_path, &status] {
+    try {
+      ServiceClient client;
+      client.connect(socket_path);
+      status = status_of(client.call(make_request("ping")));
+    } catch (const std::exception&) {
+      status = "closed";
+    }
+  });
+}
+
+std::vector<std::thread> ping_concurrently(const std::string& socket_path,
+                                           std::vector<std::string>& statuses) {
+  std::vector<std::thread> clients;
+  for (std::string& status : statuses)
+    clients.push_back(ping_in_thread(socket_path, status));
+  return clients;
+}
+
+TEST(ReplicationServerTest, WaitsInsideBlockingWaitOverlapOnOneWorker) {
+  Occupancy waiting;
+  ServerOptions options;
+  options.socket_path = unique_socket_path("bwait");
+  options.workers = 1;
+  options.handler = [&waiting](const Json& request, const std::atomic<bool>*) {
+    const service::BlockingWait wait;
+    waiting.enter();
+    std::this_thread::sleep_for(std::chrono::milliseconds(150));
+    waiting.leave();
+    return service::ok_response(request.get_string("op", ""));
+  };
+  ReplicationServer server(options);
+  server.start();
+  std::vector<std::string> statuses(4);
+  const auto t0 = std::chrono::steady_clock::now();
+  for (std::thread& t : ping_concurrently(server.socket_path(), statuses))
+    t.join();
+  const double elapsed_ms = std::chrono::duration<double, std::milli>(
+                                std::chrono::steady_clock::now() - t0)
+                                .count();
+  for (const std::string& status : statuses) EXPECT_EQ(status, "ok");
+  // One at a time the four waits take 600 ms.
+  EXPECT_LT(elapsed_ms, 450.0);
+  EXPECT_EQ(waiting.peak.load(), 4);
+  ServiceClient probe;
+  probe.connect(server.socket_path());
+  const Json stats = ask(probe, "server_stats");
+  EXPECT_EQ(stats.get_number("workers", -1), 1.0);
+  EXPECT_EQ(stats.get_number("threads", -1), 4.0);
+  server.stop();
+}
+
+TEST(ReplicationServerTest, HandlersWithoutTheMarkerNeverOutnumberWorkers) {
+  Occupancy computing;
+  ServerOptions options;
+  options.socket_path = unique_socket_path("spin");
+  options.workers = 2;
+  options.handler = [&computing](const Json& request,
+                                 const std::atomic<bool>*) {
+    computing.enter();
+    const auto until =
+        std::chrono::steady_clock::now() + std::chrono::milliseconds(30);
+    while (std::chrono::steady_clock::now() < until) {
+    }
+    computing.leave();
+    return service::ok_response(request.get_string("op", ""));
+  };
+  ReplicationServer server(options);
+  server.start();
+  std::vector<std::string> statuses(6);
+  for (std::thread& t : ping_concurrently(server.socket_path(), statuses))
+    t.join();
+  for (const std::string& status : statuses) EXPECT_EQ(status, "ok");
+  EXPECT_LE(computing.peak.load(), 2);
+  ServiceClient probe;
+  probe.connect(server.socket_path());
+  EXPECT_EQ(ask(probe, "server_stats").get_number("threads", -1), 2.0);
+  server.stop();
+}
+
+// A handler that waits inside a BlockingWait until `open` or its request
+// is cancelled.
+struct WaitGate {
+  Occupancy waiting;
+  std::atomic<bool> open{false};
+
+  std::function<Json(const Json&, const std::atomic<bool>*)> handler() {
+    return [this](const Json& request, const std::atomic<bool>* cancel) {
+      const service::BlockingWait wait;
+      waiting.enter();
+      while (!open.load() && !cancel->load())
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      waiting.leave();
+      return service::ok_response(request.get_string("op", ""));
+    };
+  }
+};
+
+TEST(ReplicationServerTest, WaitingWorkersStopAtWorkersPlusMaxQueueThreads) {
+  WaitGate gate;
+  ServerOptions options;
+  options.socket_path = unique_socket_path("wcap");
+  options.workers = 1;
+  options.max_queue = 2;
+  options.handler = gate.handler();
+  ReplicationServer server(options);
+  server.start();
+  ServiceClient probe;
+  probe.connect(server.socket_path());
+  const auto queued = [&] {
+    const Json s = ask(probe, "server_stats");
+    return s.get_number("interactive_queued", -1) +
+           s.get_number("batch_queued", -1);
+  };
+  // One at a time, so admission never sees a request a starting worker
+  // has yet to pop: three requests wait on three threads, two queue.
+  std::vector<std::string> statuses(5);
+  std::vector<std::thread> clients;
+  for (std::size_t i = 0; i < statuses.size(); ++i) {
+    clients.push_back(ping_in_thread(server.socket_path(), statuses[i]));
+    EXPECT_TRUE(wait_until([&] {
+      return i < 3 ? gate.waiting.inside.load() == static_cast<int>(i) + 1
+                   : queued() == static_cast<double>(i - 2);
+    })) << "request " << i;
+  }
+  EXPECT_EQ(ask(probe, "server_stats").get_number("threads", -1), 3.0);
+  EXPECT_EQ(gate.waiting.peak.load(), 3);
+  gate.open.store(true);
+  for (std::thread& t : clients) t.join();
+  for (const std::string& status : statuses) EXPECT_EQ(status, "ok");
+  EXPECT_EQ(ask(probe, "server_stats").get_number("threads", -1), 3.0);
+  server.stop();
+}
+
+TEST(ReplicationServerTest, StopJoinsEveryWorkerBlockedInAWait) {
+  std::thread([] {}).join();  // TSan's helper thread joins the baseline
+  const std::size_t threads_before = count_entries("/proc/self/task");
+  WaitGate gate;
+  ServerOptions options;
+  options.socket_path = unique_socket_path("wstop");
+  options.workers = 1;
+  options.handler = gate.handler();
+  ReplicationServer server(options);
+  server.start();
+  std::vector<std::string> statuses(3);
+  std::vector<std::thread> clients =
+      ping_concurrently(server.socket_path(), statuses);
+  EXPECT_TRUE(wait_until([&] { return gate.waiting.inside.load() == 3; }));
+  // The loop, three workers and three clients.
+  EXPECT_EQ(count_entries("/proc/self/task"), threads_before + 7);
+  server.stop();  // the test hanging here is the failure
+  EXPECT_EQ(gate.waiting.inside.load(), 0);
+  for (std::thread& t : clients) t.join();
+  for (const std::string& status : statuses) EXPECT_EQ(status, "closed");
+  EXPECT_EQ(count_entries("/proc/self/task"), threads_before);
 }
 
 TEST(ServiceCoreTest, ResultCacheIsLruBounded) {

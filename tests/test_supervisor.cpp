@@ -132,7 +132,8 @@ TEST(SupervisorTest, Kill9RestartsBackendAndRewarmsFromJournal) {
   supervisor.start();
   ASSERT_TRUE(supervisor.wait_until_serving("b0", 15000));
 
-  // Warm the shard: result lands in the disk cache, command in the journal.
+  // Warm the shard: the result lands in the disk cache (a cacheable
+  // request is not journaled).
   const std::string reference =
       call_backend(socket_path, study_request(5)).dump();
   const pid_t first_pid = supervisor.pid_of("b0");
@@ -146,8 +147,8 @@ TEST(SupervisorTest, Kill9RestartsBackendAndRewarmsFromJournal) {
   EXPECT_GE(stats.exits_observed, 1u);
   EXPECT_GE(stats.restarts, 1u);
 
-  // The restarted process answers the same request bit-identically — the
-  // disk cache survived the kill and the re-warm replayed the journal.
+  // The restarted process answers the same request bit-identically from
+  // the disk cache, which survived the kill.
   EXPECT_EQ(call_backend(socket_path, study_request(5)).dump(), reference);
 
   supervisor.stop();

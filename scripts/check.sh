@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Full verification in one invocation:
-#   1. regular build + the complete test suite, then the cluster
-#      benchmark's smoke run (clusterbench/smoke.py: every workload for
-#      2 s, untraced and traced, through the rig's dispatcher front),
+#   1. regular build, with every compiler warning an error, + the
+#      complete test suite, then the cluster benchmark's smoke run
+#      (clusterbench/smoke.py: every workload for 2 s, untraced and
+#      traced, through the rig's dispatcher front),
 #   2. ThreadSanitizer build + the tier-1 and chaos labeled tests,
 #   3. AddressSanitizer build + the tier-1 and chaos labeled tests,
 #   4. UndefinedBehaviorSanitizer build (recovery off) + tier-1 tests.
@@ -92,8 +93,8 @@ assert_no_orphaned_backends() {
 }
 
 if [[ "$RUN_REGULAR" == 1 ]]; then
-  echo "=== regular build + full test suite ==="
-  cmake -B build -S .
+  echo "=== regular build (warnings are errors) + full test suite ==="
+  cmake -B build -S . -DDECOMPEVAL_WARNINGS_AS_ERRORS=ON
   cmake --build build -j "$JOBS"
   ctest --test-dir build --output-on-failure -j "$JOBS" -LE soak
   assert_no_orphaned_backends "the regular test suite"

@@ -22,21 +22,21 @@ Json Json::number(double v) {
   return j;
 }
 
-Json Json::string(std::string_view v, std::pmr::memory_resource* mr) {
-  Json j(allocator_type(mr ? mr : std::pmr::get_default_resource()));
+Json Json::string(std::string_view v) {
+  Json j;
   j.type_ = Type::kString;
-  j.string_.assign(v.data(), v.size());
+  j.string_ = v;
   return j;
 }
 
-Json Json::array(std::pmr::memory_resource* mr) {
-  Json j(allocator_type(mr ? mr : std::pmr::get_default_resource()));
+Json Json::array() {
+  Json j;
   j.type_ = Type::kArray;
   return j;
 }
 
-Json Json::object(std::pmr::memory_resource* mr) {
-  Json j(allocator_type(mr ? mr : std::pmr::get_default_resource()));
+Json Json::object() {
+  Json j;
   j.type_ = Type::kObject;
   return j;
 }
@@ -51,12 +51,12 @@ double Json::as_number() const {
   return number_;
 }
 
-const Json::String& Json::as_string() const {
+const std::string& Json::as_string() const {
   if (type_ != Type::kString) throw JsonError("not a string");
   return string_;
 }
 
-const std::pmr::vector<Json>& Json::items() const {
+const std::vector<Json>& Json::items() const {
   if (type_ != Type::kArray) throw JsonError("not an array");
   return array_;
 }
@@ -68,8 +68,6 @@ void Json::set(std::string_view key, Json value) {
       v = std::move(value);
       return;
     }
-  // polymorphic_allocator's uses-allocator construction lands both the key
-  // string and the value on this object's resource.
   object_.emplace_back(key, std::move(value));
 }
 
@@ -80,7 +78,7 @@ const Json* Json::get(std::string_view key) const {
   return nullptr;
 }
 
-const std::pmr::vector<Json::Member>& Json::members() const {
+const std::vector<Json::Member>& Json::members() const {
   if (type_ != Type::kObject) throw JsonError("not an object");
   return object_;
 }
@@ -97,8 +95,7 @@ bool Json::get_bool(std::string_view key, bool fallback) const {
 
 std::string Json::get_string(std::string_view key, std::string fallback) const {
   const Json* v = get(key);
-  if (v && v->type_ == Type::kString)
-    return std::string(v->string_.data(), v->string_.size());
+  if (v && v->type_ == Type::kString) return v->string_;
   return fallback;
 }
 
@@ -191,8 +188,7 @@ namespace {
 
 class Parser {
  public:
-  Parser(std::string_view text, std::pmr::memory_resource* mr)
-      : text_(text), mr_(mr) {}
+  explicit Parser(std::string_view text) : text_(text) {}
 
   Json parse_document() {
     Json v = parse_value();
@@ -318,7 +314,7 @@ class Parser {
     const char c = peek();
     if (c == '{') {
       ++pos_;
-      Json obj = Json::object(mr_);
+      Json obj = Json::object();
       skip_ws();
       if (peek() == '}') {
         ++pos_;
@@ -345,7 +341,7 @@ class Parser {
     }
     if (c == '[') {
       ++pos_;
-      Json arr = Json::array(mr_);
+      Json arr = Json::array();
       skip_ws();
       if (peek() == ']') {
         ++pos_;
@@ -362,7 +358,7 @@ class Parser {
         return arr;
       }
     }
-    if (c == '"') return Json::string(parse_string_body(), mr_);
+    if (c == '"') return Json::string(parse_string_body());
     if (consume_literal("true")) return Json::boolean(true);
     if (consume_literal("false")) return Json::boolean(false);
     if (consume_literal("null")) return Json();
@@ -392,7 +388,6 @@ class Parser {
   }
 
   std::string_view text_;
-  std::pmr::memory_resource* mr_;
   std::size_t pos_ = 0;
   std::size_t depth_ = 0;
   std::string scratch_;  ///< escape-decoding buffer, reused per document
@@ -402,8 +397,8 @@ class Parser {
 
 }  // namespace
 
-Json Json::parse(std::string_view text, std::pmr::memory_resource* mr) {
-  return Parser(text, mr).parse_document();
+Json Json::parse(std::string_view text) {
+  return Parser(text).parse_document();
 }
 
 Json ok_response(std::string_view op) {
@@ -473,7 +468,7 @@ void canonical_request_key(const Json& request, std::string& out) {
   });
   for (std::size_t i = 0; i < n; ++i) {
     const auto& [key, value] = members[idx[i]];
-    out.append(key.data(), key.size());
+    out += key;
     out.push_back('=');
     value.dump_to(out);
     out.push_back(';');
@@ -490,8 +485,7 @@ Json strip_volatile_fields(const Json& request) {
   if (!request.is_object()) return request;
   Json out = Json::object();
   for (const auto& [key, value] : request.members())
-    if (!volatile_field(std::string_view(key.data(), key.size())))
-      out.set(std::string_view(key.data(), key.size()), value);
+    if (!volatile_field(key)) out.set(key, value);
   return out;
 }
 

@@ -6,26 +6,14 @@
 // Not a general-purpose JSON library: no comments, no \uXXXX surrogate
 // pairs beyond the BMP, numbers parse via strtod.
 //
-// Allocation model: Json is pmr-backed. By default every node and string
-// lives on the global heap exactly as before, but parse() and the
-// object()/array()/string() factories accept a std::pmr::memory_resource
-// (in practice a util::Arena), and then the entire tree — nodes, element
-// vectors, keys, string payloads — is bump-allocated on it. The service
-// hot path parses each request into its server loop's scratch arena and
-// resets it after each request line, so a warm request does nearly
-// zero heap traffic. pmr's non-propagating semantics keep that safe:
-//   Json copy  = deep copy onto the *destination's* resource (a bare
-//                `Json b = a;` lands on the heap, so caching a response
-//                automatically copies it off the scratch arena);
-//   Json move  = steals storage only within one resource; across
-//                resources it degrades to element-wise moves.
-// Rendering appends into a caller-owned buffer via dump_to(), so a
-// connection reuses one output string for its whole lifetime.
+// Allocation model: every node and string is an ordinary heap value, so a
+// copy is a deep copy and a move steals storage. Rendering appends into a
+// caller-owned buffer via dump_to(), so a connection reuses one output
+// string for its whole lifetime.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <memory_resource>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -45,46 +33,14 @@ class Json {
  public:
   enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
 
-  using allocator_type = std::pmr::polymorphic_allocator<std::byte>;
-  using String = std::pmr::string;
-  using Member = std::pair<String, Json>;
+  using Member = std::pair<std::string, Json>;
 
-  Json() noexcept = default;  ///< null, heap-backed
-  /// Allocator-extended constructors: pmr containers use these to
-  /// propagate an arena to nested values (uses-allocator construction).
-  explicit Json(allocator_type alloc) noexcept
-      : string_(alloc), array_(alloc), object_(alloc) {}
-  Json(const Json& other, allocator_type alloc)
-      : type_(other.type_),
-        bool_(other.bool_),
-        number_(other.number_),
-        string_(other.string_, alloc),
-        array_(other.array_, alloc),
-        object_(other.object_, alloc) {}
-  Json(Json&& other, allocator_type alloc)
-      : type_(other.type_),
-        bool_(other.bool_),
-        number_(other.number_),
-        string_(std::move(other.string_), alloc),
-        array_(std::move(other.array_), alloc),
-        object_(std::move(other.object_), alloc) {}
-
-  /// Plain copies deep-copy onto the default (heap) resource; plain moves
-  /// keep the source's resource. Assignment keeps the destination's
-  /// resource (pmr allocators do not propagate), so assigning an
-  /// arena-backed value into a heap-backed slot deep-copies it off the
-  /// arena — exactly what the result caches rely on.
-  Json(const Json&) = default;
-  Json(Json&&) noexcept = default;
-  Json& operator=(const Json&) = default;
-  Json& operator=(Json&&) = default;
-
+  Json() = default;  ///< null
   static Json boolean(bool v);
   static Json number(double v);
-  static Json string(std::string_view v,
-                     std::pmr::memory_resource* mr = nullptr);
-  static Json array(std::pmr::memory_resource* mr = nullptr);
-  static Json object(std::pmr::memory_resource* mr = nullptr);
+  static Json string(std::string_view v);
+  static Json array();
+  static Json object();
 
   Type type() const { return type_; }
   bool is_null() const { return type_ == Type::kNull; }
@@ -93,15 +49,15 @@ class Json {
   /// Typed accessors; throw JsonError on type mismatch.
   bool as_bool() const;
   double as_number() const;
-  const String& as_string() const;
-  const std::pmr::vector<Json>& items() const;  ///< array elements
+  const std::string& as_string() const;
+  const std::vector<Json>& items() const;  ///< array elements
 
   // -- object interface (insertion-ordered) ------------------------------
   /// Sets `key` (replacing in place if present, appending otherwise).
   void set(std::string_view key, Json value);
   /// Pointer to the value at `key`, or nullptr. Object-typed values only.
   const Json* get(std::string_view key) const;
-  const std::pmr::vector<Member>& members() const;
+  const std::vector<Member>& members() const;
 
   // -- object lookup helpers with defaults (missing key => fallback) -----
   double get_number(std::string_view key, double fallback) const;
@@ -119,18 +75,16 @@ class Json {
   void dump_to(std::string& out) const;
 
   /// Parses one JSON document; trailing whitespace allowed, trailing
-  /// garbage is an error. With `mr`, the whole tree is allocated on it
-  /// (nodes, keys, strings); nullptr means the global heap.
-  static Json parse(std::string_view text,
-                    std::pmr::memory_resource* mr = nullptr);
+  /// garbage is an error.
+  static Json parse(std::string_view text);
 
  private:
   Type type_ = Type::kNull;
   bool bool_ = false;
   double number_ = 0.0;
-  String string_;
-  std::pmr::vector<Json> array_;
-  std::pmr::vector<Member> object_;
+  std::string string_;
+  std::vector<Json> array_;
+  std::vector<Member> object_;
 };
 
 /// {"status": "ok"}, then {"op": op} when `op` is non-empty: the head of

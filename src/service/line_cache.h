@@ -3,10 +3,7 @@
 // An LRU from a request's canonical key (the key the disk cache digests)
 // to its rendered response line, no newline. Json::dump is deterministic,
 // so a cached line is byte-for-byte what the server would write, and a
-// hit is appended straight to a connection's write buffer. Lines live on
-// a permanent arena; once replaced and evicted lines strand more dead
-// bytes than the live ones hold, the survivors are copied to the rewound
-// arena in LRU order.
+// hit is appended straight to a connection's write buffer.
 //
 // Users: ServiceCore's result tier (read by the server's fast path and by
 // ClusterBackend in front of its disk) and the dispatcher's opt-in
@@ -17,10 +14,8 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
-#include <string_view>
 
 #include "service/json.h"
-#include "util/arena.h"
 #include "util/lru.h"
 
 namespace decompeval::service {
@@ -42,12 +37,9 @@ class RenderedLineCache {
   std::uint64_t evictions() const;
 
  private:
-  void maybe_compact();  ///< caller holds mutex_
-
   const std::size_t capacity_;
   mutable std::mutex mutex_;
-  util::Arena arena_;
-  util::LruCache<std::string, std::string_view> lines_;
+  util::LruCache<std::string, std::string> lines_;
 };
 
 }  // namespace decompeval::service

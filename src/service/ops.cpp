@@ -47,8 +47,7 @@ const OpSpec* find_op(const Json& request) {
   if (!request.is_object()) return nullptr;
   const Json* op = request.get("op");
   if (op == nullptr || op->type() != Json::Type::kString) return nullptr;
-  const Json::String& name = op->as_string();
-  return find_op(std::string_view(name.data(), name.size()));
+  return find_op(op->as_string());
 }
 
 bool cacheable_request(const Json& request) {
@@ -86,8 +85,7 @@ void routing_key(const Json& request, std::string& out) {
     const Json* stream = request.get("stream");
     if (stream != nullptr && stream->type() == Json::Type::kString) {
       out += "stream\x1f";
-      const std::string_view id = stream->as_string();
-      out.append(id.data(), id.size());
+      out += stream->as_string();
       return;
     }
   }

@@ -81,6 +81,7 @@ ReplicationServer::ReplicationServer(ServerOptions options)
     : options_(std::move(options)),
       core_(options_.service),
       slots_(std::max<std::size_t>(options_.workers, 1)),
+      max_threads_(slots_ + options_.max_queue),
       net_faults_(options_.fault_plan) {}
 
 OverloadStats ReplicationServer::overload_stats() const {
@@ -300,9 +301,6 @@ void ReplicationServer::serve(Connection& conn) {
     }
     if (newline > 0)
       handle_line(conn, std::string_view(conn.in.data(), newline));
-    // The parse tree is dead (the queued copy lives on the heap); rewind
-    // its memory before the next request.
-    arena_.reset();
     conn.in.erase(0, newline + 1);
   }
 }
@@ -318,9 +316,9 @@ void ReplicationServer::handle_line(Connection& conn, std::string_view line) {
       return;
     }
   }
-  Json request{Json::allocator_type(&arena_)};
+  Json request;
   try {
-    request = Json::parse(line, &arena_);
+    request = Json::parse(line);
   } catch (const JsonError& e) {
     respond(conn, failure_response("bad_request", e.what()));
     return;
@@ -353,17 +351,15 @@ void ReplicationServer::handle_line(Connection& conn, std::string_view line) {
     return;
   }
 
+  const RequestLane lane = classify_lane(request);
   auto job = std::make_unique<Job>();
-  // Deep copy onto the heap: pmr non-propagation makes plain assignment
-  // copy off the scratch arena.
-  job->request = request;
+  job->request = std::move(request);
   job->started = std::chrono::steady_clock::now();
   job->conn = &conn;
-  const RequestLane lane = classify_lane(request);
   bool admitted = true;
   {
     const std::lock_guard<std::mutex> lock(queue_mutex_);
-    if (interactive_queue_.size() + batch_queue_.size() < options_.max_queue) {
+    if (stuck_locked() < options_.max_queue) {
       if (lane == RequestLane::kBatch) {
         batch_queue_.push_back(job.get());
         ++overload_stats_.batch_enqueued;
@@ -459,13 +455,18 @@ std::size_t ReplicationServer::startable_locked() const {
              : 0;
 }
 
+std::size_t ReplicationServer::stuck_locked() const {
+  const std::size_t queued = interactive_queue_.size() + batch_queue_.size();
+  const std::size_t available =
+      idle_ + (max_threads_ - worker_threads_.size());
+  return queued - std::min(startable_locked(), available);
+}
+
 void ReplicationServer::staff_locked() {
   const std::size_t startable = startable_locked();
   if (startable == 0) return;
   if (idle_ > 0) queue_cv_.notify_one();
-  if (idle_ >= startable ||
-      worker_threads_.size() >= slots_ + options_.max_queue)
-    return;
+  if (idle_ >= startable || worker_threads_.size() >= max_threads_) return;
   try {
     worker_threads_.emplace_back([this] { worker_loop(); });
     ++idle_;

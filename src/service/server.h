@@ -22,9 +22,11 @@
 //                  ServiceCore::handle) is answered on the loop thread;
 //                  off while a service fault plan is armed
 //   request queue — bounded, two priority lanes (interactive / batch,
-//                   see classify_lane in ops.h). When the combined queue
-//                   is full an arriving batch request answers immediately
-//                   with {"status":"overloaded","retry_after_ms":N}; an
+//                   see classify_lane in ops.h). When max_queue requests
+//                   already wait that nothing can begin now (see
+//                   ServerOptions::max_queue), an arriving batch request
+//                   answers immediately with
+//                   {"status":"overloaded","retry_after_ms":N}; an
 //                   arriving interactive request instead sheds the
 //                   youngest queued *batch* entry (which gets the
 //                   overloaded answer, plus "shed":true) and takes its
@@ -79,7 +81,6 @@
 #include <vector>
 
 #include "service/service.h"
-#include "util/arena.h"
 #include "util/fault.h"
 
 namespace decompeval::service {
@@ -99,7 +100,11 @@ struct ServerOptions {
   /// Requests computing at once (at least 1). A handler waiting inside a
   /// BlockingWait does not count against it.
   std::size_t workers = 2;
-  /// Pending (unpopped) request cap, shared across both lanes.
+  /// Admission bound, shared across both lanes: a request is refused, or
+  /// sheds a queued batch entry, only when max_queue requests already
+  /// wait that no free compute slot and no available thread can begin
+  /// now. An available thread is an idle worker or one the server may
+  /// still start under the max(workers, 1) + max_queue thread cap.
   std::size_t max_queue = 8;
   std::uint64_t watchdog_ms = 0;  ///< 0 = watchdog disabled
   ServiceOptions service;
@@ -179,7 +184,7 @@ class ReplicationServer {
   /// Owned by its connection, which outlives it: the loop neither polls
   /// nor closes a connection until the worker hands its job back.
   struct Job {
-    Json request;  ///< heap copy: outlives the loop's scratch arena
+    Json request;  ///< parsed once by the loop, moved in
     std::atomic<bool> cancel{false};
     std::chrono::steady_clock::time_point started;
     Connection* conn = nullptr;
@@ -191,6 +196,9 @@ class ReplicationServer {
   /// Under queue_mutex_: queued requests that free compute slots let
   /// start now (slots a resuming worker waits for are taken).
   std::size_t startable_locked() const;
+  /// Under queue_mutex_: queued requests that no free compute slot and no
+  /// available thread can begin now; admission bounds this by max_queue.
+  std::size_t stuck_locked() const;
   /// Under queue_mutex_: wakes an idle worker for a startable request,
   /// and starts a worker when too few are idle.
   void staff_locked();
@@ -218,6 +226,7 @@ class ReplicationServer {
   ServerOptions options_;
   ServiceCore core_;
   const std::size_t slots_;  ///< max(options_.workers, 1): compute slots
+  const std::size_t max_threads_;  ///< slots_ + options_.max_queue
 
   std::atomic<bool> running_{false};
   std::atomic<bool> stopping_{false};  ///< set by stop() or "shutdown"
@@ -227,8 +236,6 @@ class ReplicationServer {
   // Loop-thread state.
   int listen_fds_[2] = {-1, -1};  ///< Unix-domain, TCP
   std::vector<std::unique_ptr<Connection>> connections_;
-  /// Each request's parse tree, rewound after every line.
-  util::Arena arena_;
   std::string line_;  ///< reusable render buffer for inline answers
   /// Transport-level fault injection (net.* sites). `partitioned_` is the
   /// sticky consequence of "net.partition": once set, every connection
@@ -238,7 +245,8 @@ class ReplicationServer {
 
   mutable std::mutex queue_mutex_;
   std::condition_variable queue_cv_;
-  /// Two priority lanes under one bound (options_.max_queue on the sum).
+  /// Two priority lanes under one bound (options_.max_queue on the
+  /// requests of both that nothing can begin now).
   /// Workers drain the interactive lane first; admission sheds the
   /// youngest batch entry when a full queue meets an interactive arrival.
   std::deque<Job*> interactive_queue_;

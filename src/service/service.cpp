@@ -17,9 +17,13 @@ namespace decompeval::service {
 
 namespace {
 
+/// LRU bound on the result tier, in rendered lines.
+constexpr std::size_t kResultCacheCapacity = 256;
 /// LRU bound on the trained-embedding cache. Models are large, so only a
 /// handful of (corpus, seed) configurations stay warm.
 constexpr std::size_t kEmbedCacheCapacity = 4;
+/// Total attempts (first try + retries) for transiently-faulted requests.
+constexpr int kMaxAttempts = 3;
 /// LRU bound on the annotation engine's per-function digest cache — the
 /// incremental lane of the "annotate" op.
 constexpr std::size_t kAnnotateCacheCapacity = 256;
@@ -76,7 +80,7 @@ Json bad_request(std::string_view message) {
 ServiceCore::ServiceCore(ServiceOptions options)
     : options_(std::move(options)),
       faults_(options_.fault_plan),
-      result_cache_(options_.result_cache_capacity),
+      result_cache_(kResultCacheCapacity),
       embed_cache_(kEmbedCacheCapacity),
       annotate_engine_(kAnnotateCacheCapacity) {}
 
@@ -140,7 +144,7 @@ Json ServiceCore::dispatch(const Json& request,
   const Json* opv = request.get("op");
   if (!opv || opv->type() != Json::Type::kString)
     return bad_request("missing string field 'op'");
-  const std::string op(opv->as_string());
+  const std::string& op = opv->as_string();
 
   // Per-request deadline with the watchdog cancel flag attached. The
   // admission check makes an already-expired request cost nothing — it
@@ -224,7 +228,7 @@ Json ServiceCore::dispatch(const Json& request,
       return op == "run_study" ? run_study_op(request, deadline)
                                : run_replication_op(request, deadline);
     } catch (const util::FaultError& e) {
-      if (attempt + 1 >= options_.max_attempts) {
+      if (attempt + 1 >= kMaxAttempts) {
         Json r = failure_response(
             "error", std::string("retry budget exhausted: ") + e.what());
         r.set("attempts", Json::number(attempt + 1));
@@ -323,7 +327,7 @@ Json ServiceCore::annotate_op(const Json& request,
   const Json* src = request.get("source");
   if (src == nullptr || src->type() != Json::Type::kString)
     return bad_request("annotate requires string field 'source'");
-  const std::string source(src->as_string());
+  const std::string& source = src->as_string();
 
   analysis_service::AnnotateOptions opts;
   opts.threads = static_cast<std::size_t>(request.get_number(
@@ -333,7 +337,7 @@ Json ServiceCore::annotate_op(const Json& request,
       typedefs != nullptr && typedefs->type() == Json::Type::kArray) {
     for (const Json& t : typedefs->items())
       if (t.type() == Json::Type::kString)
-        opts.parse_options.typedef_names.insert(std::string(t.as_string()));
+        opts.parse_options.typedef_names.insert(t.as_string());
   }
 
   deadline.check("annotate");

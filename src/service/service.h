@@ -16,7 +16,7 @@
 //   "bad_request"       malformed request (unknown op, wrong types)
 //
 // Fault tolerance: requests that trip the "service.request" site are
-// retried with exponential backoff up to max_attempts. "service.stall"
+// retried with exponential backoff, 3 attempts in all. "service.stall"
 // simulates a wedged worker — the handler spins at a cooperative
 // checkpoint until the deadline/watchdog fires. Both sites are driven by
 // the same deterministic FaultPlan as the rest of the pipeline.
@@ -31,10 +31,9 @@
 // (try_serve_cached_line) and ClusterBackend, in front of its disk cache,
 // read the same tier. Embedding models are cached separately per
 // (corpus_sentences, corpus_seed) so repeated metric requests skip
-// training. Both caches are LRU-bounded (ServiceOptions::
-// result_cache_capacity entries and 4 embedding models) so a long-lived
-// backend under a seed sweep cannot grow without limit; the
-// "cache_stats" op reports size/capacity/evictions.
+// training. Both caches are LRU-bounded (256 result lines and 4 embedding
+// models) so a long-lived backend under a seed sweep cannot grow without
+// limit; the "cache_stats" op reports size/capacity/evictions.
 #pragma once
 
 #include <atomic>
@@ -56,8 +55,6 @@ namespace decompeval::service {
 struct ServiceOptions {
   /// Fault schedules for the chaos suite; empty = faults disabled.
   util::FaultPlan fault_plan;
-  /// Total attempts (first try + retries) for transiently-faulted requests.
-  int max_attempts = 3;
   /// First backoff pause; doubles per retry. 0 disables sleeping (tests).
   double backoff_initial_ms = 2.0;
   /// Worker threads for pipeline stages when the request does not say.
@@ -66,8 +63,6 @@ struct ServiceOptions {
   /// before giving up and continuing (keeps fault runs bounded even
   /// without a deadline).
   std::uint64_t stall_max_ms = 250;
-  /// LRU bound on the result tier (entries; 0 disables caching).
-  std::size_t result_cache_capacity = 256;
 };
 
 /// Monotonic counters, readable via the "stats" op.

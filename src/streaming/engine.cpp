@@ -40,10 +40,8 @@ Json error_response(const std::string& op, const std::string& message) {
 // The absorb command with its target replaced by the absolute "upto".
 Json with_upto(const Json& absorb, double upto) {
   Json absolute = Json::object();
-  for (const auto& [key, value] : absorb.members()) {
-    const std::string_view k(key.data(), key.size());
-    if (k != "count" && k != "upto") absolute.set(k, value);
-  }
+  for (const auto& [key, value] : absorb.members())
+    if (key != "count" && key != "upto") absolute.set(key, value);
   absolute.set("upto", Json::number(upto));
   return absolute;
 }

@@ -51,24 +51,11 @@ class LruCache {
     }
   }
 
-  /// Visits every entry, most- to least-recently-used, without touching
-  /// recency. RenderedLineCache's arena compaction walks the cache to
-  /// re-intern surviving values.
-  template <typename Fn>
-  void for_each(Fn&& fn) const {
-    for (const auto& [key, value] : entries_) fn(key, value);
-  }
-
   std::size_t size() const { return entries_.size(); }
   std::size_t capacity() const { return capacity_; }
   /// Entries dropped by the size bound since construction (observability:
   /// the service exposes this through its cache_stats op).
   std::uint64_t evictions() const { return evictions_; }
-
-  void clear() {
-    entries_.clear();
-    index_.clear();
-  }
 
  private:
   std::size_t capacity_;

@@ -98,9 +98,11 @@ TEST(Cfg, BreakAndContinueKeepTheGraphConsistent) {
   EXPECT_EQ(cyclomatic_complexity(cfg), 4u);  // loop + two ifs
   EXPECT_TRUE(unreachable_code_blocks(cfg).empty());
   // Every reachable non-exit block has a successor (no dangling blocks).
-  for (std::size_t b = 0; b < cfg.blocks.size(); ++b)
-    if (cfg.reachable[b] && b != cfg.exit)
+  for (std::size_t b = 0; b < cfg.blocks.size(); ++b) {
+    if (cfg.reachable[b] && b != cfg.exit) {
       EXPECT_FALSE(cfg.blocks[b].succs.empty()) << "block " << b;
+    }
+  }
 }
 
 TEST(Cfg, CodeAfterReturnIsUnreachable) {

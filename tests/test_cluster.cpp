@@ -212,7 +212,7 @@ TEST(DiskCacheTest, CorruptedAndTruncatedFilesAreMissesWithWarnings) {
   const Json request = study_request(7);
   const std::string digest = cache.digest(request);
 
-  for (const std::string garbage :
+  for (const std::string& garbage :
        {std::string("not json at all"),
         std::string("{\"cache_version\":\"x\",\"resp"),  // truncated
         std::string("")}) {

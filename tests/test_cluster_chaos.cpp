@@ -176,8 +176,9 @@ TEST(ClusterChaos, DispatcherFaultSweepAlwaysAnswersStructured) {
         const std::string status = r.get_string("status", "");
         EXPECT_TRUE(structured_status(status))
             << label << " seed=" << seed << " gave '" << status << "'";
-        if (status == "error")
+        if (status == "error") {
           EXPECT_FALSE(r.get_string("error", "").empty()) << label;
+        }
       }
       // The dispatcher still answers control traffic after the sweep.
       Json stats_req = Json::object();

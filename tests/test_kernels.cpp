@@ -6,8 +6,7 @@
 // its retained reference implementation on randomized inputs and the
 // documented edge cases, demanding *bitwise* equality — the service-layer
 // caches and the disk cache both depend on responses being byte-identical
-// across kernel generations. Also covers the arena reuse-after-reset
-// contract and the canonical request key.
+// across kernel generations. Also covers the canonical request key.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -30,7 +29,6 @@
 #include "study/engine.h"
 #include "text/bleu.h"
 #include "text/similarity.h"
-#include "util/arena.h"
 #include "util/fault.h"
 #include "util/parallel.h"
 #include "util/rng.h"
@@ -701,46 +699,6 @@ TEST(MixedFitKernel, LmmMatchesReferenceBitwise) {
   warm.warm_start = mixed::warm_start_from(cold);
   expect_same_fit(mixed::fit_lmm(study, warm),
                   mixed::fit_lmm_reference(study, warm));
-}
-
-// -- Arena reuse -----------------------------------------------------------
-
-TEST(ArenaKernel, ReuseAfterResetDoesNotGrow) {
-  util::Arena arena;
-  std::size_t settled = 0;
-  for (int cycle = 0; cycle < 50; ++cycle) {
-    // ~96 KiB of varied allocations per cycle.
-    for (int i = 0; i < 96; ++i) {
-      const std::string_view interned =
-          arena.intern(std::string(1024, static_cast<char>('a' + i % 26)));
-      ASSERT_EQ(interned.size(), 1024u);
-      ASSERT_EQ(interned[0], static_cast<char>('a' + i % 26));
-    }
-    EXPECT_GE(arena.live_bytes(), 96u * 1024u);
-    arena.reset();
-    EXPECT_EQ(arena.live_bytes(), 0u);
-    if (cycle == 1) settled = arena.reserved_bytes();
-    if (cycle > 1) {
-      EXPECT_EQ(arena.reserved_bytes(), settled)
-          << "arena kept growing on cycle " << cycle;
-    }
-  }
-}
-
-TEST(ArenaKernel, JsonParseAfterResetIsStable) {
-  util::Arena arena;
-  const std::string doc =
-      R"({"op":"run_study","seed":7,"nested":{"a":[1,2,3],"s":"x\ny"}})";
-  std::string first_dump;
-  for (int cycle = 0; cycle < 20; ++cycle) {
-    const service::Json parsed = service::Json::parse(doc, &arena);
-    const std::string dump = parsed.dump();
-    if (cycle == 0)
-      first_dump = dump;
-    else
-      ASSERT_EQ(dump, first_dump) << "cycle " << cycle;
-    arena.reset();
-  }
 }
 
 // -- Canonical request key -------------------------------------------------

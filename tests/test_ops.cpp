@@ -51,8 +51,9 @@ TEST(OpTable, RowsAreUniqueAndFoundByName) {
     EXPECT_EQ(service::find_op(spec.name), &spec) << spec.name;
     EXPECT_EQ(service::find_op(op_request(spec.name)), &spec) << spec.name;
     // A stream write is a stream op: it must route to its stream's owner.
-    if (spec.stream_write)
+    if (spec.stream_write) {
       EXPECT_EQ(spec.routing, service::Routing::kStreamId) << spec.name;
+    }
     EXPECT_FALSE(spec.cacheable && spec.stream_write) << spec.name;
   }
   EXPECT_EQ(service::find_op(Json::number(1)), nullptr);
@@ -222,8 +223,9 @@ TEST(OpTable, RowsDecideJournalingCachingAndReplication) {
         const std::vector<Json> records = cluster.journaled(b, spec->name);
         ASSERT_FALSE(records.empty()) << "backend " << b;
         EXPECT_EQ(records.back().get("count"), nullptr);
-        if (spec->name == "stream_absorb")
+        if (spec->name == "stream_absorb") {
           EXPECT_EQ(records.back().get_number("upto", -1), 40.0);
+        }
         EXPECT_EQ(cluster.backends[b]->streaming().open_streams(), 1u);
         EXPECT_FALSE(cluster.on_disk(b, request));
       }

@@ -4,8 +4,9 @@
 // event loop's bounds: threads and fds that do not grow with clients, fd
 // exhaustion, the connection cap, pipelining, and hung-up clients. The
 // worker pool: waits inside a BlockingWait overlap on one compute slot,
-// handlers without it never outnumber the workers, the thread cap and
-// stop() with workers blocked in waits.
+// handlers without it never outnumber the workers, a burst that free
+// threads can start is admitted, the thread cap and stop() with workers
+// blocked in waits.
 #include <dirent.h>
 #include <fcntl.h>
 #include <sys/resource.h>
@@ -33,6 +34,7 @@
 
 #include "core/replication.h"
 #include "service/json.h"
+#include "service/line_cache.h"
 #include "service/server.h"
 #include "service/service.h"
 #include "util/fault.h"
@@ -215,7 +217,6 @@ TEST(ServiceCore, RetryBudgetExhaustionIsAStructuredError) {
   ServiceOptions options;
   options.fault_plan.set("service.request", util::FaultSpec::always());
   options.backoff_initial_ms = 0.0;
-  options.max_attempts = 3;
   ServiceCore core(options);
   const Json r = core.handle(make_request("run_study"));
   EXPECT_EQ(r.get_string("status", ""), "error");
@@ -1015,6 +1016,50 @@ struct WaitGate {
   }
 };
 
+// Connects one client per request and sends every request before any
+// answer is read, so the loop sees them all at once.
+std::vector<std::unique_ptr<ServiceClient>> send_pings(
+    const std::string& socket_path, std::size_t n) {
+  std::vector<std::unique_ptr<ServiceClient>> clients(n);
+  for (auto& client : clients) {
+    client = std::make_unique<ServiceClient>();
+    client->connect(socket_path);
+  }
+  for (auto& client : clients) client->send(make_request("ping"));
+  return clients;
+}
+
+std::string receive_status(ServiceClient& client) {
+  Json reply;
+  while (!client.try_receive(reply)) {
+  }
+  return status_of(reply);
+}
+
+TEST(ReplicationServerTest, BurstThatFreeThreadsCanStartIsAdmitted) {
+  // Regression: admission counted the requests a woken or just-started
+  // worker had yet to pop, so a burst was refused while threads were free.
+  WaitGate gate;
+  ServerOptions options;
+  options.socket_path = unique_socket_path("burst");
+  options.workers = 1;
+  options.max_queue = 2;
+  options.handler = gate.handler();
+  ReplicationServer server(options);
+  server.start();
+  auto clients = send_pings(server.socket_path(), 3);
+  // Three threads may run, so all three pings start waiting.
+  ASSERT_TRUE(wait_until([&] {
+    return gate.waiting.inside.load() +
+               static_cast<int>(server.overload_stats().overloaded_rejected) ==
+           3;
+  }));
+  EXPECT_EQ(server.overload_stats().overloaded_rejected, 0u);
+  gate.open.store(true);
+  for (auto& client : clients) EXPECT_EQ(receive_status(*client), "ok");
+  server.stop();
+}
+
 TEST(ReplicationServerTest, WaitingWorkersStopAtWorkersPlusMaxQueueThreads) {
   WaitGate gate;
   ServerOptions options;
@@ -1024,29 +1069,24 @@ TEST(ReplicationServerTest, WaitingWorkersStopAtWorkersPlusMaxQueueThreads) {
   options.handler = gate.handler();
   ReplicationServer server(options);
   server.start();
+  // Three requests wait on the three threads the cap allows.
+  auto waiting = send_pings(server.socket_path(), 3);
+  ASSERT_TRUE(wait_until([&] { return gate.waiting.inside.load() == 3; }));
+  // With no thread left to begin them, exactly max_queue more queue...
+  auto queued = send_pings(server.socket_path(), 2);
+  ASSERT_TRUE(wait_until(
+      [&] { return server.overload_stats().interactive_enqueued == 5; }));
+  // ...and the next is refused.
+  auto refused = send_pings(server.socket_path(), 1);
+  EXPECT_EQ(receive_status(*refused.front()), "overloaded");
+  EXPECT_EQ(server.overload_stats().overloaded_rejected, 1u);
   ServiceClient probe;
   probe.connect(server.socket_path());
-  const auto queued = [&] {
-    const Json s = ask(probe, "server_stats");
-    return s.get_number("interactive_queued", -1) +
-           s.get_number("batch_queued", -1);
-  };
-  // One at a time, so admission never sees a request a starting worker
-  // has yet to pop: three requests wait on three threads, two queue.
-  std::vector<std::string> statuses(5);
-  std::vector<std::thread> clients;
-  for (std::size_t i = 0; i < statuses.size(); ++i) {
-    clients.push_back(ping_in_thread(server.socket_path(), statuses[i]));
-    EXPECT_TRUE(wait_until([&] {
-      return i < 3 ? gate.waiting.inside.load() == static_cast<int>(i) + 1
-                   : queued() == static_cast<double>(i - 2);
-    })) << "request " << i;
-  }
   EXPECT_EQ(ask(probe, "server_stats").get_number("threads", -1), 3.0);
   EXPECT_EQ(gate.waiting.peak.load(), 3);
   gate.open.store(true);
-  for (std::thread& t : clients) t.join();
-  for (const std::string& status : statuses) EXPECT_EQ(status, "ok");
+  for (auto& client : waiting) EXPECT_EQ(receive_status(*client), "ok");
+  for (auto& client : queued) EXPECT_EQ(receive_status(*client), "ok");
   EXPECT_EQ(ask(probe, "server_stats").get_number("threads", -1), 3.0);
   server.stop();
 }
@@ -1075,42 +1115,51 @@ TEST(ReplicationServerTest, StopJoinsEveryWorkerBlockedInAWait) {
 }
 
 TEST(ServiceCoreTest, ResultCacheIsLruBounded) {
-  ServiceOptions options;
-  options.result_cache_capacity = 2;
-  ServiceCore core(options);
+  const auto request = [](double seed) {
+    Json r = make_request("run_study");
+    r.set("seed", Json::number(seed));
+    return r;
+  };
+  const auto response = [](const char* digest) {
+    Json r = service::ok_response("run_study");
+    r.set("digest", Json::string(digest));
+    return r;
+  };
+  service::RenderedLineCache cache(2);
+  cache.put(request(1), response("a"));
+  cache.put(request(2), response("b"));
+  // A hit appends the rendered line byte for byte and makes it the most
+  // recently used, so the next put evicts seed 2.
+  std::string out = "prefix:";
+  ASSERT_TRUE(cache.find(request(1), out));
+  EXPECT_EQ(out, "prefix:" + response("a").dump());
+  cache.put(request(3), response("c"));
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.evictions(), 1u);
+  out.clear();
+  EXPECT_FALSE(cache.find(request(2), out));
+  EXPECT_TRUE(out.empty());
+  // A put for a cached key replaces its line in place.
+  cache.put(request(1), response("a2"));
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.evictions(), 1u);
+  ASSERT_TRUE(cache.find(request(1), out));
+  ASSERT_TRUE(cache.find(request(3), out));
+  EXPECT_EQ(out, response("a2").dump() + response("c").dump());
 
-  // Three distinct seeds through a 2-entry cache: the oldest line (seed
-  // 1) is evicted, the newer two stay warm.
-  for (const double seed : {1.0, 2.0, 3.0}) {
-    Json req = make_request("run_study");
-    req.set("seed", Json::number(seed));
-    ASSERT_EQ(core.handle(req).get_string("status", ""), "ok");
-  }
-  Json stats = core.handle(make_request("cache_stats"));
-  ASSERT_EQ(stats.get_string("status", ""), "ok");
-  EXPECT_EQ(stats.get_number("result_cache_size", -1), 2.0);
-  EXPECT_EQ(stats.get_number("result_cache_capacity", -1), 2.0);
-  EXPECT_EQ(stats.get_number("result_cache_evictions", -1), 1.0);
+  // Capacity 0 disables the cache.
+  service::RenderedLineCache disabled(0);
+  disabled.put(request(1), response("a"));
+  EXPECT_EQ(disabled.size(), 0u);
+  EXPECT_FALSE(disabled.find(request(1), out));
 
-  // Seed 3 is still cached; seed 1 was evicted and recomputes.
-  Json warm = make_request("run_study");
-  warm.set("seed", Json::number(3));
-  core.handle(warm);
+  // The core's tier: a warm repeat is a hit, under the constant bound.
+  ServiceCore core;
+  ASSERT_EQ(core.handle(request(1)).get_string("status", ""), "ok");
+  core.handle(request(1));
   EXPECT_EQ(core.stats().cache_hits, 1u);
-  Json cold = make_request("run_study");
-  cold.set("seed", Json::number(1));
-  core.handle(cold);
-  EXPECT_EQ(core.stats().cache_hits, 1u);  // recomputed, not served
-
-  // Capacity 0 disables caching entirely.
-  ServiceOptions disabled;
-  disabled.result_cache_capacity = 0;
-  ServiceCore uncached(disabled);
-  Json req = make_request("run_study");
-  req.set("seed", Json::number(1));
-  uncached.handle(req);
-  uncached.handle(req);
-  EXPECT_EQ(uncached.stats().cache_hits, 0u);
+  const Json stats = core.handle(make_request("cache_stats"));
+  EXPECT_EQ(stats.get_number("result_cache_capacity", -1), 256.0);
 }
 
 }  // namespace

@@ -925,6 +925,71 @@ BatteryReading bench_metric_battery() {
   return reading;
 }
 
+// Concurrent callers: kCallers threads share one ServiceCore, as a
+// backend's workers do, and each runs kCallerRequests run_replication
+// requests with metrics on distinct seeds ("no_cache", so every request
+// computes). One reading per "threads" value; the answers must match
+// byte for byte across readings. A sampler thread polls the process's
+// "Threads:" count every 2 ms, so the peak counts the main thread, the
+// sampler, the callers and whatever helpers the pool has started.
+constexpr std::size_t kCallers = 4;
+constexpr std::size_t kCallerRequests = 6;
+
+struct CallersReading {
+  double rps = 0.0;
+  std::size_t peak_threads = 0;
+  std::vector<std::string> answers;  ///< in seed order
+};
+
+std::size_t process_threads() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line))
+    if (line.rfind("Threads:", 0) == 0) return std::stoul(line.substr(8));
+  return 0;
+}
+
+service::Json replication_request(std::uint64_t seed) {
+  service::Json req = service::Json::object();
+  req.set("op", service::Json::string("run_replication"));
+  req.set("seed", service::Json::number(static_cast<double>(seed)));
+  req.set("run_metrics", service::Json::boolean(true));
+  req.set("no_cache", service::Json::boolean(true));
+  return req;
+}
+
+CallersReading bench_concurrent_callers(service::ServiceCore& core,
+                                        std::size_t threads) {
+  CallersReading reading;
+  reading.answers.resize(kCallers * kCallerRequests);
+  std::atomic<bool> done{false};
+  std::thread sampler([&] {
+    while (!done.load()) {
+      reading.peak_threads =
+          std::max(reading.peak_threads, process_threads());
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+  });
+  const double ms = time_ms([&] {
+    std::vector<std::thread> callers;
+    for (std::size_t c = 0; c < kCallers; ++c)
+      callers.emplace_back([&, c] {
+        for (std::size_t k = 0; k < kCallerRequests; ++k) {
+          const std::size_t i = c * kCallerRequests + k;
+          service::Json req = replication_request(9000 + i);
+          req.set("threads",
+                  service::Json::number(static_cast<double>(threads)));
+          reading.answers[i] = core.handle(req).dump();
+        }
+      });
+    for (std::thread& t : callers) t.join();
+  });
+  done = true;
+  sampler.join();
+  reading.rps = static_cast<double>(kCallers * kCallerRequests) / (ms / 1e3);
+  return reading;
+}
+
 void BM_ThreadPoolBatchOverhead(benchmark::State& state) {
   util::ThreadPool pool(static_cast<std::size_t>(state.range(0)));
   std::atomic<std::size_t> sink{0};
@@ -1106,6 +1171,23 @@ int main(int argc, char** argv) {
             .push_back(bench_degraded(degraded_rig,
                                       degraded_scenarios()[s].kind, hedged));
 
+    // 6g. Concurrent callers: four threads each running run_replication
+    //     with metrics at "threads" 1 (serial requests) and 0 (every idle
+    //     helper). The embedding model is trained once, before timing.
+    service::ServiceCore callers_core;
+    callers_core.handle(replication_request(8999));
+    const std::vector<std::size_t> callers_ladder = {1, 0};
+    std::vector<CallersReading> callers_readings;
+    for (const std::size_t threads : callers_ladder)
+      callers_readings.push_back(
+          bench_concurrent_callers(callers_core, threads));
+    bool callers_identical = true;
+    for (const CallersReading& r : callers_readings)
+      callers_identical = callers_identical &&
+                          r.answers == callers_readings[0].answers &&
+                          r.answers[0].find("\"status\":\"ok\"") !=
+                              std::string::npos;
+
     // 7. Cold metric battery, rewritten kernels vs retained references.
     const BatteryReading battery = bench_metric_battery();
 
@@ -1252,6 +1334,17 @@ int main(int argc, char** argv) {
     }
     std::cout << "  ok answers bit-identical to the faults-off bytes:     "
               << (degraded_identical ? "yes" : "NO — BUG") << "\n";
+
+    std::cout << "\nConcurrent callers (" << kCallers << " threads x "
+              << kCallerRequests
+              << " run_replication with metrics, one ServiceCore):\n";
+    for (std::size_t i = 0; i < callers_ladder.size(); ++i)
+      std::cout << "  threads=" << callers_ladder[i]
+                << ":  " << format_fixed(callers_readings[i].rps, 2)
+                << " req/s  peak process threads="
+                << callers_readings[i].peak_threads << "\n";
+    std::cout << "  answers bit-identical across thread budgets:           "
+              << (callers_identical ? "yes" : "NO — BUG") << "\n";
 
     std::cout << "\nCold metric battery (kernels vs retained references):\n"
               << "  fast=" << format_fixed(battery.fast_ms, 1)
@@ -1422,6 +1515,15 @@ int main(int argc, char** argv) {
     }
     json << "},\n  \"degraded_peer_bit_identical\": "
          << (degraded_identical ? "true" : "false");
+    json << ",\n  \"concurrent_callers\": {\"callers\": " << kCallers
+         << ", \"requests\": " << kCallers * kCallerRequests;
+    for (std::size_t i = 0; i < callers_ladder.size(); ++i)
+      json << ", \"t" << callers_ladder[i] << "\": {\"rps\": "
+           << format_fixed(callers_readings[i].rps, 3)
+           << ", \"peak_threads\": " << callers_readings[i].peak_threads
+           << "}";
+    json << "},\n  \"concurrent_callers_bit_identical\": "
+         << (callers_identical ? "true" : "false");
     json << ",\n  \"annotate_bit_identical\": "
          << (annotate_identical ? "true" : "false")
          << ",\n  \"metric_battery_fast_ms\": "

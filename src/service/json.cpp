@@ -99,6 +99,22 @@ std::string Json::get_string(std::string_view key, std::string fallback) const {
   return fallback;
 }
 
+std::uint64_t Json::get_count(std::string_view key, std::uint64_t fallback,
+                              std::uint64_t max) const {
+  const Json* v = get(key);
+  if (v == nullptr) return fallback;
+  const double x = v->type_ == Type::kNumber ? v->number_ : -1.0;
+  // 2^64 is the first double past UINT64_MAX; every double below it
+  // converts exactly once it is integral.
+  if (!(x >= 0.0 && x < 18446744073709551616.0) || x != std::floor(x) ||
+      static_cast<std::uint64_t>(x) > max)
+    throw JsonError("field '" + std::string(key) + "' must be " +
+                    (max == UINT64_MAX
+                         ? std::string("a non-negative integer")
+                         : "an integer in [0, " + std::to_string(max) + "]"));
+  return static_cast<std::uint64_t>(x);
+}
+
 void Json::push_back(Json value) {
   if (type_ != Type::kArray) throw JsonError("not an array");
   array_.push_back(std::move(value));

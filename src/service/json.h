@@ -63,6 +63,13 @@ class Json {
   double get_number(std::string_view key, double fallback) const;
   bool get_bool(std::string_view key, bool fallback) const;
   std::string get_string(std::string_view key, std::string fallback) const;
+  /// A count field: a finite, integral number in [0, max], or `fallback`
+  /// when the field is missing. Throws JsonError (a "bad_request" answer
+  /// at every layer) for anything else — a non-number, a negative,
+  /// fractional or non-finite value, or one above `max` — so no caller
+  /// ever casts such a double to an integer.
+  std::uint64_t get_count(std::string_view key, std::uint64_t fallback,
+                          std::uint64_t max = UINT64_MAX) const;
 
   // -- array interface ---------------------------------------------------
   void push_back(Json value);

@@ -264,8 +264,7 @@ Json ServiceCore::run_study_op(const Json& request,
                                const util::Deadline& deadline) {
   study::StudyConfig config;
   config.seed = static_cast<std::uint64_t>(request.get_number("seed", 68));
-  config.threads = static_cast<std::size_t>(request.get_number(
-      "threads", static_cast<double>(options_.default_threads)));
+  config.threads = request.get_count("threads", 0);
   config.faults = &faults_;
   config.deadline = deadline;
 
@@ -291,8 +290,7 @@ Json ServiceCore::run_replication_op(const Json& request,
                                      const util::Deadline& deadline) {
   core::ReplicationConfig config;
   config.seed = static_cast<std::uint64_t>(request.get_number("seed", 68));
-  config.threads = static_cast<std::size_t>(request.get_number(
-      "threads", static_cast<double>(options_.default_threads)));
+  config.threads = request.get_count("threads", 0);
   config.run_models = request.get_bool("run_models", true);
   config.run_metrics = request.get_bool("run_metrics", false);
   config.embedding_corpus_sentences = static_cast<std::size_t>(
@@ -330,8 +328,7 @@ Json ServiceCore::annotate_op(const Json& request,
   const std::string& source = src->as_string();
 
   analysis_service::AnnotateOptions opts;
-  opts.threads = static_cast<std::size_t>(request.get_number(
-      "threads", static_cast<double>(options_.default_threads)));
+  opts.threads = request.get_count("threads", 0);
   opts.faults = &faults_;
   if (const Json* typedefs = request.get("typedefs");
       typedefs != nullptr && typedefs->type() == Json::Type::kArray) {

@@ -13,7 +13,15 @@
 //                       payload is attached
 //   "error"             the request was well-formed but failed (e.g. its
 //                       retry budget ran out); "error" has the message
-//   "bad_request"       malformed request (unknown op, wrong types)
+//   "bad_request"       malformed request (unknown op, wrong types, a
+//                       "threads" that is not a non-negative integer)
+//
+// Parallelism: "threads" is a budget over the process-wide compute
+// helpers (util/parallel.h), read as 0 — every idle helper — when the
+// request does not say, so one request's fits fill the cores the
+// backend's other requests leave idle. Answers are bit-identical at
+// every value, so "threads" is no part of a cache key, and an answer
+// served from a cache tier never reads it.
 //
 // Fault tolerance: requests that trip the "service.request" site are
 // retried with exponential backoff, 3 attempts in all. "service.stall"
@@ -57,8 +65,6 @@ struct ServiceOptions {
   util::FaultPlan fault_plan;
   /// First backoff pause; doubles per retry. 0 disables sleeping (tests).
   double backoff_initial_ms = 2.0;
-  /// Worker threads for pipeline stages when the request does not say.
-  std::size_t default_threads = 1;
   /// How long an injected "service.stall" spins waiting for the watchdog
   /// before giving up and continuing (keeps fault runs bounded even
   /// without a deadline).

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <set>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include "analysis/rq1_correctness.h"
@@ -53,6 +54,24 @@ struct StreamOptions {
   int fit_starts = 4;
 };
 
+/// Caps on the stream_open fields that size a stream's work: the whole
+/// cohort is built at open, and every refit runs `fit_starts` simplex
+/// fits per model.
+constexpr std::uint64_t kMaxPopulation = 100000;
+constexpr std::uint64_t kMaxFitStarts = 64;
+
+std::uint64_t positive_count(const Json& request, std::string_view key,
+                             std::uint64_t fallback, std::uint64_t max) {
+  const std::uint64_t value = request.get_count(key, fallback, max);
+  if (value == 0)
+    throw service::JsonError("field '" + std::string(key) +
+                             "' must be at least 1");
+  return value;
+}
+
+/// Throws service::JsonError — a "bad_request" — for a count field out of
+/// range and std::runtime_error — an "error" — for an unknown process, so
+/// the backend refuses an invalid open before it is journaled.
 StreamOptions parse_stream_options(const Json& request) {
   StreamOptions o;
   const std::string process = request.get_string("process", "poisson");
@@ -67,22 +86,17 @@ StreamOptions parse_stream_options(const Json& request) {
   o.workload.burst_on_mean_s = request.get_number("burst_on_s", 2.0);
   o.workload.burst_off_mean_s = request.get_number("burst_off_s", 6.0);
   o.workload.off_acceptance = request.get_number("off_acceptance", 0.05);
-  o.workload.population = static_cast<std::size_t>(
-      request.get_number("population", 64.0));
+  o.workload.population =
+      positive_count(request, "population", 64, kMaxPopulation);
   o.workload.opinion_probability =
       request.get_number("opinion_probability", 0.35);
-  o.workload.seed =
-      static_cast<std::uint64_t>(request.get_number("seed", 68.0));
-  o.window.max_events = static_cast<std::size_t>(
-      request.get_number("window_events", 4096.0));
-  o.window.max_age_us = static_cast<std::uint64_t>(
-      request.get_number("window_age_ms", 0.0) * 1000.0);
-  o.refit_every = static_cast<std::uint64_t>(
-      request.get_number("refit_every", 0.0));
-  o.fit_starts =
-      static_cast<int>(request.get_number("fit_starts", 4.0));
-  if (o.fit_starts < 1)
-    throw std::runtime_error("fit_starts must be at least 1");
+  o.workload.seed = request.get_count("seed", 68);
+  o.window.max_events = request.get_count("window_events", 4096);
+  o.window.max_age_us =
+      request.get_count("window_age_ms", 0, UINT64_MAX / 1000) * 1000;
+  o.refit_every = request.get_count("refit_every", 0);
+  o.fit_starts = static_cast<int>(
+      positive_count(request, "fit_starts", 4, kMaxFitStarts));
   return o;
 }
 
@@ -598,30 +612,48 @@ StreamSession* StreamEngine::find(const std::string& id) const {
 }
 
 bool StreamEngine::canonicalize(service::Json& request, service::Json* error) {
-  if (!request.is_object() ||
-      request.get_string("op", "") != "stream_absorb")
+  if (!request.is_object()) return true;
+  const std::string op = request.get_string("op", "");
+  try {
+    if (op == "stream_open") {
+      parse_stream_options(request);
+      return true;
+    }
+    if (op != "stream_absorb") return true;
+    // Refuse here what handle() would refuse, so it is never journaled.
+    request.get_count("threads", 0);
+    if (request.get("upto") != nullptr) {
+      request.get_count("upto", 0);
+      return true;
+    }
+    if (request.get("count") == nullptr) {
+      if (error != nullptr)
+        *error = bad_request(
+            "stream_absorb needs a non-negative 'upto' or 'count'");
+      return false;
+    }
+    const std::uint64_t count = request.get_count("count", 0);
+    StreamSession* session = find(request.get_string("stream", ""));
+    if (session == nullptr) {
+      if (error != nullptr)
+        *error = error_response("stream_absorb",
+                                "unknown stream '" +
+                                    request.get_string("stream", "") + "'");
+      return false;
+    }
+    // Rebuild without the relative field: the journaled command must be
+    // the absolute, idempotent form.
+    request = with_upto(request,
+                        static_cast<double>(session->emitted_target_base()) +
+                            static_cast<double>(count));
     return true;
-  if (request.get("upto") != nullptr) return true;
-  const double count = request.get_number("count", -1.0);
-  if (count < 0.0) {
-    if (error != nullptr)
-      *error = bad_request(
-          "stream_absorb needs a non-negative 'upto' or 'count'");
+  } catch (const service::JsonError& e) {
+    if (error != nullptr) *error = bad_request(e.what());
+    return false;
+  } catch (const std::exception& e) {
+    if (error != nullptr) *error = error_response(op, e.what());
     return false;
   }
-  StreamSession* session = find(request.get_string("stream", ""));
-  if (session == nullptr) {
-    if (error != nullptr)
-      *error = error_response("stream_absorb",
-                              "unknown stream '" +
-                                  request.get_string("stream", "") + "'");
-    return false;
-  }
-  // Rebuild without the relative field: the journaled command must be
-  // the absolute, idempotent form.
-  request = with_upto(
-      request, static_cast<double>(session->emitted_target_base()) + count);
-  return true;
 }
 
 service::Json StreamEngine::pinned_command(service::Json command,
@@ -642,16 +674,16 @@ service::Json StreamEngine::handle(const service::Json& request) {
     if (session == nullptr)
       return error_response(op, "unknown stream '" + id + "'");
     if (op == "stream_absorb") {
-      const double upto = request.get_number("upto", -1.0);
-      if (upto < 0.0)
+      if (request.get("upto") == nullptr)
         return bad_request("stream_absorb needs a non-negative 'upto'");
-      const auto threads =
-          static_cast<std::size_t>(request.get_number("threads", 0.0));
-      return session->absorb(static_cast<std::uint64_t>(upto), threads);
+      const std::uint64_t upto = request.get_count("upto", 0);
+      return session->absorb(upto, request.get_count("threads", 0));
     }
     if (op == "stream_stats") return session->stats();
     if (op == "stream_dashboard") return session->dashboard();
     return bad_request("unknown stream op '" + op + "'");
+  } catch (const service::JsonError& e) {
+    return bad_request(e.what());
   } catch (const std::exception& e) {
     return error_response(op, e.what());
   }

@@ -10,7 +10,11 @@
 //                      "rate_per_s", "population", "seed", burst knobs,
 //                      "opinion_probability"), window bounds
 //                      ("window_events", "window_age_ms"), refit cadence
-//                      ("refit_every", "fit_starts").
+//                      ("refit_every", "fit_starts"). Every count field is
+//                      a non-negative integer; "population" (at most
+//                      100,000) and "fit_starts" (at most 64) are also at
+//                      least 1. An open that breaks a rule is a
+//                      "bad_request", refused before it is journaled.
 //   "stream_absorb"    generate + absorb arrivals up to an absolute
 //                      target ("upto"; the relative "count" form is
 //                      canonicalized to "upto" before journaling, so the
@@ -95,9 +99,12 @@ class StreamEngine {
                         const std::vector<snippets::Snippet>* pool = nullptr);
   ~StreamEngine();
 
-  /// Rewrites a relative "count" absorb into the absolute, idempotent
-  /// "upto" form (the only form that may be journaled). Returns false —
-  /// filling *error — when the request names an unknown stream.
+  /// Checks a stream write before it may be journaled, and rewrites a
+  /// relative "count" absorb into the absolute, idempotent "upto" form
+  /// (the only form that may be journaled). Returns false — filling
+  /// *error — for an invalid open or absorb ("bad_request" for a count
+  /// field out of range, "error" for an unknown arrival process) and for
+  /// an absorb on an unknown stream ("error").
   bool canonicalize(service::Json& request, service::Json* error);
 
   /// The command form of a stream write a primary already answered, for

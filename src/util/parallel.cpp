@@ -1,8 +1,12 @@
 #include "util/parallel.h"
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
+#include <deque>
+#include <exception>
 #include <mutex>
+#include <system_error>
 #include <thread>
 
 namespace decompeval::util {
@@ -16,155 +20,164 @@ std::size_t resolve_thread_count(std::size_t threads) noexcept {
   return threads == 0 ? default_thread_count() : threads;
 }
 
-// Workers sleep between batches; parallel_for publishes one batch
-// (fn, n, a fresh generation number) under the mutex, wakes everyone,
-// joins the batch itself, and then waits until every worker has both
-// checked in for this generation (`arrived`) and checked out again
-// (`active_workers`). The positive acknowledgement is what makes the
-// handoff safe: a worker that is still asleep when the batch drains would
-// otherwise wake during the *next* publish and read fn/n concurrently
-// with the writer. Because no batch completes before all workers arrive,
-// a worker can never lag more than one generation behind, and every read
-// of the batch state happens under the mutex via the check-in snapshot.
-struct ThreadPool::Impl {
-  std::mutex mutex;
-  std::condition_variable work_ready;
-  std::condition_variable batch_done;
+namespace {
 
-  // Batch state, guarded by `mutex`. Workers snapshot fn/n at check-in;
-  // only `next_index` is claimed lock-free after that.
-  const std::function<void(std::size_t)>* fn = nullptr;
-  std::size_t n = 0;
-  std::uint64_t generation = 0;
-  std::size_t arrived = 0;  ///< workers checked in for `generation`
-  std::size_t active_workers = 0;
-  std::atomic<std::size_t> next_index{0};
-  // Lowest-index failure of the batch. Keying on the task index (not
-  // completion time) makes the rethrown exception deterministic: the same
-  // inputs rethrow the same error no matter how workers are scheduled.
-  std::exception_ptr first_error;
-  std::size_t first_error_index = 0;
-  bool shutting_down = false;
+// A participant's first failure. Each participant claims indices in
+// increasing order, so its first failure is its lowest; the batch keeps
+// the lowest of all participants'. Keying on the task index (not
+// completion time) makes the rethrown exception deterministic: the same
+// inputs rethrow the same error however the batch was scheduled.
+struct Failure {
+  std::exception_ptr error;
+  std::size_t index = 0;
 
-  std::vector<std::thread> workers;
-
-  void run_batch_slice(const std::function<void(std::size_t)>& task,
-                       std::size_t count) {
-    // Claim indices until the batch is exhausted. Keeps running after an
-    // error so the batch always drains (no orphaned indices).
-    for (;;) {
-      const std::size_t i = next_index.fetch_add(1, std::memory_order_relaxed);
-      if (i >= count) return;
-      try {
-        task(i);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(mutex);
-        if (!first_error || i < first_error_index) {
-          first_error = std::current_exception();
-          first_error_index = i;
-        }
-      }
-    }
+  void keep_lowest(const Failure& other) {
+    if (other.error && (!error || other.index < index)) *this = other;
   }
+};
 
-  void worker_loop() {
-    std::uint64_t seen_generation = 0;
+// One parallel_for call, on its caller's stack. `fn`, `n` and `next` are
+// shared lock-free with the helpers that join it; `seats`, `active` and
+// `failure` are guarded by Helpers::mutex_.
+struct Batch {
+  Batch(const std::function<void(std::size_t)>& task, std::size_t count,
+        std::size_t helper_seats)
+      : fn(task), n(count), seats(helper_seats) {}
+
+  const std::function<void(std::size_t)>& fn;
+  const std::size_t n;
+  std::atomic<std::size_t> next{0};
+  std::size_t seats;       ///< helpers that may still join
+  std::size_t active = 0;  ///< helpers that joined and have not left
+  std::condition_variable drained;  ///< signalled when `active` drops to 0
+  Failure failure;         ///< the helpers' lowest failure
+
+  bool exhausted() const { return next.load(std::memory_order_relaxed) >= n; }
+
+  // Claims indices until none is left. Keeps running past a throwing
+  // index so the batch always drains (no orphaned indices).
+  Failure run() {
+    Failure first;
     for (;;) {
-      const std::function<void(std::size_t)>* task = nullptr;
-      std::size_t count = 0;
-      {
-        std::unique_lock<std::mutex> lock(mutex);
-        work_ready.wait(lock, [&] {
-          return shutting_down || generation != seen_generation;
-        });
-        if (shutting_down) return;
-        seen_generation = generation;
-        task = fn;
-        count = n;
-        ++arrived;
-        ++active_workers;
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= n) return first;
+      try {
+        fn(i);
+      } catch (...) {
+        if (!first.error) first = {std::current_exception(), i};
       }
-      run_batch_slice(*task, count);
-      {
-        std::lock_guard<std::mutex> lock(mutex);
-        --active_workers;
-      }
-      batch_done.notify_one();
     }
   }
 };
 
-ThreadPool::ThreadPool(std::size_t threads)
-    : threads_(resolve_thread_count(threads)) {
-  if (threads_ <= 1) return;  // serial mode: no workers, no Impl
-  impl_ = new Impl;
-  impl_->workers.reserve(threads_ - 1);
-  for (std::size_t i = 0; i + 1 < threads_; ++i)
-    impl_->workers.emplace_back([this] { impl_->worker_loop(); });
-}
-
-ThreadPool::~ThreadPool() {
-  if (!impl_) return;
-  {
-    std::lock_guard<std::mutex> lock(impl_->mutex);
-    impl_->shutting_down = true;
+// The process-wide helpers. A helper sleeps until a batch is open, takes
+// a seat in the oldest open batch, runs that batch's indices until none
+// is left, and looks again. A caller publishes its batch, runs indices
+// itself, then closes the batch and waits only for the helpers that took
+// a seat to finish the indices they claimed. No one ever waits for a
+// helper to arrive, so a batch completes even when every helper is busy,
+// and a task that opens a batch of its own cannot deadlock: the helpers
+// it waits for are running indices of its batch, which is strictly
+// deeper in the task tree.
+class Helpers {
+ public:
+  static Helpers& instance() {
+    // Never destroyed: the helpers run until the process exits, so no
+    // static destructor can race a task still running on one.
+    static Helpers* const helpers = new Helpers(default_thread_count() - 1);
+    return *helpers;
   }
-  impl_->work_ready.notify_all();
-  for (auto& worker : impl_->workers) worker.join();
-  delete impl_;
-}
+
+  Failure run(Batch& batch) {
+    if (threads_.empty()) return batch.run();
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      open_.push_back(&batch);
+      for (std::size_t k = std::min(idle_, batch.seats); k > 0; --k)
+        wake_.notify_one();
+    }
+    Failure failure = batch.run();
+    std::unique_lock<std::mutex> lock(mutex_);
+    const auto it = std::find(open_.begin(), open_.end(), &batch);
+    if (it != open_.end()) open_.erase(it);
+    batch.drained.wait(lock, [&] { return batch.active == 0; });
+    failure.keep_lowest(batch.failure);
+    return failure;
+  }
+
+ private:
+  explicit Helpers(std::size_t count) {
+    threads_.reserve(count);
+    try {
+      while (threads_.size() < count)
+        threads_.emplace_back([this] { serve(); });
+    } catch (const std::system_error&) {
+      // Batches run on the helpers that did start.
+    }
+  }
+
+  void serve() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    for (;;) {
+      Batch* batch = take_seat();
+      if (batch == nullptr) {
+        ++idle_;
+        wake_.wait(lock);
+        --idle_;
+        continue;
+      }
+      lock.unlock();
+      const Failure failure = batch->run();
+      lock.lock();
+      batch->failure.keep_lowest(failure);
+      // Under the lock: the caller cannot see `active` reach 0, return and
+      // destroy the batch before this notify completes.
+      if (--batch->active == 0) batch->drained.notify_one();
+    }
+  }
+
+  // A seat in the oldest open batch that still has unclaimed indices, or
+  // null. A batch leaves the list when its last seat is taken or its
+  // indices run out. Caller holds mutex_.
+  Batch* take_seat() {
+    while (!open_.empty()) {
+      Batch* batch = open_.front();
+      if (batch->exhausted()) {
+        open_.pop_front();
+        continue;
+      }
+      if (--batch->seats == 0) open_.pop_front();
+      ++batch->active;
+      return batch;
+    }
+    return nullptr;
+  }
+
+  std::mutex mutex_;
+  std::condition_variable wake_;
+  std::deque<Batch*> open_;  ///< batches with free seats, oldest first
+  std::size_t idle_ = 0;     ///< helpers asleep on wake_
+  /// Last: the helpers use every member above. Never joined (instance()).
+  std::vector<std::thread> threads_;
+};
+
+}  // namespace
+
+ThreadPool::ThreadPool(std::size_t threads)
+    : threads_(resolve_thread_count(threads)) {}
 
 void ThreadPool::parallel_for(std::size_t n,
                               const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;
-  if (!impl_) {
-    // Serial fallback: identical call sequence, calling thread, index order.
-    // Mirrors the parallel error contract: the batch drains past a throwing
-    // index and the first failure (which in index order is the lowest) is
-    // rethrown after the last task.
-    std::exception_ptr error;
-    for (std::size_t i = 0; i < n; ++i) {
-      try {
-        fn(i);
-      } catch (...) {
-        if (!error) error = std::current_exception();
-      }
-    }
-    if (error) std::rethrow_exception(error);
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(impl_->mutex);
-    impl_->fn = &fn;
-    impl_->n = n;
-    impl_->next_index.store(0, std::memory_order_relaxed);
-    impl_->first_error = nullptr;
-    impl_->first_error_index = 0;
-    impl_->arrived = 0;
-    ++impl_->generation;
-  }
-  impl_->work_ready.notify_all();
-  impl_->run_batch_slice(fn, n);  // calling thread participates
-  std::exception_ptr error;
-  {
-    std::unique_lock<std::mutex> lock(impl_->mutex);
-    // Wait for every worker to acknowledge this generation, not just for
-    // the active count to hit zero: a worker that has not checked in yet
-    // must not be left behind to collide with the next batch's publish.
-    impl_->batch_done.wait(lock, [&] {
-      return impl_->arrived == impl_->workers.size() &&
-             impl_->active_workers == 0;
-    });
-    impl_->fn = nullptr;
-    error = impl_->first_error;
-  }
-  if (error) std::rethrow_exception(error);
+  Batch batch(fn, n, std::min(threads_, n) - 1);
+  const Failure failure =
+      batch.seats == 0 ? batch.run() : Helpers::instance().run(batch);
+  if (failure.error) std::rethrow_exception(failure.error);
 }
 
 void parallel_for(std::size_t threads, std::size_t n,
                   const std::function<void(std::size_t)>& fn) {
-  ThreadPool pool(threads);
-  pool.parallel_for(n, fn);
+  ThreadPool(threads).parallel_for(n, fn);
 }
 
 }  // namespace decompeval::util

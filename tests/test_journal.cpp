@@ -9,7 +9,8 @@
 // bit-identity (journaled stream writes replayed through fresh backends
 // at threads 1/2/4 rebuild byte-identical streams), and a backend's
 // replay: it skips records that are not stream writes and leaves a
-// stream write that arrives meanwhile journaled.
+// stream write that arrives meanwhile journaled. An invalid stream_open
+// is refused before it reaches the journal.
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -18,9 +19,11 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -387,6 +390,45 @@ TEST(JournalReplayIdentityTest, ReplayIsBitIdenticalAcrossThreadCounts) {
         want_dashboard)
         << "threads=" << threads;
   }
+  std::remove(path.c_str());
+}
+
+// An invalid stream_open is refused before it is journaled, so no replay
+// ever re-runs it. Each field that sizes a stream must be a non-negative
+// integer, and "population" and "fit_starts" at least 1 and under their
+// caps; a valid open after them is journaled as usual.
+TEST(JournalReplayTest, InvalidStreamOpenIsRefusedBeforeItIsJournaled) {
+  const std::string path = fresh_journal_path("invalid-open");
+  ClusterBackendOptions options;
+  options.journal.path = path;
+  ClusterBackend backend(options);
+  Json stats_request = Json::object();
+  stats_request.set("op", Json::string("journal_stats"));
+  const auto appends = [&] {
+    return backend.handle(stats_request, nullptr).get_number("appends", -1);
+  };
+  const double appends_before = appends();
+  ASSERT_GE(appends_before, 0.0);
+
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<std::pair<const char*, double>> invalid = {
+      {"population", 0},   {"fit_starts", 0},   {"window_events", 2.5},
+      {"population", 5e7}, {"fit_starts", 5e7}, {"refit_every", -1},
+      {"seed", inf},       {"window_age_ms", 0.5}};
+  for (const auto& [field, value] : invalid) {
+    SCOPED_TRACE(std::string(field) + "=" + std::to_string(value));
+    Json open = stream_op("stream_open", "s");
+    open.set(field, Json::number(value));
+    EXPECT_EQ(status_of(backend.handle(open, nullptr)), "bad_request");
+    EXPECT_EQ(appends(), appends_before);
+    EXPECT_EQ(backend.streaming().open_streams(), 0u);
+  }
+
+  Json open = stream_op("stream_open", "s");
+  open.set("population", Json::number(24));
+  open.set("fit_starts", Json::number(2));
+  EXPECT_EQ(status_of(backend.handle(open, nullptr)), "ok");
+  EXPECT_EQ(appends(), appends_before + 1);
   std::remove(path.c_str());
 }
 

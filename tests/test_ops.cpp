@@ -8,7 +8,8 @@
 // journaled; that stream-write rows are journaled in absolute form and
 // replicated as commands; and that every other row does none of these.
 // Names with no row are rejected as bad requests by the core, the backend
-// and the dispatcher, with no side effect anywhere.
+// and the dispatcher, with no side effect anywhere, and so is a "threads"
+// field that is not a non-negative integer.
 #include <unistd.h>
 
 #include <algorithm>
@@ -242,6 +243,60 @@ TEST(OpTable, RowsDecideJournalingCachingAndReplication) {
   EXPECT_EQ(cluster.backends[0]->streaming().view("s").absorbed, 40u);
   EXPECT_EQ(cluster.backends[1]->streaming().view("s").digest,
             cluster.backends[0]->streaming().view("s").digest);
+}
+
+// Every op that reads "threads" reads it as a count: a negative,
+// fractional, non-finite or non-number value is a bad request at the
+// core, the backend and the dispatcher, refused before anything is
+// computed, journaled, stored or installed. A missing one means every
+// idle helper, and any count is served.
+TEST(OpTable, BadThreadsAreBadRequestsEverywhere) {
+  OpCluster cluster("threads");
+  service::ServiceCore core;
+  ASSERT_EQ(cluster.dispatcher
+                ->handle(exercise_request(*service::find_op("stream_open")),
+                         nullptr)
+                .get_string("status", ""),
+            "ok");
+  const std::uint64_t installs_before = cluster.installs();
+  const std::size_t absorbs_before = cluster.journaled_total("stream_absorb");
+  for (const char* bad : {"-1", "2.5", "1e400", "-1e400", "\"4\""}) {
+    const Json value =
+        *Json::parse(std::string(R"({"v":)") + bad + "}").get("v");
+    for (const char* name :
+         {"run_study", "run_replication", "annotate", "stream_absorb"}) {
+      SCOPED_TRACE(std::string(name) + " threads=" + bad);
+      Json request = exercise_request(*service::find_op(name));
+      request.set("threads", value);
+      if (service::find_op(name)->cacheable) {
+        EXPECT_EQ(core.handle(request).get_string("status", ""),
+                  "bad_request");
+      }
+      for (auto& backend : cluster.backends)
+        EXPECT_EQ(backend->handle(request, nullptr).get_string("status", ""),
+                  "bad_request");
+      EXPECT_EQ(
+          cluster.dispatcher->handle(request, nullptr).get_string("status", ""),
+          "bad_request");
+      EXPECT_FALSE(cluster.on_disk(0, request));
+      EXPECT_FALSE(cluster.on_disk(1, request));
+    }
+  }
+  EXPECT_EQ(cluster.installs(), installs_before);
+  EXPECT_EQ(cluster.journaled_total("stream_absorb"), absorbs_before);
+  EXPECT_EQ(cluster.backends[0]->streaming().view("s").absorbed, 0u);
+  EXPECT_EQ(cluster.backends[1]->streaming().view("s").absorbed, 0u);
+
+  // A missing "threads" and any count are served ("no_cache": each one
+  // computes).
+  Json request = exercise_request(*service::find_op("run_study"));
+  request.set("no_cache", Json::boolean(true));
+  EXPECT_EQ(core.handle(request).get_string("status", ""), "ok");
+  for (const double threads : {0.0, 3.0, 64.0}) {
+    request.set("threads", Json::number(threads));
+    EXPECT_EQ(core.handle(request).get_string("status", ""), "ok")
+        << "threads=" << threads;
+  }
 }
 
 TEST(OpTable, UnknownNamesAreBadRequestsEverywhere) {

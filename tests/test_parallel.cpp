@@ -1,9 +1,16 @@
 // Thread-pool unit tests and the serial-vs-parallel determinism contract:
 // every parallelized pipeline stage must produce bit-identical results at
-// threads = 1 and threads = 4.
+// threads = 1 and threads = 4. The pool tests also cover the process-wide
+// helpers: many callers at once, nested batches, per-caller failures, a
+// tiny batch beside one that holds every helper, and the cores - 1 cap
+// on the threads any budget can start.
 #include <atomic>
+#include <chrono>
+#include <fstream>
+#include <future>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -166,6 +173,167 @@ TEST(ThreadPool, SerialFallbackRunsInIndexOrderOnCallingThread) {
   std::vector<std::size_t> expected(8);
   std::iota(expected.begin(), expected.end(), 0u);
   EXPECT_EQ(order, expected);
+}
+
+// --- The process-wide helpers ------------------------------------------
+
+// The process's thread count, from the "Threads:" line of
+// /proc/self/status.
+std::size_t process_threads() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line))
+    if (line.rfind("Threads:", 0) == 0) return std::stoul(line.substr(8));
+  return 0;
+}
+
+TEST(ThreadPool, ConcurrentCallersAndNestedBatchesRunEveryIndexOnce) {
+  // Eight callers share the helpers at once; every third batch's even
+  // tasks open a nested batch on the same pool. Every index of every
+  // batch, nested ones included, must run exactly once.
+  constexpr int kCallers = 8;
+  constexpr int kBatches = 200;
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&wrong, c] {
+      ThreadPool pool(c % 2 == 0 ? 0 : 3);
+      for (int b = 0; b < kBatches; ++b) {
+        const auto n = static_cast<std::size_t>(1 + (c * 31 + b * 17) % 40);
+        const auto inner =
+            static_cast<std::size_t>(b % 3 == 0 ? 1 + b % 5 : 0);
+        std::vector<std::atomic<int>> hits(n);
+        std::vector<std::atomic<int>> nested(n * inner);
+        for (auto& h : hits) h = 0;
+        for (auto& h : nested) h = 0;
+        pool.parallel_for(n, [&](std::size_t i) {
+          if (i >= n) {
+            ++wrong;
+            return;
+          }
+          ++hits[i];
+          if (inner > 0 && i % 2 == 0)
+            pool.parallel_for(inner, [&](std::size_t j) {
+              if (j >= inner) {
+                ++wrong;
+                return;
+              }
+              ++nested[i * inner + j];
+            });
+        });
+        for (std::size_t i = 0; i < n; ++i) {
+          if (hits[i].load() != 1) ++wrong;
+          for (std::size_t j = 0; j < inner; ++j)
+            if (nested[i * inner + j].load() != (i % 2 == 0 ? 1 : 0)) ++wrong;
+        }
+      }
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  EXPECT_EQ(wrong.load(), 0);
+}
+
+TEST(ThreadPool, ConcurrentFailingCallersEachGetTheirOwnLowestIndex) {
+  // Eight callers fail at the same time in batches that share the
+  // helpers; each must be rethrown its own lowest failing index, never
+  // another caller's.
+  constexpr int kCallers = 8;
+  std::atomic<int> ready{0};
+  std::vector<std::string> surfaced(kCallers * 25);
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      ++ready;
+      while (ready.load() < kCallers) std::this_thread::yield();
+      ThreadPool pool(0);
+      for (int round = 0; round < 25; ++round) {
+        const std::size_t low = 3 + static_cast<std::size_t>(c);
+        try {
+          pool.parallel_for(64, [&](std::size_t i) {
+            if (i == low || i == low + 7 || i == 50 || i == 63)
+              throw std::runtime_error("caller " + std::to_string(c) +
+                                       " task " + std::to_string(i));
+          });
+        } catch (const std::runtime_error& e) {
+          surfaced[static_cast<std::size_t>(c * 25 + round)] = e.what();
+        }
+      }
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  for (int c = 0; c < kCallers; ++c)
+    for (int round = 0; round < 25; ++round)
+      EXPECT_EQ(surfaced[static_cast<std::size_t>(c * 25 + round)],
+                "caller " + std::to_string(c) + " task " +
+                    std::to_string(3 + c))
+          << "round " << round;
+}
+
+TEST(ThreadPool, TinyBatchFinishesWhileALongBatchHoldsEveryHelper) {
+  // A long batch whose tasks block until released holds its caller and
+  // every helper. A tiny batch from another caller must not wait for a
+  // helper: it runs all its indices on its own thread and returns.
+  const std::size_t cores = util::default_thread_count();
+  std::atomic<std::size_t> inside{0};
+  std::atomic<bool> release{false};
+  std::thread long_caller([&] {
+    ThreadPool(cores).parallel_for(2 * cores, [&](std::size_t) {
+      ++inside;
+      while (!release.load())
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    });
+  });
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (inside.load() < cores && std::chrono::steady_clock::now() < give_up)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_EQ(inside.load(), cores) << "the long batch never held every helper";
+
+  std::atomic<int> off_caller{0};
+  std::atomic<int> ran{0};
+  auto tiny = std::async(std::launch::async, [&] {
+    const auto caller = std::this_thread::get_id();
+    ThreadPool(4).parallel_for(3, [&](std::size_t) {
+      if (std::this_thread::get_id() != caller) ++off_caller;
+      ++ran;
+    });
+  });
+  const bool finished =
+      tiny.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  const bool long_batch_still_held = !release.load();
+  release = true;
+  long_caller.join();
+  tiny.get();
+  EXPECT_TRUE(finished) << "the tiny batch waited for the long batch";
+  EXPECT_TRUE(long_batch_still_held);
+  EXPECT_EQ(ran.load(), 3);
+  EXPECT_EQ(off_caller.load(), 0);
+}
+
+TEST(ThreadPool, NoBudgetStartsMoreThanCoresMinusOneHelpers) {
+  // A budget far above the core count, with nested batches on it, must
+  // leave the process at most cores - 1 threads above where it started:
+  // batches share the process-wide helpers and never start a thread.
+  std::thread([] {}).join();  // TSan's helper thread joins the baseline
+  const std::size_t before = process_threads();
+  ASSERT_GT(before, 0u);
+  const std::size_t cores = util::default_thread_count();
+  ThreadPool pool(8 * cores);
+  std::atomic<std::size_t> peak{0};
+  const auto sample = [&] {
+    const std::size_t now = process_threads();
+    std::size_t seen = peak.load();
+    while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+    }
+  };
+  pool.parallel_for(16 * cores, [&](std::size_t) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    sample();
+    pool.parallel_for(8, [&](std::size_t) { sample(); });
+  });
+  sample();
+  EXPECT_LE(peak.load(), before + cores - 1);
+  EXPECT_LE(process_threads(), before + cores - 1);
 }
 
 TEST(RngSplit, IsPureAndDoesNotAdvanceParent) {

@@ -1114,19 +1114,18 @@ int main(int argc, char** argv) {
           bench_cluster(n, /*replication_factor=*/1, /*forward_passes=*/200));
 
     // 6b. Replication ladder: the same 3-backend cluster at R=1 vs R=2.
-    //     R=2 pays a synchronous, hedge-free cache_install on the second
-    //     ring replica for every computed (cold) and forwarded (warm)
-    //     "ok" response — this measures exactly that overhead, which is
-    //     the price of surviving a kill -9 with zero lost requests. Its
-    //     warm-forwarded column times 20 passes, as 5 chunks of 48 with
-    //     the median chunk rate reported: every R=2 warm forward still
-    //     pays a cache_install round trip to the replica, which keeps the
-    //     entry it already holds (ROADMAP's replicate-once item).
+    //     R=2 replicates stream writes only, and this sweep sends none, so
+    //     the two readings should agree: a cacheable read is answered and
+    //     stored by its primary alone at either R, and a read whose
+    //     primary dies is recomputed bit-identically by the next ring
+    //     backend (R=1 survives a kill -9 the same way). Both
+    //     warm-forwarded columns time the 2,400 forwards of the ladder
+    //     above.
     const std::vector<std::size_t> replication_ladder = {1, 2};
     std::vector<ClusterReading> replication_readings;
     for (const std::size_t r : replication_ladder)
       replication_readings.push_back(
-          bench_cluster(3, r, /*forward_passes=*/20));
+          bench_cluster(3, r, /*forward_passes=*/200));
 
     // 6c. Annotate small-request ladder: cold documents vs incremental
     //     edits of a baseline-routed session anchor, per-request

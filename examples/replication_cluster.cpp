@@ -7,11 +7,12 @@
 // its own Unix socket — and watches them: any child that dies is
 // restarted with backoff and re-warmed from its journal. A
 // consistent-hashing dispatcher with replication_factor=2 fronts the
-// shards on TCP: every computed result is installed on its ring replica,
-// so killing a primary mid-demo loses nothing.
+// shards on TCP: every stream write is applied on its ring replica too,
+// and a read whose primary is gone walks on to the next backend, which
+// recomputes the same bytes, so killing a primary mid-demo loses nothing.
 //
 // Demo traffic: a cold seed sweep, kill -9 of one backend, the same
-// sweep again (replicas + supervisor make it whole), cluster/cache
+// sweep again (ring failover + supervisor make it whole), cluster/cache
 // introspection, and a cache_gc pass. Ctrl-C at any point is safe:
 // install_signal_cleanup() guarantees no orphaned backend survives an
 // abnormal dispatcher exit.
@@ -105,8 +106,9 @@ int main(int argc, char** argv) {
   // --- replicated dispatcher front-end on TCP ----------------------------
   dispatch.replication_factor = 2;
   // Hedged reads: a primary still quiet after 10ms gets a second attempt
-  // on its ring replica, and the first answer wins. A request carrying "deadline_ms" reaches each
-  // backend with the budget it has left, and is refused once it is spent.
+  // on the next ring node, and the first answer wins. A request carrying
+  // "deadline_ms" reaches each backend with the budget it has left, and
+  // is refused once it is spent.
   dispatch.hedge_delay_ms = 10.0;
   cluster::Dispatcher dispatcher(dispatch);
   dispatcher.start();

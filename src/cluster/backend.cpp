@@ -1,7 +1,5 @@
 #include "cluster/backend.h"
 
-#include <unistd.h>
-
 #include <unordered_set>
 #include <vector>
 
@@ -87,41 +85,15 @@ JournalReplayReport ClusterBackend::replay_journal(
   return report;
 }
 
-service::Json ClusterBackend::cache_install_op(const service::Json& request) {
-  const service::Json* installed = request.get("request");
-  const service::Json* response = request.get("response");
-  if (installed == nullptr || !installed->is_object())
-    return bad_request("cache_install needs an object field 'request'");
-  if (response == nullptr || !response->is_object())
-    return bad_request("cache_install needs an object field 'response'");
-  if (response->get_string("status", "") != "ok")
-    return bad_request("cache_install only accepts status \"ok\" responses");
-  const service::OpSpec* spec = service::find_op(*installed);
-  if (spec == nullptr || !spec->cacheable)
-    return bad_request("cache_install only accepts cacheable ops");
-  // Every warm read at R >= 2 re-installs its result. An entry already on
-  // disk is kept: its bytes are the same, so rewriting it would only cost
-  // a file write and a rename over the old file.
-  const std::string digest = cache_.digest(*installed);
-  const bool on_disk =
-      cache_.enabled() && ::access(cache_.path_for(digest).c_str(), F_OK) == 0;
-  const bool stored =
-      on_disk || cache_.store(digest, *response,
-                              service::canonical_request_key(*installed));
-  // Warm the memory tier too: the replica can then answer a failover read
-  // on the server's loop thread.
-  if (stored && memory_tier_) core_.result_cache().put(*installed, *response);
-  service::Json r = service::ok_response("cache_install");
-  r.set("stored", service::Json::boolean(stored));
-  return r;
-}
-
 service::Json ClusterBackend::cache_gc_op(const service::Json& request) {
   CacheGcOptions bounds;
-  bounds.max_bytes =
-      static_cast<std::uint64_t>(request.get_number("max_bytes", 0.0));
-  bounds.max_age_ms =
-      static_cast<std::uint64_t>(request.get_number("max_age_ms", 0.0));
+  try {
+    bounds.max_bytes = request.get_count("max_bytes", 0);
+    // The age pass compares against a signed millisecond difference.
+    bounds.max_age_ms = request.get_count("max_age_ms", 0, INT64_MAX);
+  } catch (const service::JsonError& e) {
+    return bad_request(e.what());
+  }
   const CacheGcReport report = cache_.gc(bounds);
   service::Json r = service::ok_response("cache_gc");
   set_count(r, "files_scanned", report.files_scanned);
@@ -204,7 +176,6 @@ service::Json ClusterBackend::handle(const service::Json& request,
       r.set("disk_warnings", service::string_array(cache_.warnings()));
       return r;
     }
-    if (op == "cache_install") return cache_install_op(request);
     if (op == "cache_gc") return cache_gc_op(request);
     if (op == "journal_stats") return journal_stats_op();
     if (op == "journal_replay") return journal_replay_op(cancel);

@@ -4,38 +4,36 @@
 // handle() is a drop-in ReplicationServer handler. Cacheable ops (see
 // service/ops.h) read two tiers: the core's rendered result tier — the
 // process's only in-memory copy of a result — then the disk cache. Disk
-// hits and replica installs warm the memory tier, fast_path() serves it
-// on the server's loop thread, and clean "ok" responses are stored on disk
-// after computation. A hit replays the exact bytes handle() produced, so
-// it is bit-identical to recomputing (the cold-restart identity test).
-// Degraded responses are never stored. While a service or cache fault
-// injector is armed, this layer neither reads nor warms the memory tier,
-// so chaos runs keep their exact per-site hit sequences; the core still
-// consults it after its own fault sites.
+// hits warm the memory tier, fast_path() serves it on the server's loop
+// thread, and clean "ok" responses are stored on disk after computation;
+// nothing else writes into either tier. A hit replays the exact bytes
+// handle() produced, so it is bit-identical to recomputing (the
+// cold-restart identity test). Degraded responses are never stored.
+// While a service or cache fault injector is armed, this layer neither
+// reads nor warms the memory tier, so chaos runs keep their exact
+// per-site hit sequences; the core still consults it after its own fault
+// sites.
 //
 // Durability: the journal is the durable record of stream state only. A
-// cacheable request is never journaled: its answer is a pure function of
-// the request, so a read lost with a crashed backend fails over and is
-// recomputed bit-identically. Stream writes are journaled in absolute
-// (idempotent) form before they run, and replay_journal() (the
-// "journal_replay" op a supervisor re-warms with) hands them straight to
-// the stream engine, deduplicated by canonical key, so only the replay's
-// own writes skip the journal. Records of other ops are skipped
-// unexecuted, so none can crash-loop a restart. A journal append failure
-// degrades durability, never availability: the write still applies and
-// the failure surfaces as a structured warning in "journal_stats", as
-// does a damaged tail cut off when the journal opens.
+// cacheable request is never journaled or replicated: its answer is a
+// pure function of the request, so a read lost with a crashed backend
+// fails over to the next backend on the ring walk, which recomputes it
+// bit-identically. Stream writes are journaled in absolute (idempotent)
+// form before they run, and replay_journal() (the "journal_replay" op a
+// supervisor re-warms with) hands them straight to the stream engine,
+// deduplicated by canonical key, so only the replay's own writes skip
+// the journal. Records of other ops are skipped unexecuted, so none can
+// crash-loop a restart. A journal append failure degrades durability,
+// never availability: the write still applies and the failure surfaces
+// as a structured warning in "journal_stats", as does a damaged tail cut
+// off when the journal opens.
 //
 // Cluster ops beyond ServiceCore's:
 //   "cache_stats"     core stats + disk_* fields (incl. byte totals);
 //                     "disk_memory_hits" counts answers the memory tier
 //                     gave in front of the disk
-//   "cache_install"   store a replicated {request, response} pair (the
-//                     dispatcher's write fan-out; never journaled — the
-//                     disk write IS the durability). An entry already on
-//                     disk is kept: a repeat install only warms the
-//                     memory tier
-//   "cache_gc"        run the janitor (params "max_bytes", "max_age_ms")
+//   "cache_gc"        run the janitor (params "max_bytes", "max_age_ms":
+//                     non-negative integers, else "bad_request")
 //   "journal_stats"   journal counters + structured warnings
 //   "journal_replay"  rebuild the streams from the journal (returns
 //                     replay counts)
@@ -123,7 +121,6 @@ class ClusterBackend {
   std::vector<std::string> journal_warnings() const;
 
  private:
-  service::Json cache_install_op(const service::Json& request);
   service::Json cache_gc_op(const service::Json& request);
   service::Json journal_stats_op();
   service::Json journal_replay_op(const std::atomic<bool>* cancel);

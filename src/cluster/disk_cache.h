@@ -4,9 +4,8 @@
 // request's members sorted by name with the volatile fields removed
 // ("threads" — results are bit-identical at every thread count;
 // "no_cache"; "deadline_ms"; "baseline" — an annotate edit baseline only
-// steers routing; "lane" — an admission-lane override only steers
-// queueing). The dispatcher routes and every in-memory tier keys on the
-// same function, so they all agree on what one logical request is.
+// steers routing). The dispatcher routes and every in-memory tier keys on
+// the same function, so they all agree on what one logical request is.
 // The digest is FNV-1a over that key plus the binary version string, so
 // a new binary version can never serve a stale file: the old entry's
 // digest simply no longer matches and the old file is left untouched.

@@ -19,7 +19,7 @@ namespace {
 
 /// Idle pooled connections kept per backend.
 constexpr std::size_t kPoolCapacity = 2;
-/// Connect tries (10 ms apart) before a forward or install gives up.
+/// Connect tries (10 ms apart) before a forward or replica write gives up.
 constexpr int kConnectAttempts = 10;
 
 /// A fresh connection to `endpoint`. The timeout is set before connect so
@@ -284,29 +284,17 @@ void Dispatcher::replicate(const service::Json& request,
   if (options_.replication_factor < 2) return;
   const service::OpSpec* spec = service::find_op(request);
   const std::string status = response.get_string("status", "");
-  const bool install = status == "ok" && service::cacheable_request(request);
-  service::Json outbound;
-  if (install) {
-    // The durable command form (volatile fields stripped) ships with the
-    // result: replicas journal nothing for installs — the disk write IS
-    // the durability — but need the canonical key for the cache envelope.
-    outbound = service::Json::object();
-    outbound.set("op", service::Json::string("cache_install"));
-    outbound.set("request", service::strip_volatile_fields(request));
-    outbound.set("response", response);
-  } else if (spec != nullptr && spec->stream_write &&
-             (status == "ok" || status == "degraded")) {
-    // Forward the *command*, in the absolute form the primary's answer
-    // fixes, so each replica's StreamEngine re-executes it against its
-    // own session.
-    outbound = streaming::StreamEngine::pinned_command(
-        service::strip_volatile_fields(request), response);
-  } else {
+  if (spec == nullptr || !spec->stream_write ||
+      (status != "ok" && status != "degraded"))
     return;
-  }
+  // Forward the *command*, in the absolute form the primary's answer
+  // fixes, so each replica's StreamEngine re-executes it against its own
+  // session.
+  const service::Json outbound = streaming::StreamEngine::pinned_command(
+      service::strip_volatile_fields(request), response);
   // The walk is replicas_for(key, R) extended with the failover tail, so
   // the write set is its first R entries. Synchronous and hedge-free: one
-  // run leaves a deterministic set of warm replicas. The round trips wait
+  // run leaves a deterministic set of replicas. The round trips wait
   // outside the front's compute slots, as a forward does.
   const std::size_t r = std::min(options_.replication_factor, walk.size());
   const service::BlockingWait wait;
@@ -316,8 +304,7 @@ void Dispatcher::replicate(const service::Json& request,
     BackendState& backend = *backends_[backend_index];
     if (!backend.up.load()) {
       // Down replicas are not an error: the serving backend's journal
-      // (and disk cache) still covers the write, and the restarted
-      // replica re-warms from there.
+      // still covers the write.
       bump(&DispatcherStats::replication_failures);
       continue;
     }
@@ -325,15 +312,12 @@ void Dispatcher::replicate(const service::Json& request,
       auto conn = acquire(backend);
       const service::Json reply = conn->call(outbound);
       release(backend, std::move(conn));
-      // An install lands once the replica stored it. A stream command
       // "degraded" is still an applied write: the replica absorbed what
       // its fault plan let through and stays on the shared seq schedule.
       const std::string applied = reply.get_string("status", "");
-      const bool landed =
-          install ? applied == "ok" && reply.get_bool("stored", false)
-                  : applied == "ok" || applied == "degraded";
-      bump(landed ? &DispatcherStats::replicated
-                  : &DispatcherStats::replication_failures);
+      bump(applied == "ok" || applied == "degraded"
+               ? &DispatcherStats::replicated
+               : &DispatcherStats::replication_failures);
     } catch (const std::exception&) {
       // The connection is gone with `conn`. A slow replica is not a dead
       // one, so `up` stays for forwards and the prober to decide.

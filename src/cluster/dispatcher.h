@@ -13,23 +13,25 @@
 //
 // A backend is marked down when a forward meets a transport failure
 // (connect/send/recv error or timeout) and skipped until the health
-// prober's ping succeeds again. A replica install or stream command that
-// fails only books replication_failures: a replica too busy to answer in
-// time is not a dead one. Forwarded responses are returned verbatim —
+// prober's ping succeeds again. A replicated stream command that fails
+// only books replication_failures: a replica too busy to answer in time
+// is not a dead one. Forwarded responses are returned verbatim —
 // byte-identical to asking the backend directly, which the bit-identity
 // tests assert.
 //
-// Replication (replication_factor = R > 1): a computed result is the
-// "write" of this system, so after a cacheable request (its op row says
-// so, see service/ops.h) answers "ok" the dispatcher installs
-// {stripped request, response} on the remaining live members of
-// HashRing::replicas_for(key, R) via the "cache_install" op —
-// synchronously and hedge-free, so one run leaves a deterministic set of
-// warm replicas. Stream-write ops replicate as commands instead (see
-// replicate()). Reads keep the full ring walk: the first live walk
-// candidate serves (deterministic preference order), and because the
-// walk is a prefix-stable extension of the replica set, killing the
-// primary lands the retry exactly on the replica that holds the result.
+// Replication (replication_factor = R > 1) applies stream writes only:
+// after a stream-write op (its op row says so, see service/ops.h) is
+// applied, the dispatcher sends the command to the remaining live members
+// of HashRing::replicas_for(key, R) — synchronously and hedge-free, so one
+// run leaves a deterministic set of replicas (see replicate()). A
+// cacheable answer is never copied: it is a pure function of its request,
+// so the backend that answers a read computes and stores it, and a read
+// whose primary is down walks on along the ring, where the next backend
+// recomputes it bit-identically. Reads keep the full ring walk: the first
+// live walk candidate serves (deterministic preference order), and
+// because the walk is a prefix-stable extension of the replica set,
+// killing a stream's owner lands its next op on the replica that applied
+// its writes.
 //
 // handle() plugs into ServerOptions::handler, so the dispatcher front-end
 // reuses ReplicationServer's bounded queue, backpressure, watchdog, and
@@ -52,11 +54,13 @@
 //   hedged reads (opt-in, hedge_delay_ms > 0) — every forward is one
 //     attempt on the calling thread: send, then poll() until the reply
 //     line or the deadline. When a cacheable read's primary is still
-//     quiet after the hedge delay, the next live ring replica is sent the
+//     quiet after the hedge delay, the next live ring node is sent the
 //     same line, and the poll() waits on both; the first complete line
 //     wins and the loser's connection is closed unpooled, booking
-//     nothing. A dispatcher fault plan forces hedging off, keeping chaos
-//     hit sequences exact.
+//     nothing. No backend holds a copy of another's results, so a hedge
+//     target that has not answered the key before computes it. A
+//     dispatcher fault plan forces hedging off, keeping chaos hit
+//     sequences exact.
 //
 // Fault sites (serial-counter, from DispatcherOptions::fault_plan):
 //   "cluster.backend"  the candidate is treated as down (health-skip path)
@@ -96,8 +100,9 @@ struct DispatcherOptions {
   double forward_timeout_ms = 30000.0;
   /// Down-backend reprobe cadence; 0 disables the prober thread.
   std::uint64_t health_interval_ms = 100;
-  /// Ring replicas each cacheable "ok" result is installed on (first R
-  /// nodes of the ring walk). 1 = no replication.
+  /// Ring nodes each stream write is applied on (the first R nodes of
+  /// the stream's ring walk). 1 = no replication. Cacheable results are
+  /// never replicated: each is stored by the backend that computes it.
   std::size_t replication_factor = 1;
   /// Schedules for the "cluster.forward" / "cluster.backend" sites.
   util::FaultPlan fault_plan;
@@ -126,8 +131,8 @@ struct DispatcherStats {
   std::uint64_t down_skips = 0;
   std::uint64_t exhausted = 0;         ///< no backend could answer
   std::uint64_t response_cache_hits = 0;  ///< answered without forwarding
-  std::uint64_t replicated = 0;            ///< successful replica installs
-  std::uint64_t replication_failures = 0;  ///< installs refused or lost
+  std::uint64_t replicated = 0;  ///< stream writes a replica applied
+  std::uint64_t replication_failures = 0;  ///< replica writes refused or lost
   std::uint64_t deadline_refusals = 0;  ///< deadline budget already spent
   std::uint64_t hedges = 0;      ///< secondary hedge attempts launched
   std::uint64_t hedge_wins = 0;  ///< hedges that answered before the primary
@@ -218,12 +223,11 @@ class Dispatcher {
   Attempt attempt(const service::Json& request,
                   const std::vector<std::size_t>& walk, std::size_t at,
                   bool may_hedge, service::Json& response);
-  /// Fans a served answer out to the remaining first-R ring replicas, as
-  /// the request's op row says: a cacheable "ok" result as a
-  /// "cache_install", a stream write as the *command* — the primary's
-  /// answer fixes the absolute absorb target, and each replica re-executes
-  /// the write against its own session (bit-identical by the streaming
-  /// determinism contract). Anything else is not replicated.
+  /// Fans an applied stream write out to the remaining first-R ring
+  /// replicas as the *command*: the primary's answer fixes the absolute
+  /// absorb target, and each replica re-executes the write against its
+  /// own session (bit-identical by the streaming determinism contract).
+  /// Any other op, cacheable ones included, is not replicated.
   void replicate(const service::Json& request, const service::Json& response,
                  const std::vector<std::size_t>& walk,
                  std::size_t served_index);

@@ -403,12 +403,12 @@ std::string render_experiments_markdown(
   (`tests/test_cluster.cpp`), so this file is indifferent to how a run
   was obtained.
 - **Replication and crash recovery change no analysis value.** With
-  `replication_factor = 2` a result installed on a ring replica, served
-  from that replica after its primary is `kill -9`ed, or recomputed by
-  journal replay on a supervisor-restarted backend is the same bytes as
-  the original response (`tests/test_cluster_chaos.cpp`,
-  `tests/test_soak.cpp`): durability machinery only decides *where* a
-  result is stored and *how* it is recovered, never what it contains.
+  `replication_factor = 2` a result recomputed by the next ring backend
+  after its primary is `kill -9`ed, or served again once the supervisor
+  has restarted the primary, is the same bytes as the original response
+  (`tests/test_cluster_chaos.cpp`, `tests/test_soak.cpp`): durability
+  machinery only decides *where* a result is stored and *how* it is
+  recovered, never what it contains.
 - **The hot-path kernel rewrites change no metric value.** The
   bit-parallel Levenshtein, hashed n-gram BLEU/codeBLEU, matrix
   BERTScore, and blocked PPMI-projection kernels each retain their

@@ -115,6 +115,15 @@ std::uint64_t Json::get_count(std::string_view key, std::uint64_t fallback,
   return static_cast<std::uint64_t>(x);
 }
 
+std::uint64_t Json::get_positive_count(std::string_view key,
+                                       std::uint64_t fallback,
+                                       std::uint64_t max) const {
+  const std::uint64_t value = get_count(key, fallback, max);
+  if (value == 0)
+    throw JsonError("field '" + std::string(key) + "' must be at least 1");
+  return value;
+}
+
 void Json::push_back(Json value) {
   if (type_ != Type::kArray) throw JsonError("not an array");
   array_.push_back(std::move(value));
@@ -453,11 +462,10 @@ void echo_op(Json& response, const Json& request) {
 // property the chaos suite proves); "no_cache" and "deadline_ms" because
 // they shape how the request is served, not what it computes; "baseline"
 // because an annotate edit baseline only steers cluster routing — the
-// annotation payload is a pure function of "source"; "lane" because an
-// admission-lane override only shapes queueing priority.
+// annotation payload is a pure function of "source".
 static bool volatile_field(std::string_view key) {
   return key == "threads" || key == "no_cache" || key == "deadline_ms" ||
-         key == "baseline" || key == "lane";
+         key == "baseline";
 }
 
 void canonical_request_key(const Json& request, std::string& out) {

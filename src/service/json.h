@@ -70,6 +70,10 @@ class Json {
   /// ever casts such a double to an integer.
   std::uint64_t get_count(std::string_view key, std::uint64_t fallback,
                           std::uint64_t max = UINT64_MAX) const;
+  /// get_count for a field that must also be at least 1 (a size).
+  std::uint64_t get_positive_count(std::string_view key,
+                                   std::uint64_t fallback,
+                                   std::uint64_t max = UINT64_MAX) const;
 
   // -- array interface ---------------------------------------------------
   void push_back(Json value);
@@ -114,10 +118,9 @@ Json string_array(const std::vector<std::string>& items);
 void echo_op(Json& response, const Json& request);
 
 /// Canonical request key: the request's non-volatile fields ("threads",
-/// "no_cache", "deadline_ms", "baseline", and "lane" are excluded — they
-/// shape how a request is served, never what it computes), sorted by key,
-/// rendered as
-/// `key=value;...`. Routing, the disk cache, and the in-memory rendered
+/// "no_cache", "deadline_ms" and "baseline" are excluded — they shape how
+/// a request is served, never what it computes), sorted by key, rendered
+/// as `key=value;...`. Routing, the disk cache, and the in-memory rendered
 /// response caches all key on this, so a logical request always lands on
 /// the same backend and the same cache slots. The append form reuses the
 /// caller's buffer; the hot path calls it with a reused scratch string.
@@ -128,8 +131,9 @@ std::string canonical_request_key(const Json& request);
 /// set as canonical_request_key) — the *durable command form* the
 /// cluster layer journals and replicates. Re-issuing it on any backend,
 /// at any thread count, recomputes the same canonical key and a
-/// bit-identical result, which is what makes journal replay and replica
-/// installs equivalent to the original request. Non-objects copy as-is.
+/// bit-identical result, which is what makes journal replay and a
+/// replica's copy of a stream write equivalent to the original request.
+/// Non-objects copy as-is.
 Json strip_volatile_fields(const Json& request);
 
 }  // namespace decompeval::service

@@ -17,8 +17,7 @@ constexpr OpSpec kOps[] = {
     {"ping",             kInteractive, false, Routing::kCanonical, false},
     {"stats",            kInteractive, false, Routing::kCanonical, false},
     {"cache_stats",      kInteractive, false, Routing::kCanonical, false},
-    // ClusterBackend: replica installs, the disk janitor, the journal.
-    {"cache_install",    kInteractive, false, Routing::kCanonical, false},
+    // ClusterBackend: the disk janitor, the journal.
     {"cache_gc",         kInteractive, false, Routing::kCanonical, false},
     {"journal_stats",    kInteractive, false, Routing::kCanonical, false},
     {"journal_replay",   kBatch,       false, Routing::kCanonical, false},
@@ -57,10 +56,6 @@ bool cacheable_request(const Json& request) {
 }
 
 RequestLane classify_lane(const Json& request) {
-  if (!request.is_object()) return kInteractive;
-  const std::string lane = request.get_string("lane", "");
-  if (lane == "batch") return kBatch;
-  if (lane == "interactive") return kInteractive;
   const OpSpec* spec = find_op(request);
   return spec != nullptr ? spec->lane : kInteractive;
 }

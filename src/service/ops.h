@@ -8,11 +8,11 @@
 //
 //   cacheable     the answer is a pure function of the canonical request:
 //                 "ok" answers live in every rendered-line tier and in the
-//                 disk cache, and the dispatcher installs the result on
-//                 the ring replicas and may hedge the read. It is never
-//                 journaled: a lost answer is recomputed bit-identically.
-//                 A "no_cache" field opts one request out
-//                 (cacheable_request).
+//                 disk cache of the backend that computed them, and the
+//                 dispatcher may hedge the read. It is never journaled or
+//                 replicated: a lost answer is recomputed bit-identically
+//                 by the next backend on the ring walk. A "no_cache" field
+//                 opts one request out (cacheable_request).
 //   stream_write  the command mutates stream state: every backend that
 //                 executes it journals it in absolute form, and the
 //                 dispatcher replicates it to the ring replicas as a
@@ -60,10 +60,7 @@ const OpSpec* find_op(const Json& request);
 /// The request's op is cacheable and the request carries no "no_cache".
 bool cacheable_request(const Json& request);
 
-/// The op row's lane, unless an explicit string "lane" field
-/// ("interactive"/"batch") overrides it; like "threads", "lane" is a
-/// volatile field — it shapes how a request queues, never what it
-/// computes. Unknown ops and non-objects are interactive.
+/// The op row's lane. Unknown ops and non-objects are interactive.
 RequestLane classify_lane(const Json& request);
 
 /// Cluster routing key: the canonical request key, unless the op row

@@ -22,6 +22,9 @@ constexpr std::size_t kResultCacheCapacity = 256;
 /// LRU bound on the trained-embedding cache. Models are large, so only a
 /// handful of (corpus, seed) configurations stay warm.
 constexpr std::size_t kEmbedCacheCapacity = 4;
+/// Cap on "corpus_sentences", ten times the served default: one cacheable
+/// request trains an embedding on a corpus this size at most.
+constexpr std::uint64_t kMaxCorpusSentences = 200000;
 /// Total attempts (first try + retries) for transiently-faulted requests.
 constexpr int kMaxAttempts = 3;
 /// LRU bound on the annotation engine's per-function digest cache — the
@@ -263,7 +266,7 @@ void ServiceCore::maybe_stall(const util::Deadline& deadline) {
 Json ServiceCore::run_study_op(const Json& request,
                                const util::Deadline& deadline) {
   study::StudyConfig config;
-  config.seed = static_cast<std::uint64_t>(request.get_number("seed", 68));
+  config.seed = request.get_count("seed", 68);
   config.threads = request.get_count("threads", 0);
   config.faults = &faults_;
   config.deadline = deadline;
@@ -289,14 +292,13 @@ Json ServiceCore::run_study_op(const Json& request,
 Json ServiceCore::run_replication_op(const Json& request,
                                      const util::Deadline& deadline) {
   core::ReplicationConfig config;
-  config.seed = static_cast<std::uint64_t>(request.get_number("seed", 68));
+  config.seed = request.get_count("seed", 68);
   config.threads = request.get_count("threads", 0);
   config.run_models = request.get_bool("run_models", true);
   config.run_metrics = request.get_bool("run_metrics", false);
-  config.embedding_corpus_sentences = static_cast<std::size_t>(
-      request.get_number("corpus_sentences", 20000));
-  config.embedding_corpus_seed = static_cast<std::uint64_t>(
-      request.get_number("corpus_seed", 42));
+  config.embedding_corpus_sentences = request.get_positive_count(
+      "corpus_sentences", 20000, kMaxCorpusSentences);
+  config.embedding_corpus_seed = request.get_count("corpus_seed", 42);
   config.faults = &faults_;
   config.deadline = deadline;
   if (config.run_metrics)

@@ -103,7 +103,7 @@ class ServiceCore {
 
   /// The result tier itself, for a layer that fronts the core with more
   /// tiers (ClusterBackend reads it before its disk and warms it from disk
-  /// hits and replica installs). Lookups here touch no stats.
+  /// hits). Lookups here touch no stats.
   RenderedLineCache& result_cache() { return result_cache_; }
 
   ServiceStats stats() const;

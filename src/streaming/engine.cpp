@@ -60,15 +60,6 @@ struct StreamOptions {
 constexpr std::uint64_t kMaxPopulation = 100000;
 constexpr std::uint64_t kMaxFitStarts = 64;
 
-std::uint64_t positive_count(const Json& request, std::string_view key,
-                             std::uint64_t fallback, std::uint64_t max) {
-  const std::uint64_t value = request.get_count(key, fallback, max);
-  if (value == 0)
-    throw service::JsonError("field '" + std::string(key) +
-                             "' must be at least 1");
-  return value;
-}
-
 /// Throws service::JsonError — a "bad_request" — for a count field out of
 /// range and std::runtime_error — an "error" — for an unknown process, so
 /// the backend refuses an invalid open before it is journaled.
@@ -87,7 +78,7 @@ StreamOptions parse_stream_options(const Json& request) {
   o.workload.burst_off_mean_s = request.get_number("burst_off_s", 6.0);
   o.workload.off_acceptance = request.get_number("off_acceptance", 0.05);
   o.workload.population =
-      positive_count(request, "population", 64, kMaxPopulation);
+      request.get_positive_count("population", 64, kMaxPopulation);
   o.workload.opinion_probability =
       request.get_number("opinion_probability", 0.35);
   o.workload.seed = request.get_count("seed", 68);
@@ -96,7 +87,7 @@ StreamOptions parse_stream_options(const Json& request) {
       request.get_count("window_age_ms", 0, UINT64_MAX / 1000) * 1000;
   o.refit_every = request.get_count("refit_every", 0);
   o.fit_starts = static_cast<int>(
-      positive_count(request, "fit_starts", 4, kMaxFitStarts));
+      request.get_positive_count("fit_starts", 4, kMaxFitStarts));
   return o;
 }
 

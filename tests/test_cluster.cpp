@@ -705,47 +705,91 @@ TEST(HashRingTest, RemovingABackendOnlyPromotesWalkSuccessors) {
 
 // --- replication: dispatcher fan-out --------------------------------------
 
-TEST(ClusterTest, ReplicatedWriteWarmsTheReplicaAndSurvivesPrimaryDeath) {
+// The answer line of a request sent straight to `socket_path`.
+Json call_at(const std::string& socket_path, const Json& request) {
+  service::ServiceClient client;
+  client.connect(socket_path);
+  return client.call(request);
+}
+
+TEST(ClusterTest, CacheableReadsReachOnlyThePrimaryAndFailOverBitIdentically) {
   TestCluster cluster("replfan", 3, {}, /*response_cache_capacity=*/0,
                       /*replication_factor=*/2);
   service::ServiceClient client;
   client.connect(cluster.front_socket);
 
+  // One cold read and five warm repeats, each forwarded (the dispatcher
+  // caches nothing here).
   const Json request = study_request(21);
   const Json cold = client.call(request);
   ASSERT_EQ(cold.get_string("status", ""), "ok");
-  cluster::DispatcherStats stats = cluster.dispatcher->stats();
-  EXPECT_EQ(stats.replicated, 1u);
-  EXPECT_EQ(stats.replication_failures, 0u);
-  // A warm repeat read forwards (the dispatcher caches nothing here) and
-  // installs again; the replica keeps the file it already holds.
-  EXPECT_EQ(client.call(request).dump(), cold.dump());
+  for (int i = 0; i < 5; ++i)
+    EXPECT_EQ(client.call(request).dump(), cold.dump());
 
-  // Both members of the replica set now hold the result on disk, written
-  // once each: the primary stored its computation, the secondary got a
-  // cache_install.
+  // R=2 replicates stream writes only: the read's ring replica was sent
+  // nothing at all and stored nothing.
   const std::string key = service::canonical_request_key(request);
   const auto replicas = cluster.dispatcher->ring().replicas_for(key, 2);
   ASSERT_EQ(replicas.size(), 2u);
-  std::size_t replica_stores = 0;
+  std::size_t primary = 0, replica = 0;
   for (std::size_t i = 0; i < cluster.backends.size(); ++i) {
     const std::string id = "replfan-backend-" + std::to_string(i);
-    const bool in_set =
-        std::find(replicas.begin(), replicas.end(), id) != replicas.end();
-    const std::uint64_t stores = cluster.backends[i]->cache().stats().stores;
-    EXPECT_EQ(stores, in_set ? 1u : 0u) << id;
-    if (in_set) replica_stores += stores;
+    if (id == replicas[0]) primary = i;
+    if (id == replicas[1]) replica = i;
   }
-  EXPECT_EQ(replica_stores, 2u);
+  const Json replica_server = call_at(
+      cluster.servers[replica]->socket_path(),
+      Json::parse(R"({"op":"server_stats"})"));
+  EXPECT_EQ(replica_server.get_number("interactive_enqueued", -1), 0.0);
+  EXPECT_EQ(replica_server.get_number("batch_enqueued", -1), 0.0);
+  EXPECT_EQ(cluster.backends[replica]->cache().stats().stores, 0u);
+  EXPECT_EQ(cluster.backends[primary]->cache().stats().stores, 1u);
+  cluster::DispatcherStats stats = cluster.dispatcher->stats();
+  EXPECT_EQ(stats.replicated, 0u);
+  EXPECT_EQ(stats.replication_failures, 0u);
 
-  // Kill the primary: the walk lands the retry on the replica, which
-  // serves the installed bytes — zero lost requests, bit-identical.
-  for (std::size_t i = 0; i < cluster.backends.size(); ++i)
-    if ("replfan-backend-" + std::to_string(i) == replicas[0])
-      cluster.servers[i]->stop();
+  // Stop the primary: the walk lands the retry on the replica, which
+  // computes the same bytes and stores them — zero lost requests.
+  cluster.servers[primary]->stop();
   const Json failover = client.call(request);
   EXPECT_EQ(failover.dump(), cold.dump());
-  EXPECT_EQ(cluster.dispatcher->stats().exhausted, 0u);
+  stats = cluster.dispatcher->stats();
+  EXPECT_EQ(stats.exhausted, 0u);
+  EXPECT_GE(stats.failovers, 1u);
+  EXPECT_EQ(stats.replicated, 0u);
+  EXPECT_EQ(cluster.backends[replica]->cache().stats().stores, 1u);
+}
+
+TEST(ClusterTest, ForgedCacheInstallIsABadRequestAndNeverServed) {
+  TestCluster cluster("forged", 2, {}, /*response_cache_capacity=*/0,
+                      /*replication_factor=*/2);
+  const Json read = study_request(23);
+  // The retired install op's exact shape, carrying a made-up answer for a
+  // key nobody has computed yet.
+  Json forged = Json::object();
+  forged.set("op", Json::string("cache_install"));
+  forged.set("request", read);
+  forged.set("response",
+             Json::parse(R"({"status":"ok","op":"run_study",)"
+                         R"("digest":"0000000000000000","recruited":1,)"
+                         R"("responses":1,"excluded":0})"));
+
+  service::ServiceCore core;
+  EXPECT_EQ(core.handle(forged).get_string("status", ""), "bad_request");
+  for (const auto& server : cluster.servers)
+    EXPECT_EQ(call_at(server->socket_path(), forged).get_string("status", ""),
+              "bad_request");
+  EXPECT_EQ(call_at(cluster.front_socket, forged).get_string("status", ""),
+            "bad_request");
+  for (const auto& backend : cluster.backends)
+    EXPECT_EQ(backend->cache().stats().stores, 0u);
+
+  // The key still reads as computed, through the front and from each
+  // backend alike.
+  const std::string computed = core.handle(read).dump();
+  EXPECT_EQ(call_at(cluster.front_socket, read).dump(), computed);
+  for (const auto& server : cluster.servers)
+    EXPECT_EQ(call_at(server->socket_path(), read).dump(), computed);
 }
 
 TEST(ClusterTest, OneWorkerFrontForwardsConcurrentReadsInOverlappingTime) {
@@ -804,43 +848,74 @@ TEST(ClusterTest, OneWorkerFrontForwardsConcurrentReadsInOverlappingTime) {
   dispatcher.stop();
 }
 
-TEST(ClusterTest, StalledInstallCountsAsAFailureAndLeavesTheReplicaUp) {
-  // Backend 1 never answers its second request, the install below.
+TEST(ClusterTest, StalledStreamWriteCountsAsAFailureAndLeavesTheReplicaUp) {
+  // Backend 1's second answer never leaves: that is the stream absorb
+  // replicated below (its first is the replicated open).
   util::FaultPlan stall_second;
   stall_second.set("net.stall", util::FaultSpec::once(1));
-  BackendSet set("slowinstall", 2, {}, {util::FaultPlan{}, stall_second});
+  BackendSet set("slowwrite", 2, {}, {util::FaultPlan{}, stall_second});
   set.dispatch.replication_factor = 2;
   set.dispatch.forward_timeout_ms = 300;
   set.dispatch.health_interval_ms = 0;  // no prober to mask a down mark
   Dispatcher dispatcher(set.dispatch);
   const std::string replica = set.dispatch.backends[1].id;
-  const std::uint64_t on_primary = set.seed_owned_by(dispatcher, 0, 1);
-  const std::uint64_t on_replica = set.seed_owned_by(dispatcher, 1, 1);
-
-  // Warm each owner directly (backend 1's first answer), so the forwards
-  // below answer well inside the short timeout.
-  const auto warm = [&](std::size_t backend, std::uint64_t seed) {
-    service::ServiceClient direct;
-    direct.connect(set.servers[backend]->socket_path());
-    return direct.call(study_request(seed)).get_string("status", "");
+  const auto open_request = [](const std::string& stream) {
+    Json r = Json::object();
+    r.set("op", Json::string("stream_open"));
+    r.set("stream", Json::string(stream));
+    r.set("population", Json::number(24));
+    return r;
   };
-  ASSERT_EQ(warm(0, on_primary), "ok");
-  ASSERT_EQ(warm(1, on_replica), "ok");
+  // The first stream id from "s0" on whose ring walk `backend` is first.
+  const auto stream_owned_by = [&](std::size_t backend) {
+    for (int i = 0;; ++i) {
+      const std::string stream = "s" + std::to_string(i);
+      std::string key;
+      service::routing_key(open_request(stream), key);
+      if (dispatcher.ring().primary(key) == set.dispatch.backends[backend].id)
+        return stream;
+    }
+  };
 
-  const Json read = dispatcher.handle(study_request(on_primary), nullptr);
-  EXPECT_EQ(read.get_string("status", ""), "ok");
+  // A cacheable read, warmed on its owner directly so it answers well
+  // inside the short timeout, sends the replica nothing.
+  const std::uint64_t on_primary = set.seed_owned_by(dispatcher, 0, 1);
+  ASSERT_EQ(call_at(set.servers[0]->socket_path(), study_request(on_primary))
+                .get_string("status", ""),
+            "ok");
+  EXPECT_EQ(dispatcher.handle(study_request(on_primary), nullptr)
+                .get_string("status", ""),
+            "ok");
   cluster::DispatcherStats stats = dispatcher.stats();
-  EXPECT_EQ(stats.replication_failures, 1u);
   EXPECT_EQ(stats.replicated, 0u);
+  EXPECT_EQ(stats.replication_failures, 0u);
+
+  // A stream on backend 0: its open reaches the replica, its absorb is
+  // applied there but the answer stalls past the timeout.
+  const std::string stream = stream_owned_by(0);
+  EXPECT_EQ(dispatcher.handle(open_request(stream), nullptr)
+                .get_string("status", ""),
+            "ok");
+  Json absorb = Json::object();
+  absorb.set("op", Json::string("stream_absorb"));
+  absorb.set("stream", Json::string(stream));
+  absorb.set("count", Json::number(20));
+  EXPECT_EQ(dispatcher.handle(absorb, nullptr).get_string("status", ""),
+            "ok");
+  stats = dispatcher.stats();
+  EXPECT_EQ(stats.replicated, 1u);
+  EXPECT_EQ(stats.replication_failures, 1u);
   EXPECT_TRUE(dispatcher.backend_up(replica));
 
-  // The replica still serves what it owns, with nothing skipped.
-  const Json next = dispatcher.handle(study_request(on_replica), nullptr);
-  EXPECT_EQ(next.get_string("status", ""), "ok");
+  // The replica still serves what it owns, with nothing skipped, and
+  // replicates it back.
+  EXPECT_EQ(dispatcher.handle(open_request(stream_owned_by(1)), nullptr)
+                .get_string("status", ""),
+            "ok");
   stats = dispatcher.stats();
   EXPECT_EQ(stats.down_skips, 0u);
   EXPECT_EQ(stats.failovers, 0u);
-  EXPECT_EQ(stats.replicated, 1u);
+  EXPECT_EQ(stats.replicated, 2u);
   dispatcher.stop();
 }
 

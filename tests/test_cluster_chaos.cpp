@@ -315,8 +315,8 @@ TEST(ClusterChaos, SupervisedKill9MidStreamLosesNothingAtR2) {
   Dispatcher dispatcher(dispatch);
   dispatcher.start();
 
-  // Cold pass: every result is computed, cached on its primary, and
-  // installed on its second ring replica. Record the reference dumps.
+  // Cold pass: every result is computed and cached on its primary.
+  // Record the reference dumps.
   std::vector<std::string> reference;
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     const Json r = dispatcher.handle(study_request(seed), nullptr);
@@ -326,7 +326,8 @@ TEST(ClusterChaos, SupervisedKill9MidStreamLosesNothingAtR2) {
 
   // Kill -9 a backend MID-stream: three requests in, the process dies,
   // the remaining three (plus a re-ask of the first three) must still
-  // answer bit-identically from the surviving replicas.
+  // answer bit-identically from the surviving backends, which recompute
+  // what the victim owned.
   for (std::uint64_t seed = 1; seed <= 3; ++seed)
     EXPECT_EQ(dispatcher.handle(study_request(seed), nullptr).dump(),
               reference[seed - 1]);

@@ -1,9 +1,10 @@
-// Json under seeded mutation: request lines (one per op-table row, plus
-// the request shapes the cluster benchmark sends) are mutated byte by byte
-// with Rng::split streams, so every run sees the same 20,000 lines. Each
-// must either throw JsonError or parse to a value whose dump() re-parses
-// to the same dump(); a slice of them, sent to a live server, must each
-// draw exactly one structured answer and leave the connection serving.
+// Json under seeded mutation: request lines (one per op-table row, the
+// request shapes the cluster benchmark sends and a forged result install)
+// are mutated byte by byte with Rng::split streams, so every run sees the
+// same 20,000 lines. Each must either throw JsonError or parse to a value
+// whose dump() re-parses to the same dump(); a slice of them, sent to a
+// live server, must each draw exactly one structured answer and leave the
+// connection serving.
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <sys/un.h>
@@ -47,10 +48,6 @@ const std::map<std::string_view, std::string>& op_fields() {
       {"annotate",
        R"("source":"int f(int a1) {\n  return a1 + 1;\n}\n",)"
        R"("typedefs":["u8","DWORD"],"baseline":"int f(int a1) {}\n")"},
-      {"cache_install",
-       R"("request":{"op":"run_study","seed":7},)"
-       R"("response":{"status":"ok","op":"run_study","digest":"00ff",)"
-       R"("recruited":40,"notes":[]}})"},
       {"cache_gc", R"("max_age_ms":1000)"},
       {"stream_open",
        R"("stream":"s-1","seed":9,"refit_every":50,"process":"bursty",)"
@@ -85,6 +82,11 @@ std::vector<std::string> seed_lines() {
       R"("refit_every":50000})",
       R"({"op":"stream_absorb","stream":"stream-0","upto":1100})",
       R"({"op":"stream_dashboard","stream":"stream-0"})",
+      // The retired replica-install op, as a client forging an answer
+      // would send it.
+      R"({"op":"cache_install","request":{"op":"run_study","seed":7},)"
+      R"("response":{"status":"ok","op":"run_study","digest":"00ff",)"
+      R"("recruited":40,"notes":[]}})",
   };
   lines.insert(lines.end(), std::begin(bench), std::end(bench));
   return lines;

@@ -4,12 +4,13 @@
 // actually do with it: its admission lane through classify_lane, and —
 // through an in-process R=2 cluster (two socket-served backends with disk
 // caches and journals behind a replicating dispatcher) — that cacheable
-// rows are stored on disk and installed on the replica but never
-// journaled; that stream-write rows are journaled in absolute form and
+// rows are stored on the primary's disk only, never journaled or
+// replicated; that stream-write rows are journaled in absolute form and
 // replicated as commands; and that every other row does none of these.
 // Names with no row are rejected as bad requests by the core, the backend
-// and the dispatcher, with no side effect anywhere, and so is a "threads"
-// field that is not a non-negative integer.
+// and the dispatcher, with no side effect anywhere, and so is a count
+// field ("threads", "seed", a corpus or janitor bound) that is not a
+// non-negative integer in its range.
 #include <unistd.h>
 
 #include <algorithm>
@@ -20,6 +21,7 @@
 #include <set>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -62,17 +64,9 @@ TEST(OpTable, RowsAreUniqueAndFoundByName) {
 }
 
 TEST(OpTable, EveryRowQueuesInItsLane) {
-  for (const OpSpec& spec : service::op_table()) {
-    Json request = op_request(spec.name);
-    EXPECT_EQ(service::classify_lane(request), spec.lane) << spec.name;
-    // The explicit "lane" field overrides the row either way.
-    request.set("lane", Json::string("batch"));
-    EXPECT_EQ(service::classify_lane(request), RequestLane::kBatch)
+  for (const OpSpec& spec : service::op_table())
+    EXPECT_EQ(service::classify_lane(op_request(spec.name)), spec.lane)
         << spec.name;
-    request.set("lane", Json::string("interactive"));
-    EXPECT_EQ(service::classify_lane(request), RequestLane::kInteractive)
-        << spec.name;
-  }
   EXPECT_EQ(service::classify_lane(op_request("frobnicate")),
             RequestLane::kInteractive);
 }
@@ -206,13 +200,14 @@ TEST(OpTable, RowsDecideJournalingCachingAndReplication) {
       EXPECT_EQ(cluster.journaled_total(spec->name), 0u);
       EXPECT_FALSE(cluster.on_disk(primary, request));
 
-      // Served: stored on the primary's disk, installed on the replica.
+      // Served: stored on the primary's disk only; nothing reaches the
+      // replica.
       ASSERT_EQ(cluster.dispatcher->handle(request, nullptr)
                     .get_string("status", ""),
                 "ok");
       EXPECT_TRUE(cluster.on_disk(primary, request));
-      EXPECT_TRUE(cluster.on_disk(replica, request));
-      EXPECT_EQ(cluster.installs(), installs_before + 1);
+      EXPECT_FALSE(cluster.on_disk(replica, request));
+      EXPECT_EQ(cluster.installs(), installs_before);
       EXPECT_EQ(cluster.journaled_total(spec->name), 0u);
     } else if (spec->stream_write) {
       ASSERT_EQ(cluster.dispatcher->handle(request, nullptr)
@@ -245,11 +240,13 @@ TEST(OpTable, RowsDecideJournalingCachingAndReplication) {
             cluster.backends[0]->streaming().view("s").digest);
 }
 
-// Every op that reads "threads" reads it as a count: a negative,
+// Every count field an op reads ("threads", "seed", the embedding corpus
+// and the janitor's bounds) is read through Json::get_count: a negative,
 // fractional, non-finite or non-number value is a bad request at the
 // core, the backend and the dispatcher, refused before anything is
-// computed, journaled, stored or installed. A missing one means every
-// idle helper, and any count is served.
+// computed, journaled, stored, collected or replicated. So is a corpus
+// size outside [1, 200,000], which trains no embedding. A missing
+// "threads" means every idle helper, and any count is served.
 TEST(OpTable, BadThreadsAreBadRequestsEverywhere) {
   OpCluster cluster("threads");
   service::ServiceCore core;
@@ -260,32 +257,67 @@ TEST(OpTable, BadThreadsAreBadRequestsEverywhere) {
             "ok");
   const std::uint64_t installs_before = cluster.installs();
   const std::size_t absorbs_before = cluster.journaled_total("stream_absorb");
+  const auto bad_everywhere = [&](const Json& request) {
+    if (service::find_op(request)->cacheable) {
+      EXPECT_EQ(core.handle(request).get_string("status", ""), "bad_request");
+    }
+    for (auto& backend : cluster.backends)
+      EXPECT_EQ(backend->handle(request, nullptr).get_string("status", ""),
+                "bad_request");
+    EXPECT_EQ(
+        cluster.dispatcher->handle(request, nullptr).get_string("status", ""),
+        "bad_request");
+    EXPECT_FALSE(cluster.on_disk(0, request));
+    EXPECT_FALSE(cluster.on_disk(1, request));
+  };
+  const std::pair<const char*, const char*> count_fields[] = {
+      {"run_study", "threads"},
+      {"run_replication", "threads"},
+      {"annotate", "threads"},
+      {"stream_absorb", "threads"},
+      {"run_study", "seed"},
+      {"run_replication", "seed"},
+      {"run_replication", "corpus_sentences"},
+      {"run_replication", "corpus_seed"},
+      {"cache_gc", "max_bytes"},
+      {"cache_gc", "max_age_ms"},
+  };
   for (const char* bad : {"-1", "2.5", "1e400", "-1e400", "\"4\""}) {
     const Json value =
         *Json::parse(std::string(R"({"v":)") + bad + "}").get("v");
-    for (const char* name :
-         {"run_study", "run_replication", "annotate", "stream_absorb"}) {
-      SCOPED_TRACE(std::string(name) + " threads=" + bad);
+    for (const auto& [name, field] : count_fields) {
+      SCOPED_TRACE(std::string(name) + " " + field + "=" + bad);
       Json request = exercise_request(*service::find_op(name));
-      request.set("threads", value);
-      if (service::find_op(name)->cacheable) {
-        EXPECT_EQ(core.handle(request).get_string("status", ""),
-                  "bad_request");
-      }
-      for (auto& backend : cluster.backends)
-        EXPECT_EQ(backend->handle(request, nullptr).get_string("status", ""),
-                  "bad_request");
-      EXPECT_EQ(
-          cluster.dispatcher->handle(request, nullptr).get_string("status", ""),
-          "bad_request");
-      EXPECT_FALSE(cluster.on_disk(0, request));
-      EXPECT_FALSE(cluster.on_disk(1, request));
+      request.set(field, value);
+      bad_everywhere(request);
     }
   }
+  // A TTL past INT64_MAX ms would turn negative in the age comparison.
+  Json ttl = exercise_request(*service::find_op("cache_gc"));
+  ttl.set("max_age_ms", Json::number(1e19));
+  bad_everywhere(ttl);
   EXPECT_EQ(cluster.installs(), installs_before);
   EXPECT_EQ(cluster.journaled_total("stream_absorb"), absorbs_before);
   EXPECT_EQ(cluster.backends[0]->streaming().view("s").absorbed, 0u);
   EXPECT_EQ(cluster.backends[1]->streaming().view("s").absorbed, 0u);
+  for (auto& backend : cluster.backends)
+    EXPECT_EQ(backend->cache().stats().gc_runs, 0u);
+
+  // An empty or over-cap corpus trains nothing anywhere.
+  const auto embed_models = [](auto& layer) {
+    return layer.handle(op_request("cache_stats"), nullptr)
+        .get_number("embed_cache_size", -1);
+  };
+  for (const double sentences : {0.0, 200001.0, 1e9}) {
+    SCOPED_TRACE("corpus_sentences=" + std::to_string(sentences));
+    Json request = exercise_request(*service::find_op("run_replication"));
+    request.set("run_metrics", Json::boolean(true));
+    request.set("corpus_sentences", Json::number(sentences));
+    bad_everywhere(request);
+    EXPECT_EQ(embed_models(core), 0.0);
+    for (auto& backend : cluster.backends)
+      EXPECT_EQ(embed_models(*backend), 0.0);
+  }
 
   // A missing "threads" and any count are served ("no_cache": each one
   // computes).
@@ -304,7 +336,9 @@ TEST(OpTable, UnknownNamesAreBadRequestsEverywhere) {
   service::ServiceCore core;
   // "stream_foo" looks like a stream op but has no row: it must neither
   // route by stream id nor reach the stream engine.
-  for (const char* name : {"stream_foo", "frobnicate"}) {
+  // "cache_install" is the retired replica-install op: a client that
+  // sends one must not plant a forged answer anywhere.
+  for (const char* name : {"stream_foo", "frobnicate", "cache_install"}) {
     SCOPED_TRACE(name);
     Json request = op_request(name);
     request.set("stream", Json::string("s"));

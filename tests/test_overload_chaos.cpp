@@ -193,8 +193,8 @@ TEST(OverloadChaos, NetFaultSweepWithHedgingStaysStructuredAndBitIdentical) {
     Dispatcher dispatcher(dispatch);
     dispatcher.start();
 
-    // Two full passes: the second crosses the replicas the first pass
-    // installed. Every request must answer exactly once, "ok", with the
+    // Two full passes: the second re-reads what the first pass
+    // computed. Every request must answer exactly once, "ok", with the
     // faults-off bytes — the healthy replica plus hedging covers every
     // schedule, so nothing is lost and nothing is torn.
     for (int round = 0; round < 2; ++round) {

@@ -131,8 +131,9 @@ TEST(SoakTest, TwentyKillRestartCyclesUnderLoadLoseNothing) {
   Dispatcher dispatcher(dispatch);
   dispatcher.start();
 
-  // Cold pass: with two backends at R=2 every key's result lands on
-  // both shards, so any single kill leaves a warm replica serving.
+  // Cold pass: every key's result is computed and cached on its
+  // primary. A kill moves the victim's keys to the surviving shard, which
+  // recomputes them bit-identically.
   std::vector<std::string> reference;
   for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
     const Json r = dispatcher.handle(study_request(seed), nullptr);

@@ -1,9 +1,10 @@
 // Kernel microbench: times every rewritten hot-path kernel — the metric
 // kernels, embedding training and the block-arrow mixed-model fits —
 // against the retained reference implementation on a fixed seeded
-// workload, checks the outputs are bit-identical, and writes
-// BENCH_kernels.json (host fingerprint + old-vs-new speedup ratios) to the
-// working directory. Rerunning
+// workload, checks the outputs are bit-identical, splits one
+// run_replication request (the replication_sweep shape) into its phases,
+// and writes BENCH_kernels.json (host fingerprint + old-vs-new speedup
+// ratios + the phase split) to the working directory. Rerunning
 // overwrites the file with fresh numbers for the same workload —
 // idempotent by construction. Build with -DDECOMPEVAL_NO_SIMD to watch the
 // ratios collapse to ~1x (both sides run the reference).
@@ -11,11 +12,14 @@
 #include <chrono>
 #include <fstream>
 #include <functional>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "analysis/rq1_correctness.h"
+#include "analysis/rq2_timing.h"
+#include "analysis/rq5_metrics.h"
 #include "bench/bench_common.h"
 #include "embed/cooccurrence.h"
 #include "embed/corpus.h"
@@ -162,6 +166,98 @@ long nm_evaluations(const mixed::MultiStartReport& report) {
   long total = 0;
   for (const int evals : report.start_evaluations) total += evals;
   return total;
+}
+
+// Milliseconds since `start`.
+double ms_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - start)
+      .count();
+}
+
+// One run_replication request as replication_sweep sends it (models and
+// metrics on, the embedding model already trained, as the service caches
+// it), at threads 1, split into phases. Each phase is timed on its own
+// call: the study simulation, the Table I GLMM, the Table II LMM and the
+// metric battery. `rest` is run_replication without models, minus the
+// simulation and the battery: the figures, RQ4 and the rendering.
+struct ReplicationPhases {
+  double study_simulation = 0.0;
+  double glmm_table1 = 0.0;
+  double lmm_table2 = 0.0;
+  double metric_battery = 0.0;
+  double rest = 0.0;
+  double run_replication = 0.0;  // the whole request, models included
+};
+
+// The median of each phase over the first 8 seeds from the sweep's seed
+// range whose replication succeeds; the sweep screens out the others the
+// same way.
+ReplicationPhases replication_phases(std::vector<std::uint64_t>* seeds) {
+  const auto model = std::make_shared<const embed::EmbeddingModel>(
+      embed::EmbeddingModel::train_default(20000, 42));
+  std::vector<ReplicationPhases> runs;
+  for (std::uint64_t seed = 1000000; runs.size() < 8; ++seed) {
+    core::ReplicationConfig config;
+    config.seed = seed;
+    config.threads = 1;
+    config.embedding_model = model;
+    config.run_models = false;
+    ReplicationPhases r;
+    auto start = std::chrono::steady_clock::now();
+    try {
+      const core::ReplicationReport report = core::run_replication(config);
+      r.rest = ms_since(start);
+    } catch (const std::exception&) {
+      continue;
+    }
+    config.run_models = true;
+    start = std::chrono::steady_clock::now();
+    const core::ReplicationReport report = core::run_replication(config);
+    r.run_replication = ms_since(start);
+
+    study::StudyConfig study_config;
+    study_config.seed = seed;
+    study_config.threads = 1;
+    start = std::chrono::steady_clock::now();
+    study::StudyData data = study::run_study(study_config);
+    r.study_simulation = ms_since(start);
+    benchmark::DoNotOptimize(data);
+    mixed::FitOptions fit_options;
+    fit_options.threads = 1;
+    start = std::chrono::steady_clock::now();
+    auto table1 = analysis::analyze_correctness(data, fit_options);
+    r.glmm_table1 = ms_since(start);
+    benchmark::DoNotOptimize(table1);
+    start = std::chrono::steady_clock::now();
+    auto table2 = analysis::analyze_timing(data, fit_options);
+    r.lmm_table2 = ms_since(start);
+    benchmark::DoNotOptimize(table2);
+    analysis::MetricAnalysisOptions metric_options;
+    metric_options.threads = 1;
+    start = std::chrono::steady_clock::now();
+    auto battery = analysis::analyze_metric_correlations(
+        data, report.pool, *model, metric_options);
+    r.metric_battery = ms_since(start);
+    benchmark::DoNotOptimize(battery);
+    r.rest -= r.study_simulation + r.metric_battery;
+    runs.push_back(r);
+    seeds->push_back(seed);
+  }
+  const auto median = [&runs](double ReplicationPhases::*phase) {
+    std::vector<double> v;
+    for (const ReplicationPhases& r : runs) v.push_back(r.*phase);
+    std::sort(v.begin(), v.end());
+    return (v[v.size() / 2 - 1] + v[v.size() / 2]) / 2.0;
+  };
+  ReplicationPhases m;
+  m.study_simulation = median(&ReplicationPhases::study_simulation);
+  m.glmm_table1 = median(&ReplicationPhases::glmm_table1);
+  m.lmm_table2 = median(&ReplicationPhases::lmm_table2);
+  m.metric_battery = median(&ReplicationPhases::metric_battery);
+  m.rest = median(&ReplicationPhases::rest);
+  m.run_replication = median(&ReplicationPhases::run_replication);
+  return m;
 }
 
 const embed::EmbeddingModel& small_model() {
@@ -386,6 +482,22 @@ int main(int argc, char** argv) {
                 << format_fixed(r.project_ms, 2) << "ms\n";
     }
 
+    std::vector<std::uint64_t> phase_seeds;
+    const ReplicationPhases phases = replication_phases(&phase_seeds);
+    const std::pair<const char*, double> phase_rows[] = {
+        {"study_simulation", phases.study_simulation},
+        {"glmm_table1", phases.glmm_table1},
+        {"lmm_table2", phases.lmm_table2},
+        {"metric_battery", phases.metric_battery},
+        {"rest", phases.rest},
+        {"run_replication", phases.run_replication}};
+    std::cout << "run_replication phases (threads 1, median of "
+              << phase_seeds.size() << " seeds from " << phase_seeds.front()
+              << "):";
+    for (const auto& [name, ms] : phase_rows)
+      std::cout << "  " << name << "=" << format_fixed(ms, 2) << "ms";
+    std::cout << "\n";
+
     std::ofstream json("BENCH_kernels.json");
     json << "{\n  \"bench\": \"kernels\",\n"
          << "  \"hardware_concurrency\": " << util::default_thread_count()
@@ -408,7 +520,14 @@ int main(int argc, char** argv) {
              << ", \"project_ms\": " << format_fixed(r.project_ms, 3);
       json << "}";
     }
-    json << "\n  },\n  \"all_bit_identical\": "
+    json << "\n  },\n  \"replication_phases_ms\": {\"threads\": 1, "
+         << "\"seeds\": [";
+    for (std::size_t i = 0; i < phase_seeds.size(); ++i)
+      json << (i ? ", " : "") << phase_seeds[i];
+    json << "]";
+    for (const auto& [name, ms] : phase_rows)
+      json << ", \"" << name << "\": " << format_fixed(ms, 3);
+    json << "},\n  \"all_bit_identical\": "
          << (all_identical ? "true" : "false") << "\n}\n";
     std::cout << "\nWrote BENCH_kernels.json\n";
   });

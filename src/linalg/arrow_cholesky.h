@@ -43,7 +43,20 @@ class ArrowCholesky {
   /// diagonal exists.
   double& at(std::size_t i, std::size_t j) {
     DE_EXPECTS(j <= i && i < m_ && (i >= k_ || i == j));
-    return i < k_ ? diag_[i] : rows_[(i - k_) * m_ + j];
+    return i < k_ ? diag_[i] : trailing_row(i)[j];
+  }
+
+  /// Unchecked bulk assembly, the same storage at() reaches: the k
+  /// leading diagonal entries, and row i (k <= i < m) of the trailing
+  /// lower triangle, full width (entries 0..i). For assembly loops whose
+  /// indices the caller has already bounded, as the fitters do through
+  /// MixedModelData::validate at fit entry.
+  double* diagonal() noexcept { return diag_.data(); }
+  double* trailing_row(std::size_t i) noexcept {
+    return &rows_[(i - k_) * m_];
+  }
+  const double* trailing_row(std::size_t i) const noexcept {
+    return &rows_[(i - k_) * m_];
   }
 
   /// Overwrites the matrix with its lower Cholesky factor L (A = L·Lᵀ),
@@ -63,9 +76,6 @@ class ArrowCholesky {
   double lower(std::size_t i, std::size_t j) const;
 
  private:
-  const double* row(std::size_t i) const { return &rows_[(i - k_) * m_]; }
-  double* row(std::size_t i) { return &rows_[(i - k_) * m_]; }
-
   std::size_t k_ = 0;
   std::size_t m_ = 0;
   std::vector<double> diag_;  // k leading diagonal entries

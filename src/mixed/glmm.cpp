@@ -21,6 +21,9 @@ namespace {
 
 double logistic(double eta) { return 1.0 / (1.0 + std::exp(-eta)); }
 
+// μ kept off 0 and 1 for the deviance's logarithms.
+double clamp_mu(double mu) { return std::clamp(mu, 1e-12, 1.0 - 1e-12); }
+
 // Binomial deviance residual sum: −2 Σ [y log μ + (1−y) log(1−μ)].
 double binomial_deviance(const linalg::Vector& y, const linalg::Vector& mu) {
   double dev = 0.0;
@@ -34,13 +37,24 @@ double binomial_deviance(const linalg::Vector& y, const linalg::Vector& mu) {
 // Scratch of one Laplace objective, reused across its evaluations so no
 // evaluation allocates: the conditional modes (also the next
 // evaluation's PIRLS warm start), H = ΛᵀZᵀWZΛ + I in block-arrow layout,
-// and the Newton step vectors. The dense reference uses only the modes.
+// the Newton step vectors, and the observations split by response class
+// (built once from the data) with a slot per observation for its
+// deviance term. The dense reference uses only the modes.
 struct PirlsWorkspace {
+  explicit PirlsWorkspace(const MixedModelData& d)
+      : term(d.n_observations()) {
+    for (std::size_t i = 0; i < d.n_observations(); ++i)
+      (d.y[i] > 0.5 ? ones : zeros).push_back(i);
+  }
+
   linalg::Vector u;
   linalg::Vector u_new;
   linalg::Vector delta;
   linalg::Vector xbeta;
   linalg::Vector mu;  // logistic(η) of the last penalized-deviance call
+  std::vector<std::size_t> ones;   // y > 0.5: term −2·log μ
+  std::vector<std::size_t> zeros;  // the rest: term −2·log1p(−μ)
+  linalg::Vector term;             // each observation's deviance term
   linalg::ArrowCholesky h;
 };
 
@@ -159,29 +173,38 @@ PirlsOutcome pirls_reference(const MixedModelData& d,
 
 // Accumulates H and the score at modes w.u into w.h and w.delta, from
 // w.mu holding logistic(η) at those modes: the lower-triangle terms of the
-// dense reference in the same per-entry order, then the identity.
+// dense reference in the same per-entry order, then the identity. H is
+// written through the unchecked assembly view: validate() bounded every
+// index at fit entry.
 void accumulate_h(const MixedModelData& d, double theta_u, double theta_q,
                   PirlsWorkspace& w) {
   const std::size_t n = d.n_observations();
-  const std::size_t q = d.n_users + d.n_questions;
-  w.h.reset(d.n_users, q);
+  const std::size_t n_users = d.n_users;
+  const std::size_t q = n_users + d.n_questions;
+  w.h.reset(n_users, q);
   w.delta.assign(q, 0.0);
+  // θu·θu·wt associates as (θu·θu)·wt, so hoisting the products changes
+  // no bit.
+  const double uu = theta_u * theta_u;
+  const double qq = theta_q * theta_q;
+  const double uq = theta_u * theta_q;
+  double* diag = w.h.diagonal();
   for (std::size_t i = 0; i < n; ++i) {
     const std::size_t cu = d.user[i];
-    const std::size_t cq = d.n_users + d.question[i];
+    const std::size_t cq = n_users + d.question[i];
     const double mu = w.mu[i];
     const double wt = std::max(mu * (1.0 - mu), 1e-10);
     const double resid = d.y[i] - mu;
     w.delta[cu] += theta_u * resid;
     w.delta[cq] += theta_q * resid;
-    w.h.at(cu, cu) += theta_u * theta_u * wt;
-    w.h.at(cq, cq) += theta_q * theta_q * wt;
-    w.h.at(cq, cu) += theta_u * theta_q * wt;
+    diag[cu] += uu * wt;
+    double* row = w.h.trailing_row(cq);
+    row[cq] += qq * wt;
+    row[cu] += uq * wt;
   }
-  for (std::size_t j = 0; j < q; ++j) {
-    w.delta[j] -= w.u[j];
-    w.h.at(j, j) += 1.0;
-  }
+  for (std::size_t j = 0; j < q; ++j) w.delta[j] -= w.u[j];
+  for (std::size_t j = 0; j < n_users; ++j) diag[j] += 1.0;
+  for (std::size_t j = n_users; j < q; ++j) w.h.trailing_row(j)[j] += 1.0;
 }
 
 // PIRLS on the block-arrow factorization of H, bit-identical to
@@ -194,22 +217,28 @@ PirlsOutcome pirls(const MixedModelData& d, std::span<const double> beta,
 
   w.xbeta.resize(n);
   w.mu.resize(n);
+  const double* x = d.x.data().data();
   for (std::size_t i = 0; i < n; ++i) {
     double v = 0.0;
-    for (std::size_t j = 0; j < p; ++j) v += d.x(i, j) * beta[j];
+    for (std::size_t j = 0; j < p; ++j) v += x[i * p + j] * beta[j];
     w.xbeta[i] = v;
   }
-  // binomial_deviance(y, mu) + ‖u‖², keeping mu in w.mu. The modes PIRLS
-  // moves to are always the last ones evaluated here, so accumulate_h
-  // reuses these values instead of recomputing the same logistic(η).
+  // binomial_deviance(y, mu) + ‖u‖², keeping mu in w.mu, in passes with
+  // no per-observation branch: μ for every observation, each response
+  // class's term into its observation's slot, then the terms summed in
+  // observation order, binomial_deviance's order. The modes PIRLS moves
+  // to are always the last ones evaluated here, so accumulate_h reuses
+  // these values instead of recomputing the same logistic(η).
   const auto penalized_deviance = [&](const linalg::Vector& u) {
-    double dev = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t i = 0; i < n; ++i)
       w.mu[i] = logistic(w.xbeta[i] + theta_u * u[d.user[i]] +
                          theta_q * u[d.n_users + d.question[i]]);
-      const double m = std::clamp(w.mu[i], 1e-12, 1.0 - 1e-12);
-      dev += d.y[i] > 0.5 ? -2.0 * std::log(m) : -2.0 * std::log1p(-m);
-    }
+    for (const std::size_t i : w.ones)
+      w.term[i] = -2.0 * std::log(clamp_mu(w.mu[i]));
+    for (const std::size_t i : w.zeros)
+      w.term[i] = -2.0 * std::log1p(-clamp_mu(w.mu[i]));
+    double dev = 0.0;
+    for (const double t : w.term) dev += t;
     return dev + linalg::dot(u, u);
   };
 
@@ -262,7 +291,7 @@ double laplace_deviance_with(PirlsSolver solver, const MixedModelData& data,
                              std::vector<double>& modes) {
   data.validate();
   DE_EXPECTS(params.size() == 2 + data.n_fixed_effects());
-  PirlsWorkspace w;
+  PirlsWorkspace w(data);
   w.u = modes;
   const PirlsOutcome r =
       solver(data, std::span<const double>(params).subspan(2),
@@ -290,7 +319,7 @@ GlmmFit fit_glmm_with(PirlsSolver solver, const MixedModelData& data,
   // considerably), so concurrent multi-start simplices never share state.
   std::atomic<std::size_t> pirls_iterations{0};
   const auto objective_factory = [&data, q, solver, &pirls_iterations]() {
-    auto w = std::make_shared<PirlsWorkspace>();
+    auto w = std::make_shared<PirlsWorkspace>(data);
     w->u.assign(q, 0.0);
     return [&data, solver, w, &pirls_iterations](const std::vector<double>& v) {
       const PirlsOutcome r =
@@ -328,7 +357,7 @@ GlmmFit fit_glmm_with(PirlsSolver solver, const MixedModelData& data,
   const double theta_u = std::abs(opt.x[0]);
   const double theta_q = std::abs(opt.x[1]);
   std::vector<double> beta(opt.x.begin() + 2, opt.x.end());
-  PirlsWorkspace w;
+  PirlsWorkspace w(data);
   w.u.assign(q, 0.0);
   const PirlsOutcome final_fit = solver(data, beta, theta_u, theta_q, w);
   const linalg::Vector final_u = w.u;

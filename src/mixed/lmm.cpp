@@ -1,5 +1,6 @@
 #include "mixed/lmm.h"
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <numbers>
@@ -29,11 +30,30 @@ struct ProfiledSolve {
 // Scratch of one REML objective, reused across its evaluations so no
 // evaluation allocates the m×m system: the bordered system in
 // block-arrow layout (factored in place), its right-hand side, and the
-// profiled result. The dense reference uses only the result.
+// profiled result. It also holds the θ-free sums, each summed once from
+// +0 in observation order as the reference sums it at every evaluation:
+// the lower triangle of XᵀX, Xᵀy and yᵀy. The dense reference uses only
+// the result.
 struct PlsWorkspace {
+  explicit PlsWorkspace(const MixedModelData& d)
+      : xtx(d.n_fixed_effects() * d.n_fixed_effects(), 0.0),
+        xty(d.n_fixed_effects(), 0.0) {
+    const std::size_t p = d.n_fixed_effects();
+    for (std::size_t i = 0; i < d.n_observations(); ++i)
+      for (std::size_t j = 0; j < p; ++j) {
+        const double xij = d.x(i, j);
+        for (std::size_t k = 0; k <= j; ++k) xtx[j * p + k] += xij * d.x(i, k);
+        xty[j] += xij * d.y[i];
+      }
+    for (const double v : d.y) yty += v * v;
+  }
+
   linalg::ArrowCholesky a;
   linalg::Vector rhs;
   ProfiledSolve s;
+  linalg::Vector xtx;  // p×p row-major, lower triangle used
+  linalg::Vector xty;
+  double yty = 0.0;
 };
 
 // A profiled-solve implementation, leaving its result in w.s.
@@ -43,12 +63,11 @@ using ProfiledSolver = void (*)(const MixedModelData&, double, double,
 // Shared tail of both solvers: penalized RSS and the log-determinant terms
 // from the factor's diagonal, and the factor's fixed-effect block.
 template <class Lower>
-void finish_solve(const MixedModelData& d, const linalg::Vector& rhs,
-                  const Lower& l, ProfiledSolve& out) {
+void finish_solve(const MixedModelData& d, double yty,
+                  const linalg::Vector& rhs, const Lower& l,
+                  ProfiledSolve& out) {
   const std::size_t q = d.n_users + d.n_questions;
   const std::size_t p = d.n_fixed_effects();
-  double yty = 0.0;
-  for (const double v : d.y) yty += v * v;
   out.penalized_rss = yty - linalg::dot(out.solution, rhs);
   // Guard against cancellation for near-perfect fits.
   if (out.penalized_rss < 1e-12) out.penalized_rss = 1e-12;
@@ -60,6 +79,15 @@ void finish_solve(const MixedModelData& d, const linalg::Vector& rhs,
   if (out.lower_x.rows() != p) out.lower_x = linalg::Matrix(p, p);
   for (std::size_t i = 0; i < p; ++i)
     for (std::size_t j = 0; j < p; ++j) out.lower_x(i, j) = l(q + i, q + j);
+}
+
+// The reference's tail: yᵀy summed afresh at every evaluation.
+template <class Lower>
+void finish_solve(const MixedModelData& d, const linalg::Vector& rhs,
+                  const Lower& l, ProfiledSolve& out) {
+  double yty = 0.0;
+  for (const double v : d.y) yty += v * v;
+  finish_solve(d, yty, rhs, l, out);
 }
 
 // Builds the bordered penalized-least-squares system for given relative
@@ -113,35 +141,50 @@ void profiled_solve_reference(const MixedModelData& d, double theta_u,
   finish_solve(d, sys.rhs, chol.lower(), w.s);
 }
 
-// The same system accumulated straight into the block-arrow layout: its
-// lower-triangle terms in the reference's per-entry order (the user×user
-// block is diagonal because each observation has one user).
+// The same system accumulated straight into the block-arrow layout
+// through its unchecked assembly view (validate() bounded every index at
+// fit entry): the θ-dependent lower-triangle terms in the reference's
+// per-entry order (the user×user block is diagonal because each
+// observation has one user), then the workspace's θ-free XᵀX block and
+// Xᵀy copied in.
 void build_system(const MixedModelData& d, double theta_u, double theta_q,
                   PlsWorkspace& w) {
   const std::size_t n = d.n_observations();
   const std::size_t p = d.n_fixed_effects();
-  const std::size_t q = d.n_users + d.n_questions;
+  const std::size_t n_users = d.n_users;
+  const std::size_t q = n_users + d.n_questions;
   const std::size_t m = q + p;
-  w.a.reset(d.n_users, m);
+  w.a.reset(n_users, m);
   w.rhs.assign(m, 0.0);
+  // The reference adds these products as whole terms, so computing them
+  // once changes no bit.
+  const double uu = theta_u * theta_u;
+  const double qq = theta_q * theta_q;
+  const double uq = theta_u * theta_q;
+  const double* x = d.x.data().data();
+  double* diag = w.a.diagonal();
   for (std::size_t i = 0; i < n; ++i) {
     const std::size_t cu = d.user[i];
-    const std::size_t cq = d.n_users + d.question[i];
-    w.a.at(cu, cu) += theta_u * theta_u;
-    w.a.at(cq, cq) += theta_q * theta_q;
-    w.a.at(cq, cu) += theta_u * theta_q;
+    const std::size_t cq = n_users + d.question[i];
+    const double* xi = x + i * p;
+    diag[cu] += uu;
+    double* row = w.a.trailing_row(cq);
+    row[cq] += qq;
+    row[cu] += uq;
     for (std::size_t j = 0; j < p; ++j) {
-      const double xij = d.x(i, j);
-      w.a.at(q + j, cu) += theta_u * xij;
-      w.a.at(q + j, cq) += theta_q * xij;
-      for (std::size_t k = 0; k <= j; ++k)
-        w.a.at(q + j, q + k) += xij * d.x(i, k);
-      w.rhs[q + j] += xij * d.y[i];
+      double* fixed_row = w.a.trailing_row(q + j);
+      fixed_row[cu] += theta_u * xi[j];
+      fixed_row[cq] += theta_q * xi[j];
     }
     w.rhs[cu] += theta_u * d.y[i];
     w.rhs[cq] += theta_q * d.y[i];
   }
-  for (std::size_t i = 0; i < q; ++i) w.a.at(i, i) += 1.0;
+  for (std::size_t j = 0; j < p; ++j) {
+    std::copy_n(&w.xtx[j * p], j + 1, w.a.trailing_row(q + j) + q);
+    w.rhs[q + j] = w.xty[j];
+  }
+  for (std::size_t j = 0; j < n_users; ++j) diag[j] += 1.0;
+  for (std::size_t j = n_users; j < q; ++j) w.a.trailing_row(j)[j] += 1.0;
 }
 
 void profiled_solve(const MixedModelData& d, double theta_u, double theta_q,
@@ -151,7 +194,7 @@ void profiled_solve(const MixedModelData& d, double theta_u, double theta_q,
   w.s.solution = w.rhs;
   w.a.solve_in_place(w.s.solution);
   finish_solve(
-      d, w.rhs,
+      d, w.yty, w.rhs,
       [&w](std::size_t i, std::size_t j) { return w.a.lower(i, j); }, w.s);
 }
 
@@ -172,7 +215,7 @@ double reml_from(const MixedModelData& d, const ProfiledSolve& s) {
 double reml_criterion_with(ProfiledSolver solver, const MixedModelData& d,
                            double theta_u, double theta_q) {
   d.validate();
-  PlsWorkspace w;
+  PlsWorkspace w(d);
   solver(d, theta_u, theta_q, w);
   return reml_from(d, w.s);
 }
@@ -206,7 +249,7 @@ LmmFit fit_lmm_with(ProfiledSolver solver, const MixedModelData& data,
   // Each objective instance owns its solve workspace, so concurrent
   // multi-start simplices never share state.
   const auto objective_factory = [&data, solver]() {
-    auto w = std::make_shared<PlsWorkspace>();
+    auto w = std::make_shared<PlsWorkspace>(data);
     return [&data, solver, w](const std::vector<double>& t) {
       solver(data, std::abs(t[0]), std::abs(t[1]), *w);
       return reml_from(data, w->s);
@@ -226,7 +269,7 @@ LmmFit fit_lmm_with(ProfiledSolver solver, const MixedModelData& data,
 
   const double theta_u = std::abs(opt.x[0]);
   const double theta_q = std::abs(opt.x[1]);
-  PlsWorkspace w;
+  PlsWorkspace w(data);
   solver(data, theta_u, theta_q, w);
   const ProfiledSolve& s = w.s;
 

@@ -38,6 +38,19 @@ Json error_response(const std::string& op, const std::string& message) {
   return r;
 }
 
+// Whether an absorb to `upto` asks for more arrivals past `emitted` than
+// one request may.
+bool over_absorb_cap(std::uint64_t upto, std::uint64_t emitted) {
+  return upto > emitted &&
+         upto - emitted > StreamEngine::kMaxAbsorbPerRequest;
+}
+
+Json absorb_too_large() {
+  return bad_request("stream_absorb may ask for at most " +
+                     std::to_string(StreamEngine::kMaxAbsorbPerRequest) +
+                     " arrivals past the stream's 'emitted'");
+}
+
 // The absorb command with its target replaced by the absolute "upto".
 Json with_upto(const Json& absorb, double upto) {
   Json absolute = Json::object();
@@ -614,7 +627,13 @@ bool StreamEngine::canonicalize(service::Json& request, service::Json* error) {
     // Refuse here what handle() would refuse, so it is never journaled.
     request.get_count("threads", 0);
     if (request.get("upto") != nullptr) {
-      request.get_count("upto", 0);
+      const std::uint64_t upto = request.get_count("upto", 0);
+      const StreamSession* session = find(request.get_string("stream", ""));
+      if (session != nullptr &&
+          over_absorb_cap(upto, session->emitted_target_base())) {
+        if (error != nullptr) *error = absorb_too_large();
+        return false;
+      }
       return true;
     }
     if (request.get("count") == nullptr) {
@@ -624,6 +643,10 @@ bool StreamEngine::canonicalize(service::Json& request, service::Json* error) {
       return false;
     }
     const std::uint64_t count = request.get_count("count", 0);
+    if (count > kMaxAbsorbPerRequest) {
+      if (error != nullptr) *error = absorb_too_large();
+      return false;
+    }
     StreamSession* session = find(request.get_string("stream", ""));
     if (session == nullptr) {
       if (error != nullptr)
@@ -668,6 +691,8 @@ service::Json StreamEngine::handle(const service::Json& request) {
       if (request.get("upto") == nullptr)
         return bad_request("stream_absorb needs a non-negative 'upto'");
       const std::uint64_t upto = request.get_count("upto", 0);
+      if (over_absorb_cap(upto, session->emitted_target_base()))
+        return absorb_too_large();
       return session->absorb(upto, request.get_count("threads", 0));
     }
     if (op == "stream_stats") return session->stats();

@@ -19,7 +19,10 @@
 //                      target ("upto"; the relative "count" form is
 //                      canonicalized to "upto" before journaling, so the
 //                      durable command is idempotent). Runs refits at
-//                      the every-N-arrivals cadence as targets pass.
+//                      the every-N-arrivals cadence as targets pass. One
+//                      request asks for at most kMaxAbsorbPerRequest
+//                      arrivals past "emitted"; a larger one is a
+//                      "bad_request", refused before it is journaled.
 //   "stream_stats"     O(1) counters + the state digest (the
 //                      bit-identity probe).
 //   "stream_dashboard" windowed RQ1–RQ5 summaries recomputed from the
@@ -93,6 +96,13 @@ struct SessionView {
 
 class StreamEngine {
  public:
+  /// Most arrivals one stream_absorb may ask for: an absolute "upto" at
+  /// most this far past the stream's "emitted", a relative "count" at
+  /// most this large. 20× the largest fill the cluster benchmark sends
+  /// (49,900 arrivals). The cap bounds how long one request holds its
+  /// session's lock, and how long replaying it takes.
+  static constexpr std::uint64_t kMaxAbsorbPerRequest = 1'000'000;
+
   /// `faults` drives the stream.* sites (null = no injection). `pool`
   /// defaults to the paper's snippet pool; it must outlive the engine.
   explicit StreamEngine(const util::FaultInjector* faults = nullptr,
@@ -103,8 +113,9 @@ class StreamEngine {
   /// relative "count" absorb into the absolute, idempotent "upto" form
   /// (the only form that may be journaled). Returns false — filling
   /// *error — for an invalid open or absorb ("bad_request" for a count
-  /// field out of range, "error" for an unknown arrival process) and for
-  /// an absorb on an unknown stream ("error").
+  /// field out of range or an absorb over kMaxAbsorbPerRequest, "error"
+  /// for an unknown arrival process) and for a relative absorb on an
+  /// unknown stream ("error").
   bool canonicalize(service::Json& request, service::Json* error);
 
   /// The command form of a stream write a primary already answered, for

@@ -36,6 +36,26 @@ struct Failure {
   }
 };
 
+// Runs fn(i), keeping its failure in `first` unless one is already there.
+void run_index(const std::function<void(std::size_t)>& fn, std::size_t i,
+               Failure& first) {
+  try {
+    fn(i);
+  } catch (...) {
+    if (!first.error) first = {std::current_exception(), i};
+  }
+}
+
+// A batch no helper may join: every index in order on the caller, past a
+// throwing one, so the first failure is the lowest. No index is claimed,
+// so a serial batch pays no atomic.
+Failure run_inline(std::size_t n,
+                   const std::function<void(std::size_t)>& fn) {
+  Failure first;
+  for (std::size_t i = 0; i < n; ++i) run_index(fn, i, first);
+  return first;
+}
+
 // One parallel_for call, on its caller's stack. `fn`, `n` and `next` are
 // shared lock-free with the helpers that join it; `seats`, `active` and
 // `failure` are guarded by Helpers::mutex_.
@@ -61,11 +81,7 @@ struct Batch {
     for (;;) {
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= n) return first;
-      try {
-        fn(i);
-      } catch (...) {
-        if (!first.error) first = {std::current_exception(), i};
-      }
+      run_index(fn, i, first);
     }
   }
 };
@@ -169,9 +185,14 @@ ThreadPool::ThreadPool(std::size_t threads)
 void ThreadPool::parallel_for(std::size_t n,
                               const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;
-  Batch batch(fn, n, std::min(threads_, n) - 1);
-  const Failure failure =
-      batch.seats == 0 ? batch.run() : Helpers::instance().run(batch);
+  const std::size_t helper_seats = std::min(threads_, n) - 1;
+  Failure failure;
+  if (helper_seats == 0) {
+    failure = run_inline(n, fn);
+  } else {
+    Batch batch(fn, n, helper_seats);
+    failure = Helpers::instance().run(batch);
+  }
   if (failure.error) std::rethrow_exception(failure.error);
 }
 

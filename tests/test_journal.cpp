@@ -10,7 +10,8 @@
 // at threads 1/2/4 rebuild byte-identical streams), and a backend's
 // replay: it skips records that are not stream writes and leaves a
 // stream write that arrives meanwhile journaled. An invalid stream_open
-// is refused before it reaches the journal.
+// and an absorb over the per-request cap are refused before they reach
+// the journal.
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -429,6 +430,59 @@ TEST(JournalReplayTest, InvalidStreamOpenIsRefusedBeforeItIsJournaled) {
   open.set("fit_starts", Json::number(2));
   EXPECT_EQ(status_of(backend.handle(open, nullptr)), "ok");
   EXPECT_EQ(appends(), appends_before + 1);
+  std::remove(path.c_str());
+}
+
+// An absorb that asks for more than kMaxAbsorbPerRequest arrivals is
+// refused before it is journaled and before any arrival is generated: an
+// absolute "upto" one past the cap, a relative "count" one over it, and a
+// target no stream could reach in a week. The engine's own handle()
+// refuses the same target. An absorb under the cap then runs as usual.
+TEST(JournalReplayTest, OversizedAbsorbIsRefusedBeforeItIsJournaled) {
+  const std::string path = fresh_journal_path("oversized-absorb");
+  ClusterBackendOptions options;
+  options.journal.path = path;
+  ClusterBackend backend(options);
+  Json stats_request = Json::object();
+  stats_request.set("op", Json::string("journal_stats"));
+  const auto appends = [&] {
+    return backend.handle(stats_request, nullptr).get_number("appends", -1);
+  };
+  const auto emitted = [&] {
+    return backend.handle(stream_op("stream_stats", "s"), nullptr)
+        .get_number("emitted", -1);
+  };
+  Json open = stream_op("stream_open", "s");
+  open.set("population", Json::number(24));
+  ASSERT_EQ(status_of(backend.handle(open, nullptr)), "ok");
+  Json first = stream_op("stream_absorb", "s");
+  first.set("upto", Json::number(50));
+  ASSERT_EQ(status_of(backend.handle(first, nullptr)), "ok");
+  const double appends_before = appends();
+  ASSERT_EQ(emitted(), 50.0);
+
+  const double cap = static_cast<double>(
+      streaming::StreamEngine::kMaxAbsorbPerRequest);
+  const std::vector<std::pair<const char*, double>> oversized = {
+      {"upto", 50.0 + cap + 1.0}, {"count", cap + 1.0}, {"upto", 1e12}};
+  for (const auto& [field, value] : oversized) {
+    SCOPED_TRACE(std::string(field) + "=" + std::to_string(value));
+    Json absorb = stream_op("stream_absorb", "s");
+    absorb.set(field, Json::number(value));
+    EXPECT_EQ(status_of(backend.handle(absorb, nullptr)), "bad_request");
+    EXPECT_EQ(appends(), appends_before);
+    EXPECT_EQ(emitted(), 50.0);
+  }
+  Json direct = stream_op("stream_absorb", "s");
+  direct.set("upto", Json::number(50.0 + cap + 1.0));
+  EXPECT_EQ(status_of(backend.streaming().handle(direct)), "bad_request");
+  EXPECT_EQ(emitted(), 50.0);
+
+  Json absorb = stream_op("stream_absorb", "s");
+  absorb.set("count", Json::number(100));
+  EXPECT_EQ(status_of(backend.handle(absorb, nullptr)), "ok");
+  EXPECT_EQ(appends(), appends_before + 1);
+  EXPECT_EQ(emitted(), 150.0);
   std::remove(path.c_str());
 }
 

@@ -9,9 +9,12 @@
 // across kernel generations. Also covers the canonical request key.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/rq1_correctness.h"
@@ -549,6 +552,63 @@ TEST(ArrowCholeskyKernel, NonPositiveDefiniteThrows) {
   EXPECT_THROW(linalg::ArrowCholesky(2, 3).at(1, 0), PreconditionError);
 }
 
+// The fitters assemble through the unchecked view. It reaches the same
+// storage as at(), so the same additions in the same order give the same
+// factor, solve and log-determinant bits. The additions are the GLMM's
+// per-observation 2×2 blocks (user × question) and trailing-only pairs,
+// each positive semidefinite, on top of a random SPD start.
+TEST(ArrowCholeskyKernel, AssemblyViewMatchesCheckedAccessBitwise) {
+  const util::Rng root(20261019);
+  std::uint64_t stream = 0;
+  for (const auto& [k, m] : {std::pair<std::size_t, std::size_t>{1, 5},
+                             {40, 48},
+                             {40, 52},
+                             {64, 76}}) {
+    SCOPED_TRACE("k=" + std::to_string(k) + " m=" + std::to_string(m));
+    util::Rng rng = root.split(stream++);
+    linalg::Matrix dense;
+    linalg::ArrowCholesky checked;
+    random_arrow_spd(rng, k, m, dense, checked);
+    linalg::ArrowCholesky viewed(k, m);
+    for (std::size_t i = 0; i < k; ++i) viewed.diagonal()[i] = dense(i, i);
+    for (std::size_t i = k; i < m; ++i)
+      for (std::size_t j = 0; j <= i; ++j)
+        viewed.trailing_row(i)[j] = dense(i, j);
+    for (std::size_t t = 0; t < 8 * m; ++t) {
+      const std::size_t cu = rng.uniform_index(k);
+      const std::size_t cq = k + rng.uniform_index(m - k);
+      const std::size_t c2 = k + rng.uniform_index(cq - k + 1);
+      const double a = rng.uniform(-1.0, 1.0);
+      const double b = rng.uniform(-1.0, 1.0);
+      checked.at(cu, cu) += a * a;
+      checked.at(cq, cq) += b * b;
+      checked.at(cq, cu) += a * b;
+      viewed.diagonal()[cu] += a * a;
+      viewed.trailing_row(cq)[cq] += b * b;
+      viewed.trailing_row(cq)[cu] += a * b;
+      if (c2 == cq) continue;
+      checked.at(c2, c2) += a * a;
+      checked.at(cq, c2) += a * b;
+      viewed.trailing_row(c2)[c2] += a * a;
+      viewed.trailing_row(cq)[c2] += a * b;
+    }
+    checked.factorize();
+    viewed.factorize();
+    for (std::size_t i = 0; i < m; ++i)
+      for (std::size_t j = 0; j < m; ++j)
+        ASSERT_TRUE(same_bits(checked.lower(i, j), viewed.lower(i, j)))
+            << "L(" << i << ", " << j << ")";
+    linalg::Vector b(m);
+    for (double& v : b) v = rng.normal();
+    linalg::Vector x_checked = b;
+    linalg::Vector x_viewed = b;
+    checked.solve_in_place(x_checked);
+    viewed.solve_in_place(x_viewed);
+    expect_same_bits(x_checked, x_viewed);
+    EXPECT_TRUE(same_bits(checked.log_det(), viewed.log_det()));
+  }
+}
+
 // -- Mixed-model evaluators and fits ---------------------------------------
 
 // The paper's default study, as the Table I (GLMM) and Table II (LMM)
@@ -582,6 +642,82 @@ TEST(MixedEvaluatorKernel, LaplaceDevianceMatchesReferenceBitwise) {
           << "evaluation " << eval << ": " << fast << " vs " << ref;
       expect_same_bits(fast_modes, ref_modes);
     }
+  }
+}
+
+// Fast vs reference Laplace deviance over `evals` random parameter
+// vectors with fixed effects uniform in ±beta_bound, carrying the modes
+// across evaluations as the Nelder–Mead objective does. Returns the
+// extremes of Xβ it evaluated at.
+std::pair<double, double> expect_laplace_matches_reference(
+    const mixed::MixedModelData& data, util::Rng& rng, int evals,
+    double beta_bound) {
+  double lowest = 0.0;
+  double highest = 0.0;
+  std::vector<double> fast_modes;
+  std::vector<double> ref_modes;
+  for (int eval = 0; eval < evals; ++eval) {
+    std::vector<double> params = {rng.uniform(-3.0, 3.0),
+                                  rng.uniform(-3.0, 3.0)};
+    for (std::size_t j = 0; j < data.n_fixed_effects(); ++j)
+      params.push_back(rng.uniform(-beta_bound, beta_bound));
+    for (std::size_t i = 0; i < data.n_observations(); ++i) {
+      double xbeta = 0.0;
+      for (std::size_t j = 0; j < data.n_fixed_effects(); ++j)
+        xbeta += data.x(i, j) * params[2 + j];
+      lowest = std::min(lowest, xbeta);
+      highest = std::max(highest, xbeta);
+    }
+    const double fast = mixed::laplace_deviance(data, params, fast_modes);
+    const double ref =
+        mixed::laplace_deviance_reference(data, params, ref_modes);
+    EXPECT_TRUE(same_bits(fast, ref))
+        << "evaluation " << eval << ": " << fast << " vs " << ref;
+    expect_same_bits(fast_modes, ref_modes);
+  }
+  return {lowest, highest};
+}
+
+// Fixed effects up to ±40 push μ past both sides of the deviance's 1e-12
+// clamp: logistic(η) is below 1e-12 for η < −27.7 and rounds above
+// 1 − 1e-12 for η > 27.7.
+TEST(MixedEvaluatorKernel, LaplaceDevianceMatchesReferenceWhereTheClampBinds) {
+  const auto data =
+      analysis::build_model_data(simulated_study(), /*timing_model=*/false);
+  util::Rng rng = util::Rng(73).split(0);
+  const auto [lowest, highest] =
+      expect_laplace_matches_reference(data, rng, 16, 40.0);
+  EXPECT_LT(lowest, -35.0);
+  EXPECT_GT(highest, 35.0);
+}
+
+// An all-1 and an all-0 response leave one response class empty.
+TEST(MixedEvaluatorKernel, LaplaceDevianceMatchesReferenceWithOneClass) {
+  const util::Rng root(74);
+  std::uint64_t stream = 0;
+  for (const double response : {1.0, 0.0}) {
+    SCOPED_TRACE("y = " + std::to_string(response));
+    auto data =
+        analysis::build_model_data(simulated_study(), /*timing_model=*/false);
+    data.y.assign(data.n_observations(), response);
+    util::Rng rng = root.split(stream++);
+    expect_laplace_matches_reference(data, rng, 24, 4.0);
+  }
+}
+
+// Two studies shaped as run_replication builds them, at seeds from the
+// replication sweep's range.
+TEST(MixedEvaluatorKernel, LaplaceDevianceMatchesReferenceOnSweepStudies) {
+  const util::Rng root(75);
+  for (const std::uint64_t seed : {1000000u, 1000001u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    study::StudyConfig config;
+    config.seed = seed;
+    config.threads = 1;
+    const auto data = analysis::build_model_data(study::run_study(config),
+                                                 /*timing_model=*/false);
+    util::Rng rng = root.split(seed);
+    expect_laplace_matches_reference(data, rng, 24, 4.0);
   }
 }
 

@@ -260,7 +260,7 @@ ClusterReading bench_cluster(std::size_t n_backends,
   std::vector<double> latencies_us;
   latencies_us.reserve(kSeeds * kWarmPasses);
   std::string out;
-  const auto warm_start = std::chrono::steady_clock::now();
+  const auto warm_begin = std::chrono::steady_clock::now();
   for (std::size_t pass = 0; pass < kWarmPasses; ++pass) {
     for (const Json& req : requests) {
       out.clear();
@@ -273,7 +273,7 @@ ClusterReading bench_cluster(std::size_t n_backends,
   }
   const auto warm_stop = std::chrono::steady_clock::now();
   const double warm_ms =
-      std::chrono::duration<double, std::milli>(warm_stop - warm_start)
+      std::chrono::duration<double, std::milli>(warm_stop - warm_begin)
           .count();
   reading.warm_rps = (kSeeds * kWarmPasses) / (warm_ms / 1000.0);
   std::sort(latencies_us.begin(), latencies_us.end());

@@ -6,9 +6,10 @@
 // cluster backend, absorbs arrivals in waves while printing the windowed
 // RQ dashboard after each wave, then simulates a crash: the backend is
 // destroyed and a fresh one on the same journal re-warms through
-// "journal_replay". The rebuilt stream reports the same digest as the one
-// that "crashed" — the streamed run replays bit-for-bit from the
-// journaled stream writes.
+// "journal_replay". The rebuilt stream reports the same digest and the
+// same dashboard bytes as the one that "crashed" — the streamed run
+// replays bit-for-bit from the journaled stream writes. The exit status
+// is 1 when either differs, so a check script can run the walkthrough.
 //
 // Everything is deterministic: run it twice and every line (digests,
 // RQ numbers, window sizes) is byte-identical.
@@ -74,8 +75,7 @@ void print_dashboard(const Json& dash) {
     if (glmm != nullptr && glmm->get_bool("fitted", false))
       std::cout << "  rq1 glmm: treatment=" <<
           glmm->get_number("treatment_estimate", 0)
-                << " p=" << glmm->get_number("treatment_p", 1) << " (warm="
-                << (glmm->get_bool("warm", false) ? "yes" : "no") << ")\n";
+                << " p=" << glmm->get_number("treatment_p", 1) << "\n";
   }
   const Json* rq2 = dash.get("rq2");
   if (rq2 != nullptr) {
@@ -115,6 +115,8 @@ int main(int argc, char** argv) {
 
   const Json before = backend->handle(stream_request("stream_stats"), nullptr);
   const std::string digest_before = before.get_string("digest", "?");
+  const std::string dashboard_before =
+      backend->handle(stream_request("stream_dashboard"), nullptr).dump();
   std::cout << "\nstate digest before crash: " << digest_before << "\n";
 
   // --- crash + re-warm: the journal replays bit-for-bit -----------------
@@ -132,9 +134,16 @@ int main(int argc, char** argv) {
 
   const Json after = backend->handle(stream_request("stream_stats"), nullptr);
   const std::string digest_after = after.get_string("digest", "?");
+  const std::string dashboard_after =
+      backend->handle(stream_request("stream_dashboard"), nullptr).dump();
+  const bool identical =
+      digest_after == digest_before && dashboard_after == dashboard_before;
   std::cout << "state digest after replay:  " << digest_after << "\n";
-  std::cout << "replay bit-identical: "
-            << (digest_after == digest_before ? "yes" : "NO — BUG") << "\n";
+  std::cout << "dashboard bytes after replay "
+            << (dashboard_after == dashboard_before ? "match" : "DIFFER")
+            << " (" << dashboard_after.size() << " B)\n";
+  std::cout << "replay bit-identical: " << (identical ? "yes" : "NO — BUG")
+            << "\n";
 
   // The rebuilt stream keeps absorbing from where the journal left off.
   const Json more = backend->handle(absorb_request(100), nullptr);
@@ -143,5 +152,5 @@ int main(int argc, char** argv) {
             << " status=" << more.get_string("status", "?") << "\n";
 
   std::filesystem::remove_all(journal_dir);
-  return 0;
+  return identical ? 0 : 1;
 }

@@ -31,11 +31,11 @@
 # code a data-race or use-after-free detector must see under load.
 #
 # The streaming label (live-population arrivals, incremental window
-# state, warm-started refits, the served stream op family) likewise runs
-# as its own TSan and ASan stage: its cluster suites spin socket-served
-# backends and a replicating dispatcher, and the absorb path mutates
-# per-stream state under the server's worker threads — the exact shape
-# where a missing lock shows up only under a race detector.
+# state, cold refits of each window, the served stream op family)
+# likewise runs as its own TSan and ASan stage: its cluster suites spin
+# socket-served backends and a replicating dispatcher, and the absorb
+# path mutates per-stream state under the server's worker threads — the
+# exact shape where a missing lock shows up only under a race detector.
 #
 # The smoke run builds the benchmark's own Release tree into .bench_build/
 # on first use (a few minutes on 4 cores); later runs rebuild only what
@@ -97,6 +97,10 @@ if [[ "$RUN_REGULAR" == 1 ]]; then
   cmake -B build -S . -DDECOMPEVAL_WARNINGS_AS_ERRORS=ON
   cmake --build build -j "$JOBS"
   ctest --test-dir build --output-on-failure -j "$JOBS" -LE soak
+  echo "=== streaming walkthrough: crash, journal replay, same bytes ==="
+  # The walkthrough exits non-zero when the replayed stream's digest or
+  # dashboard bytes differ from those before its simulated crash.
+  ./build/examples/streaming_demo
   assert_no_orphaned_backends "the regular test suite"
 
   echo "=== cluster benchmark smoke: every workload, untraced and traced ==="

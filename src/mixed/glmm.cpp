@@ -344,14 +344,11 @@ GlmmFit fit_glmm_with(PirlsSolver solver, const MixedModelData& data,
   opts.initial_step = 0.4;
   opts.tolerance = 1e-8;
   opts.max_evaluations = 40000;
-  FitOptions search_options = options;
-  if (options.moment_starts && options.n_starts > 1) {
-    // Candidates n_starts and n_starts + 1: ANOVA method-of-moments thetas.
-    for (auto& theta : moment_theta_starts(data, /*binary_response=*/true))
-      search_options.extra_theta_starts.push_back(std::move(theta));
-  }
+  // The search appends the ANOVA method-of-moments thetas as candidates
+  // n_starts and n_starts + 1 (when n_starts > 1).
   MultiStartOutcome search = multi_start_nelder_mead(
-      objective_factory, start, /*n_theta=*/2, opts, search_options);
+      objective_factory, start, /*n_theta=*/2,
+      moment_theta_starts(data, /*binary_response=*/true), opts, options);
   const NelderMeadResult& opt = search.best;
 
   const double theta_u = std::abs(opt.x[0]);
@@ -485,15 +482,6 @@ double laplace_deviance_reference(const MixedModelData& data,
                                   const std::vector<double>& params,
                                   std::vector<double>& modes) {
   return laplace_deviance_with(pirls_reference, data, params, modes);
-}
-
-std::vector<double> warm_start_from(const GlmmFit& fit) {
-  std::vector<double> x;
-  x.reserve(2 + fit.coefficients.size());
-  x.push_back(fit.sigma_user);
-  x.push_back(fit.sigma_question);
-  for (const Coefficient& c : fit.coefficients) x.push_back(c.estimate);
-  return x;
 }
 
 }  // namespace decompeval::mixed

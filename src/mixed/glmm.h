@@ -65,9 +65,4 @@ double laplace_deviance_reference(const MixedModelData& data,
                                   const std::vector<double>& params,
                                   std::vector<double>& modes);
 
-/// Packs a previous fit into the outer parameter vector
-/// [sigma_user, sigma_question, beta...] for FitOptions::warm_start of a
-/// later fit_logistic_glmm on related data (same fixed-effect layout).
-std::vector<double> warm_start_from(const GlmmFit& fit);
-
 }  // namespace decompeval::mixed

@@ -257,14 +257,11 @@ LmmFit fit_lmm_with(ProfiledSolver solver, const MixedModelData& data,
   };
   NelderMeadOptions opts;
   opts.initial_step = 0.5;
-  FitOptions search_options = options;
-  if (options.moment_starts && options.n_starts > 1) {
-    // Candidates n_starts and n_starts + 1: ANOVA method-of-moments thetas.
-    for (auto& theta : moment_theta_starts(data, /*binary_response=*/false))
-      search_options.extra_theta_starts.push_back(std::move(theta));
-  }
+  // The search appends the ANOVA method-of-moments thetas as candidates
+  // n_starts and n_starts + 1 (when n_starts > 1).
   MultiStartOutcome search = multi_start_nelder_mead(
-      objective_factory, {1.0, 1.0}, /*n_theta=*/2, opts, search_options);
+      objective_factory, {1.0, 1.0}, /*n_theta=*/2,
+      moment_theta_starts(data, /*binary_response=*/false), opts, options);
   const NelderMeadResult& opt = search.best;
 
   const double theta_u = std::abs(opt.x[0]);
@@ -362,15 +359,6 @@ double reml_criterion_reference(const MixedModelData& data,
                                 double theta_user, double theta_question) {
   return reml_criterion_with(profiled_solve_reference, data, theta_user,
                              theta_question);
-}
-
-std::vector<double> warm_start_from(const LmmFit& fit) {
-  // The REML profile optimizes the relative covariance factors; beta and
-  // sigma are recovered in closed form, so the vector is theta only. A
-  // degenerate previous fit (sigma_residual == 0) has no usable ratios.
-  if (fit.sigma_residual <= 0.0) return {};
-  return {fit.sigma_user / fit.sigma_residual,
-          fit.sigma_question / fit.sigma_residual};
 }
 
 }  // namespace decompeval::mixed

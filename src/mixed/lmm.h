@@ -60,10 +60,4 @@ double reml_criterion(const MixedModelData& data, double theta_user,
 double reml_criterion_reference(const MixedModelData& data,
                                 double theta_user, double theta_question);
 
-/// Packs a previous fit into the outer parameter vector
-/// [sigma_user/sigma_residual, sigma_question/sigma_residual] (the REML
-/// profile optimizes relative covariance factors only) for
-/// FitOptions::warm_start of a later fit_lmm on related data.
-std::vector<double> warm_start_from(const LmmFit& fit);
-
 }  // namespace decompeval::mixed

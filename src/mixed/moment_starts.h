@@ -8,8 +8,8 @@
 // gives closed-form moment estimates of both variance components in O(n),
 // and those estimates land close enough to the REML/Laplace optimum that
 // Nelder-Mead started there converges in fewer evaluations than the
-// heuristic start. The fitters append these as multi-start candidates
-// n_starts and n_starts + 1.
+// heuristic start. The fitters pass these to the multi-start search, which
+// appends them as candidates n_starts and n_starts + 1 when n_starts > 1.
 //
 // The decomposition works on the cell-mean table of the crossed
 // user x question design (unweighted means, so mild unbalance is fine):

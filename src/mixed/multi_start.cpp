@@ -11,67 +11,53 @@
 namespace decompeval::mixed {
 
 std::vector<std::vector<double>> multi_start_points(
-    const std::vector<double>& x0, std::size_t n_theta,
-    const FitOptions& options) {
+    const std::vector<double>& x0, std::size_t n_theta, int n_starts,
+    const std::vector<std::vector<double>>& moment_thetas) {
   DE_EXPECTS(!x0.empty());
   DE_EXPECTS(n_theta <= x0.size());
-  DE_EXPECTS(options.n_starts >= 1);
-  DE_EXPECTS(options.theta_scale_min > 0.0);
-  DE_EXPECTS(options.theta_scale_max >= options.theta_scale_min);
+  DE_EXPECTS(n_starts >= 1);
 
+  const std::size_t extra = static_cast<std::size_t>(n_starts) - 1;
   std::vector<std::vector<double>> starts;
-  starts.reserve(static_cast<std::size_t>(options.n_starts) +
-                 options.extra_theta_starts.size() +
-                 (options.warm_start.empty() ? 0 : 1));
-  if (!options.warm_start.empty()) {
-    DE_EXPECTS_MSG(options.warm_start.size() == x0.size(),
-                   "warm_start has the wrong dimension");
-    for (const double v : options.warm_start)
-      DE_EXPECTS_MSG(std::isfinite(v), "warm_start has a non-finite entry");
-    // Prepended, never substituted: the heuristic start and the whole cold
-    // candidate set stay in the search, so the warm winner can only improve
-    // on the cold winner (ties resolve to the warm start's lower index).
-    starts.push_back(options.warm_start);
-  }
+  starts.reserve(1 + extra + moment_thetas.size());
   starts.push_back(x0);
-  const std::size_t extra = static_cast<std::size_t>(options.n_starts) - 1;
-  if (extra > 0) {
-    // One stratum permutation per theta dimension makes the scale factors a
-    // Latin hypercube: across the K−1 jittered starts every dimension visits
-    // every log-uniform stratum exactly once.
-    util::Rng base(options.seed);
-    std::vector<std::vector<std::size_t>> strata(n_theta);
-    for (std::size_t d = 0; d < n_theta; ++d) {
-      strata[d].resize(extra);
-      std::iota(strata[d].begin(), strata[d].end(), std::size_t{0});
-      base.shuffle(strata[d]);
-    }
+  if (extra == 0) return starts;
 
-    const double log_lo = std::log(options.theta_scale_min);
-    const double log_hi = std::log(options.theta_scale_max);
-    for (std::size_t k = 0; k < extra; ++k) {
-      // Per-start stream: pure function of (seed, k), so the start list does
-      // not depend on how (or whether) other starts are generated.
-      util::Rng stream = base.split(k);
-      std::vector<double> x = x0;
-      for (std::size_t d = 0; d < n_theta; ++d) {
-        const double in_stratum = stream.uniform();
-        const double frac =
-            (static_cast<double>(strata[d][k]) + in_stratum) /
-            static_cast<double>(extra);
-        const double scale = std::exp(log_lo + frac * (log_hi - log_lo));
-        // Heuristic inits use theta = 1; if a caller ever passes 0, fall
-        // back to the scale itself rather than pinning the start at 0.
-        x[d] = x0[d] != 0.0 ? x0[d] * scale : scale;
-      }
-      for (std::size_t j = n_theta; j < x.size(); ++j)
-        x[j] = x0[j] + options.beta_jitter_sd * stream.normal();
-      starts.push_back(std::move(x));
-    }
+  // One stratum permutation per theta dimension makes the scale factors a
+  // Latin hypercube: across the K−1 jittered starts every dimension visits
+  // every log-uniform stratum exactly once.
+  util::Rng base(kStartSeed);
+  std::vector<std::vector<std::size_t>> strata(n_theta);
+  for (std::size_t d = 0; d < n_theta; ++d) {
+    strata[d].resize(extra);
+    std::iota(strata[d].begin(), strata[d].end(), std::size_t{0});
+    base.shuffle(strata[d]);
   }
-  for (const std::vector<double>& theta : options.extra_theta_starts) {
+
+  const double log_lo = std::log(kThetaScaleMin);
+  const double log_hi = std::log(kThetaScaleMax);
+  for (std::size_t k = 0; k < extra; ++k) {
+    // Per-start stream: pure function of (seed, k), so the start list does
+    // not depend on how (or whether) other starts are generated.
+    util::Rng stream = base.split(k);
+    std::vector<double> x = x0;
+    for (std::size_t d = 0; d < n_theta; ++d) {
+      const double in_stratum = stream.uniform();
+      const double frac =
+          (static_cast<double>(strata[d][k]) + in_stratum) /
+          static_cast<double>(extra);
+      const double scale = std::exp(log_lo + frac * (log_hi - log_lo));
+      // Heuristic inits use theta = 1; if a caller ever passes 0, fall
+      // back to the scale itself rather than pinning the start at 0.
+      x[d] = x0[d] != 0.0 ? x0[d] * scale : scale;
+    }
+    for (std::size_t j = n_theta; j < x.size(); ++j)
+      x[j] = x0[j] + kBetaJitterSd * stream.normal();
+    starts.push_back(std::move(x));
+  }
+  for (const std::vector<double>& theta : moment_thetas) {
     DE_EXPECTS_MSG(theta.size() == n_theta,
-                   "extra theta start has the wrong dimension");
+                   "moment theta start has the wrong dimension");
     std::vector<double> x = x0;
     for (std::size_t d = 0; d < n_theta; ++d) x[d] = theta[d];
     starts.push_back(std::move(x));
@@ -83,10 +69,11 @@ MultiStartOutcome multi_start_nelder_mead(
     const std::function<
         std::function<double(const std::vector<double>&)>()>& objective_factory,
     const std::vector<double>& x0, std::size_t n_theta,
+    const std::vector<std::vector<double>>& moment_thetas,
     const NelderMeadOptions& nm_options, const FitOptions& options) {
   options.deadline.check("multi_start entry");
   const std::vector<std::vector<double>> starts =
-      multi_start_points(x0, n_theta, options);
+      multi_start_points(x0, n_theta, options.n_starts, moment_thetas);
 
   NelderMeadOptions nm = nm_options;
   nm.deadline = options.deadline;
@@ -103,7 +90,7 @@ MultiStartOutcome multi_start_nelder_mead(
     std::string quarantine_note;  ///< empty = healthy
   };
   // Each start gets a fresh objective instance: stateful objectives (the
-  // GLMM warm start) stay private to their simplex, which both avoids data
+  // GLMM's PIRLS modes) stay private to their simplex, which both avoids data
   // races and keeps every start a pure function of its start vector.
   const std::vector<StartOutcome> results = util::parallel_map(
       options.threads, starts,

@@ -6,12 +6,16 @@
 // in a shallow local optimum — which would silently change the paper's
 // Table I/II coefficients. The driver therefore launches K independent
 // simplex searches: start 0 is exactly the legacy heuristic start (so the
-// multi-start winner can never be worse than the single-start fit), and
-// starts 1..K−1 jitter around it with a Latin-hypercube spread over the
-// variance-component scale plus small Gaussian noise on the fixed effects.
+// multi-start winner can never be worse than the single-start fit), starts
+// 1..K−1 jitter around it with a Latin-hypercube spread over the
+// variance-component scale plus small Gaussian noise on the fixed effects,
+// and the fitters' two method-of-moments candidates follow as starts K and
+// K+1.
 //
-// Determinism contract: every start vector is a pure function of
-// (FitOptions::seed, start index) via Rng::split, starts are fitted as an
+// The start set is decided here and nowhere else: every start vector is a
+// pure function of (data-derived x0 and moment candidates, n_starts,
+// start index) — the jitter constants below are fixed — so a fit is a pure
+// function of its data and n_starts. Starts are fitted as an
 // order-preserving parallel_map batch, and the winner is chosen by
 // (criterion value, start index) in index order on the calling thread —
 // so the fit is bit-identical at every thread count.
@@ -27,47 +31,31 @@
 
 namespace decompeval::mixed {
 
-/// Knobs shared by fit_logistic_glmm and fit_lmm.
+/// Base seed of the start-jitter streams: jittered start k draws from
+/// Rng(kStartSeed).split(k); independent of every simulation seed.
+inline constexpr std::uint64_t kStartSeed = 0x5EEDBED5ULL;
+/// Multiplicative Latin-hypercube envelope for the variance-component
+/// coordinates: jittered start k scales each theta by a stratified factor
+/// in [kThetaScaleMin, kThetaScaleMax] (log-uniform strata).
+inline constexpr double kThetaScaleMin = 0.15;
+inline constexpr double kThetaScaleMax = 4.0;
+/// SD of the additive Gaussian jitter on the non-theta (fixed-effect)
+/// coordinates.
+inline constexpr double kBetaJitterSd = 0.25;
+
+/// Knobs shared by fit_logistic_glmm and fit_lmm. None of them changes the
+/// start set beyond its size: a fit is a pure function of its data and
+/// n_starts.
 struct FitOptions {
-  /// Total Nelder–Mead starts including the heuristic start 0. 1 reproduces
-  /// the legacy single-start fit exactly.
+  /// Jittered Nelder–Mead starts including the heuristic start 0; above 1
+  /// the two method-of-moments candidates follow them. 1 reproduces the
+  /// legacy single-start fit exactly.
   int n_starts = 8;
   /// Worker threads for the start fan-out; 0 = hardware concurrency. The
   /// result does not depend on this value.
   std::size_t threads = 0;
-  /// Base seed of the start-jitter streams (start k draws from
-  /// Rng(seed).split(k)); independent of every simulation seed.
-  std::uint64_t seed = 0x5EEDBED5ULL;
-  /// Multiplicative Latin-hypercube envelope for the variance-component
-  /// coordinates: start k scales each theta by a stratified factor in
-  /// [theta_scale_min, theta_scale_max] (log-uniform strata).
-  double theta_scale_min = 0.15;
-  double theta_scale_max = 4.0;
-  /// SD of the additive Gaussian jitter on the non-theta (fixed-effect)
-  /// coordinates.
-  double beta_jitter_sd = 0.25;
-  /// Append method-of-moments theta starts (candidates n_starts and
-  /// n_starts + 1, computed by the fitters from a balanced-ANOVA
-  /// decomposition of the data — see mixed/moment_starts.h). Ignored when
-  /// n_starts == 1, which stays the exact legacy single-start fit.
-  bool moment_starts = true;
-  /// Extra deterministic starts appended after the jittered ones: each
-  /// entry supplies the first n_theta coordinates; the remaining (beta)
-  /// coordinates are copied from x0. The fitters fill this with the
-  /// moment-based candidates; callers may add their own.
-  std::vector<std::vector<double>> extra_theta_starts;
-  /// Optional warm start: a full parameter vector (theta coordinates first,
-  /// then the fixed effects) carried over from a previous fit on related
-  /// data — the streaming engine passes the previous window's winner here.
-  /// When non-empty it must match x0.size() and is *prepended* as start 0,
-  /// ahead of the heuristic start and every cold candidate. The cold start
-  /// set is retained unchanged, so the warm search explores a strict
-  /// superset of the cold search and — with ties broken toward the lower
-  /// index — its winning criterion is never worse than the cold one.
-  std::vector<double> warm_start;
   /// Optional chaos injection: fault site "mixed.start" is evaluated once
-  /// per start index (the warm start, when present, shifts the cold
-  /// indices up by one). A firing start is quarantined, not fatal.
+  /// per start index. A firing start is quarantined, not fatal.
   const util::FaultInjector* faults = nullptr;
   /// Cooperative cancellation, checked at fit entry and once per
   /// Nelder-Mead iteration. An expired deadline aborts with
@@ -97,19 +85,21 @@ struct MultiStartOutcome {
 };
 
 /// Deterministic start points: element 0 is `x0` verbatim; the first
-/// `n_theta` coordinates of the others get the Latin-hypercube scale
-/// treatment, the rest Gaussian jitter. Entries of
-/// `options.extra_theta_starts` are appended after the jittered starts
-/// (theta coordinates from the entry, beta coordinates from x0). Pure
-/// function of (x0, options).
+/// `n_theta` coordinates of elements 1..n_starts−1 get the Latin-hypercube
+/// scale treatment, the rest Gaussian jitter. When n_starts > 1 each entry
+/// of `moment_thetas` (n_theta coordinates: the fitters pass their two
+/// method-of-moments candidates) is appended after the jittered starts,
+/// with its beta coordinates copied from x0; at n_starts == 1 they are
+/// ignored. Pure function of its arguments.
 std::vector<std::vector<double>> multi_start_points(
-    const std::vector<double>& x0, std::size_t n_theta,
-    const FitOptions& options);
+    const std::vector<double>& x0, std::size_t n_theta, int n_starts,
+    const std::vector<std::vector<double>>& moment_thetas);
 
-/// Minimizes from every start concurrently and returns the best result.
-/// `objective_factory` must produce an independent objective per call —
-/// objectives may keep internal state (e.g. the GLMM PIRLS warm start), so
-/// concurrent starts must never share one. Winner selection: smallest
+/// Minimizes from every start of multi_start_points(x0, n_theta,
+/// options.n_starts, moment_thetas) concurrently and returns the best
+/// result. `objective_factory` must produce an independent objective per
+/// call — objectives may keep internal state (e.g. the GLMM PIRLS modes),
+/// so concurrent starts must never share one. Winner selection: smallest
 /// finite criterion among non-quarantined starts, ties broken by the lower
 /// start index. A start that diverges (NumericalError, non-finite
 /// criterion) or is hit by an injected fault is quarantined and the search
@@ -119,6 +109,7 @@ MultiStartOutcome multi_start_nelder_mead(
     const std::function<
         std::function<double(const std::vector<double>&)>()>& objective_factory,
     const std::vector<double>& x0, std::size_t n_theta,
+    const std::vector<std::vector<double>>& moment_thetas,
     const NelderMeadOptions& nm_options, const FitOptions& options);
 
 }  // namespace decompeval::mixed

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <string_view>
@@ -36,13 +37,6 @@ Json error_response(const std::string& op, const std::string& message) {
   r.set("op", Json::string(op));
   r.set("error", Json::string(message));
   return r;
-}
-
-// Whether an absorb to `upto` asks for more arrivals past `emitted` than
-// one request may.
-bool over_absorb_cap(std::uint64_t upto, std::uint64_t emitted) {
-  return upto > emitted &&
-         upto - emitted > StreamEngine::kMaxAbsorbPerRequest;
 }
 
 Json absorb_too_large() {
@@ -165,6 +159,26 @@ class StreamSession {
     return generator_.emitted();
   }
 
+  /// The bad_request refusing an absorb to `upto` that asks for more than
+  /// one request may past "emitted": over kMaxAbsorbPerRequest arrivals,
+  /// or over kMaxRefitsPerAbsorb refit points crossed (a refit runs after
+  /// every arrival that brings "emitted" to a multiple of refit_every).
+  /// Empty when the absorb is within both caps. "emitted" only grows, so a
+  /// concurrent absorb can only shrink what this one asks for.
+  std::optional<Json> refuse_absorb(std::uint64_t upto) const {
+    const std::uint64_t emitted = emitted_target_base();
+    if (upto <= emitted) return std::nullopt;
+    if (upto - emitted > StreamEngine::kMaxAbsorbPerRequest)
+      return absorb_too_large();
+    const std::uint64_t every = options_.refit_every;
+    if (every != 0 &&
+        upto / every - emitted / every > StreamEngine::kMaxRefitsPerAbsorb)
+      return bad_request("stream_absorb may cross at most " +
+                         std::to_string(StreamEngine::kMaxRefitsPerAbsorb) +
+                         " refit points past the stream's 'emitted'");
+    return std::nullopt;
+  }
+
   Json absorb(std::uint64_t upto, std::size_t threads) {
     const std::lock_guard<std::mutex> lock(mutex_);
     const std::uint64_t dropped_before = dropped_;
@@ -252,8 +266,6 @@ class StreamSession {
     v.have_lmm = have_lmm_;
     v.glmm = glmm_;
     v.lmm = lmm_;
-    v.glmm_warm_used = last_glmm_warm_used_;
-    v.lmm_warm_used = last_lmm_warm_used_;
     v.digest = state_.digest();
     v.absorbed = state_.absorbed();
     v.dropped = dropped_;
@@ -305,33 +317,27 @@ class StreamSession {
       ++refits_sparse_;
       return;
     }
-    mixed::FitOptions base;
-    base.n_starts = options_.fit_starts;
-    base.threads = threads;
+    // Each refit is the default fit of its window: cold, so a stream's fit
+    // depends on the current window alone, never on earlier refits.
+    mixed::FitOptions fit;
+    fit.n_starts = options_.fit_starts;
+    fit.threads = threads;
     bool fitted_any = false;
     try {
-      mixed::FitOptions g = base;
-      if (have_glmm_) g.warm_start = mixed::warm_start_from(glmm_);
-      last_glmm_warm_used_ = g.warm_start;
       glmm_ = mixed::fit_logistic_glmm(
           analysis::build_model_data(data, /*timing_model=*/false, nullptr),
-          g);
+          fit);
       have_glmm_ = true;
-      if (!g.warm_start.empty()) ++glmm_warm_refits_;
       fitted_any = true;
     } catch (const NumericalError& e) {
       ++refit_failures_;
       note("refit " + std::to_string(attempt) + " glmm failed: " + e.what());
     }
     try {
-      mixed::FitOptions l = base;
-      if (have_lmm_) l.warm_start = mixed::warm_start_from(lmm_);
-      last_lmm_warm_used_ = l.warm_start;
       lmm_ = mixed::fit_lmm(
           analysis::build_model_data(data, /*timing_model=*/true, nullptr),
-          l);
+          fit);
       have_lmm_ = true;
-      if (!l.warm_start.empty()) ++lmm_warm_refits_;
       fitted_any = true;
     } catch (const NumericalError& e) {
       ++refit_failures_;
@@ -418,8 +424,6 @@ class StreamSession {
               Json::number(glmm_.coefficients[1].estimate));
         g.set("treatment_p", Json::number(glmm_.coefficients[1].p_value));
       }
-      g.set("warm", Json::boolean(!last_glmm_warm_used_.empty()));
-      set_count(g, "warm_refits", glmm_warm_refits_);
     }
     out.set("glmm", g);
     return out;
@@ -455,8 +459,6 @@ class StreamSession {
               Json::number(lmm_.coefficients[1].estimate));
         l.set("treatment_p", Json::number(lmm_.coefficients[1].p_value));
       }
-      l.set("warm", Json::boolean(!last_lmm_warm_used_.empty()));
-      set_count(l, "warm_refits", lmm_warm_refits_);
     }
     out.set("lmm", l);
     return out;
@@ -584,14 +586,10 @@ class StreamSession {
   std::uint64_t refits_faulted_ = 0;
   std::uint64_t refits_sparse_ = 0;
   std::uint64_t refit_failures_ = 0;
-  std::uint64_t glmm_warm_refits_ = 0;
-  std::uint64_t lmm_warm_refits_ = 0;
   bool have_glmm_ = false;
   bool have_lmm_ = false;
   mixed::GlmmFit glmm_;
   mixed::LmmFit lmm_;
-  std::vector<double> last_glmm_warm_used_;
-  std::vector<double> last_lmm_warm_used_;
   std::vector<std::string> notes_;
   /// Lazily computed per-snippet static complexity for the windowed RQ5.
   mutable std::vector<metrics::StaticComplexity> complexity_;
@@ -629,12 +627,10 @@ bool StreamEngine::canonicalize(service::Json& request, service::Json* error) {
     if (request.get("upto") != nullptr) {
       const std::uint64_t upto = request.get_count("upto", 0);
       const StreamSession* session = find(request.get_string("stream", ""));
-      if (session != nullptr &&
-          over_absorb_cap(upto, session->emitted_target_base())) {
-        if (error != nullptr) *error = absorb_too_large();
-        return false;
-      }
-      return true;
+      if (session == nullptr) return true;
+      std::optional<Json> refusal = session->refuse_absorb(upto);
+      if (refusal && error != nullptr) *error = std::move(*refusal);
+      return !refusal;
     }
     if (request.get("count") == nullptr) {
       if (error != nullptr)
@@ -655,11 +651,14 @@ bool StreamEngine::canonicalize(service::Json& request, service::Json* error) {
                                     request.get_string("stream", "") + "'");
       return false;
     }
+    const std::uint64_t upto = session->emitted_target_base() + count;
+    if (std::optional<Json> refusal = session->refuse_absorb(upto)) {
+      if (error != nullptr) *error = std::move(*refusal);
+      return false;
+    }
     // Rebuild without the relative field: the journaled command must be
     // the absolute, idempotent form.
-    request = with_upto(request,
-                        static_cast<double>(session->emitted_target_base()) +
-                            static_cast<double>(count));
+    request = with_upto(request, static_cast<double>(upto));
     return true;
   } catch (const service::JsonError& e) {
     if (error != nullptr) *error = bad_request(e.what());
@@ -691,8 +690,8 @@ service::Json StreamEngine::handle(const service::Json& request) {
       if (request.get("upto") == nullptr)
         return bad_request("stream_absorb needs a non-negative 'upto'");
       const std::uint64_t upto = request.get_count("upto", 0);
-      if (over_absorb_cap(upto, session->emitted_target_base()))
-        return absorb_too_large();
+      if (std::optional<Json> refusal = session->refuse_absorb(upto))
+        return *refusal;
       return session->absorb(upto, request.get_count("threads", 0));
     }
     if (op == "stream_stats") return session->stats();

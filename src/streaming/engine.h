@@ -1,5 +1,5 @@
 // The streaming study engine: live-population arrivals absorbed into
-// incremental per-stream state, with warm-started mixed-model refits and
+// incremental per-stream state, with mixed-model refits of each window and
 // windowed RQ1–RQ5 dashboards, served through the cluster as the
 // `stream` op family.
 //
@@ -21,12 +21,17 @@
 //                      durable command is idempotent). Runs refits at
 //                      the every-N-arrivals cadence as targets pass. One
 //                      request asks for at most kMaxAbsorbPerRequest
-//                      arrivals past "emitted"; a larger one is a
+//                      arrivals and crosses at most kMaxRefitsPerAbsorb
+//                      refit points past "emitted"; a larger one is a
 //                      "bad_request", refused before it is journaled.
 //   "stream_stats"     O(1) counters + the state digest (the
 //                      bit-identity probe).
 //   "stream_dashboard" windowed RQ1–RQ5 summaries recomputed from the
-//                      sliding window plus the warm refit chain.
+//                      sliding window plus the latest refit.
+//
+// Cold refits: each refit is the default fit of its window at the
+// stream's "fit_starts", seeded by nothing from an earlier refit, as the
+// paper fits each model once per dataset.
 //
 // Cluster citizenship: stream ops are routed by stream id (see
 // service::routing_key), the write ops (stream_write rows) are journaled
@@ -44,8 +49,8 @@
 //                    note. Because hits key on seq, a replayed run under
 //                    the same plan drops the exact same arrivals.
 //   "stream.refit"   hit = refit attempt index. The refit is skipped,
-//                    the previous fit (and warm vector) stays current,
-//                    and the stream degrades with a note.
+//                    the previous fit stays current, and the stream
+//                    degrades with a note.
 //
 // Determinism: arrivals are pure functions of (config, candidate index),
 // refit cadence is a pure function of arrival seq, fits are bit-identical
@@ -73,8 +78,7 @@ namespace decompeval::streaming {
 class StreamSession;
 
 /// C++-level probe for the refit-equality and determinism tests: the
-/// current window as study data, the fits and the exact warm vectors the
-/// last refit consumed, and the state digest.
+/// current window as study data, the latest fits, and the state digest.
 struct SessionView {
   study::StudyData window_data;
   int fit_starts = 4;
@@ -82,10 +86,6 @@ struct SessionView {
   bool have_lmm = false;
   mixed::GlmmFit glmm;
   mixed::LmmFit lmm;
-  /// Warm starts the most recent executed refit passed to the fitters
-  /// (empty = that refit ran cold).
-  std::vector<double> glmm_warm_used;
-  std::vector<double> lmm_warm_used;
   std::string digest;
   std::uint64_t absorbed = 0;
   std::uint64_t dropped = 0;
@@ -102,6 +102,13 @@ class StreamEngine {
   /// (49,900 arrivals). The cap bounds how long one request holds its
   /// session's lock, and how long replaying it takes.
   static constexpr std::uint64_t kMaxAbsorbPerRequest = 1'000'000;
+  /// Most refit points one stream_absorb may cross past "emitted",
+  /// counted as upto/refit_every − emitted/refit_every. A stream opened at
+  /// "refit_every" 1 would otherwise run a refit per arrival, every one of
+  /// them under the session lock and again on every journal replay. 2.5×
+  /// the most any caller in this repository crosses (40: 400 arrivals at
+  /// "refit_every" 10); the cluster benchmark crosses 1.
+  static constexpr std::uint64_t kMaxRefitsPerAbsorb = 100;
 
   /// `faults` drives the stream.* sites (null = no injection). `pool`
   /// defaults to the paper's snippet pool; it must outlive the engine.
@@ -113,9 +120,9 @@ class StreamEngine {
   /// relative "count" absorb into the absolute, idempotent "upto" form
   /// (the only form that may be journaled). Returns false — filling
   /// *error — for an invalid open or absorb ("bad_request" for a count
-  /// field out of range or an absorb over kMaxAbsorbPerRequest, "error"
-  /// for an unknown arrival process) and for a relative absorb on an
-  /// unknown stream ("error").
+  /// field out of range or an absorb over kMaxAbsorbPerRequest or
+  /// kMaxRefitsPerAbsorb, "error" for an unknown arrival process) and for
+  /// a relative absorb on an unknown stream ("error").
   bool canonicalize(service::Json& request, service::Json* error);
 
   /// The command form of a stream write a primary already answered, for

@@ -486,6 +486,58 @@ TEST(JournalReplayTest, OversizedAbsorbIsRefusedBeforeItIsJournaled) {
   std::remove(path.c_str());
 }
 
+// An absorb that would cross more than kMaxRefitsPerAbsorb refit points
+// past "emitted" is refused before it is journaled and before any arrival
+// is generated, in both the absolute and the relative form, and by the
+// engine's own handle(). At "refit_every" 1 every arrival is a refit
+// point; an 8-event window never has the rows to fit, so each refit here
+// is a cheap "sparse" one. An absorb exactly at the cap runs as usual.
+TEST(JournalReplayTest, AbsorbOverTheRefitCapIsRefusedBeforeItIsJournaled) {
+  const std::string path = fresh_journal_path("refit-cap");
+  ClusterBackendOptions options;
+  options.journal.path = path;
+  ClusterBackend backend(options);
+  Json stats_request = Json::object();
+  stats_request.set("op", Json::string("journal_stats"));
+  const auto appends = [&] {
+    return backend.handle(stats_request, nullptr).get_number("appends", -1);
+  };
+  const auto stream_stats = [&] {
+    return backend.handle(stream_op("stream_stats", "s"), nullptr);
+  };
+  Json open = stream_op("stream_open", "s");
+  open.set("population", Json::number(24));
+  open.set("window_events", Json::number(8));
+  open.set("refit_every", Json::number(1));
+  ASSERT_EQ(status_of(backend.handle(open, nullptr)), "ok");
+  const double appends_before = appends();
+
+  const double cap =
+      static_cast<double>(streaming::StreamEngine::kMaxRefitsPerAbsorb);
+  for (const char* field : {"upto", "count"}) {
+    SCOPED_TRACE(field);
+    Json absorb = stream_op("stream_absorb", "s");
+    absorb.set(field, Json::number(cap + 1.0));
+    EXPECT_EQ(status_of(backend.handle(absorb, nullptr)), "bad_request");
+    EXPECT_EQ(appends(), appends_before);
+    EXPECT_EQ(stream_stats().get_number("emitted", -1), 0.0);
+  }
+  Json direct = stream_op("stream_absorb", "s");
+  direct.set("upto", Json::number(cap + 1.0));
+  EXPECT_EQ(status_of(backend.streaming().handle(direct)), "bad_request");
+  EXPECT_EQ(stream_stats().get_number("emitted", -1), 0.0);
+
+  Json at_cap = stream_op("stream_absorb", "s");
+  at_cap.set("upto", Json::number(cap));
+  EXPECT_EQ(status_of(backend.handle(at_cap, nullptr)), "ok");
+  EXPECT_EQ(appends(), appends_before + 1);
+  const Json stats = stream_stats();
+  EXPECT_EQ(stats.get_number("emitted", -1), cap);
+  EXPECT_EQ(stats.get_number("refit_attempts", -1), cap);
+  EXPECT_EQ(stats.get_number("refits_sparse", -1), cap);
+  std::remove(path.c_str());
+}
+
 // Replay turns journaling off for its own calls, not for the backend: a
 // stream write that arrives while journal_replay re-runs a refit-heavy
 // absorb is journaled like any other. A record that is not a stream

@@ -808,14 +808,8 @@ TEST(MixedFitKernel, GlmmMatchesReferenceBitwise) {
   }
   const auto study =
       analysis::build_model_data(simulated_study(), /*timing_model=*/false);
-  const mixed::GlmmFit cold = mixed::fit_logistic_glmm(study);
-  expect_same_fit(cold, mixed::fit_logistic_glmm_reference(study));
-  // The streaming refit path: the previous winner prepended as a warm
-  // start.
-  mixed::FitOptions warm;
-  warm.warm_start = mixed::warm_start_from(cold);
-  expect_same_fit(mixed::fit_logistic_glmm(study, warm),
-                  mixed::fit_logistic_glmm_reference(study, warm));
+  expect_same_fit(mixed::fit_logistic_glmm(study),
+                  mixed::fit_logistic_glmm_reference(study));
 }
 
 TEST(MixedFitKernel, LmmMatchesReferenceBitwise) {
@@ -829,12 +823,7 @@ TEST(MixedFitKernel, LmmMatchesReferenceBitwise) {
   }
   const auto study =
       analysis::build_model_data(simulated_study(), /*timing_model=*/true);
-  const mixed::LmmFit cold = mixed::fit_lmm(study);
-  expect_same_fit(cold, mixed::fit_lmm_reference(study));
-  mixed::FitOptions warm;
-  warm.warm_start = mixed::warm_start_from(cold);
-  expect_same_fit(mixed::fit_lmm(study, warm),
-                  mixed::fit_lmm_reference(study, warm));
+  expect_same_fit(mixed::fit_lmm(study), mixed::fit_lmm_reference(study));
 }
 
 // -- Canonical request key -------------------------------------------------

@@ -107,12 +107,11 @@ double pooled_glm_deviance(const double* y, const double* x1, std::size_t n) {
 constexpr std::size_t kDefaultStarts = 10;
 
 void expect_report_consistent(const mixed::MultiStartReport& report,
-                              double winning_value,
-                              std::size_t expected_starts = kDefaultStarts) {
-  EXPECT_EQ(report.n_starts, expected_starts);
-  ASSERT_EQ(report.start_values.size(), expected_starts);
-  ASSERT_EQ(report.start_evaluations.size(), expected_starts);
-  ASSERT_LT(report.best_start, expected_starts);
+                              double winning_value) {
+  EXPECT_EQ(report.n_starts, kDefaultStarts);
+  ASSERT_EQ(report.start_values.size(), kDefaultStarts);
+  ASSERT_EQ(report.start_evaluations.size(), kDefaultStarts);
+  ASSERT_LT(report.best_start, kDefaultStarts);
   EXPECT_TRUE(report.quarantined.empty());
   const double best = *std::min_element(report.start_values.begin(),
                                         report.start_values.end());
@@ -213,51 +212,6 @@ TEST(OracleGlmm, MultiStartNeverWorseThanSingleStart) {
 }
 
 // ---------------------------------------------------------------------------
-// Warm starts: a previous fit prepended via FitOptions::warm_start keeps
-// the whole cold candidate set, so on the frozen reference datasets the
-// warm criterion can never exceed the cold one — and feeding a fit its own
-// optimum back must reproduce the frozen numbers.
-// ---------------------------------------------------------------------------
-
-TEST(OracleLmm, WarmStartNeverWorseThanCold) {
-  const auto data = balanced_lmm_data();
-  const mixed::LmmFit cold = mixed::fit_lmm(data);
-  mixed::FitOptions warm_options;
-  warm_options.warm_start = mixed::warm_start_from(cold);
-  ASSERT_EQ(warm_options.warm_start.size(), 2u);
-  const mixed::LmmFit warm = mixed::fit_lmm(data, warm_options);
-  EXPECT_LE(warm.reml_criterion, cold.reml_criterion + 1e-9);
-  // The warm start is an extra candidate, not a replacement.
-  EXPECT_EQ(warm.multi_start.n_starts, cold.multi_start.n_starts + 1);
-  // Re-optimizing from the optimum stays at the frozen reference fit.
-  EXPECT_NEAR(warm.reml_criterion, 264.6967861, 1e-4);
-  EXPECT_NEAR(warm.sigma_user, 1.7303263, 1e-4);
-  EXPECT_NEAR(warm.sigma_question, 1.1059181, 1e-4);
-}
-
-TEST(OracleGlmm, WarmStartNeverWorseThanCold) {
-  const auto data = glmm_data();
-  const mixed::GlmmFit cold = mixed::fit_logistic_glmm(data);
-  mixed::FitOptions warm_options;
-  warm_options.warm_start = mixed::warm_start_from(cold);
-  ASSERT_EQ(warm_options.warm_start.size(), 4u);  // 2 thetas + 2 betas
-  const mixed::GlmmFit warm = mixed::fit_logistic_glmm(data, warm_options);
-  EXPECT_LE(warm.deviance, cold.deviance + 1e-9);
-  EXPECT_EQ(warm.multi_start.n_starts, cold.multi_start.n_starts + 1);
-  expect_report_consistent(warm.multi_start, warm.deviance,
-                           cold.multi_start.n_starts + 1);
-  EXPECT_NEAR(warm.deviance, 120.4642740, 1e-4);  // frozen reference
-  EXPECT_NEAR(warm.sigma_user, 0.7131655, 1e-4);
-  EXPECT_NEAR(warm.sigma_question, 0.2446279, 1e-4);
-}
-
-TEST(OracleLmm, WarmStartFromDegenerateFitIsEmpty) {
-  mixed::LmmFit degenerate;
-  degenerate.sigma_residual = 0.0;
-  EXPECT_TRUE(mixed::warm_start_from(degenerate).empty());
-}
-
-// ---------------------------------------------------------------------------
 // Moment-based starts (candidates 8-9) vs. the same ANOVA closed forms.
 // ---------------------------------------------------------------------------
 
@@ -277,40 +231,59 @@ TEST(MomentStarts, LmmCandidateMatchesBalancedAnovaClosedForms) {
   EXPECT_NEAR(starts[1][1], std::sqrt(starts[0][1]), 1e-12);
 }
 
+// The moment candidates are appended after the eight original start
+// points, which stay exactly the points a search without them would run.
+// Each simplex is a pure function of its start vector, so the original
+// candidates' searches are untouched.
+void expect_original_starts_untouched(
+    const std::vector<double>& x0,
+    const std::vector<std::vector<double>>& moment_thetas) {
+  const auto with = mixed::multi_start_points(x0, /*n_theta=*/2,
+                                              /*n_starts=*/8, moment_thetas);
+  const auto without =
+      mixed::multi_start_points(x0, /*n_theta=*/2, /*n_starts=*/8, {});
+  ASSERT_EQ(with.size(), kDefaultStarts);
+  ASSERT_EQ(without.size(), 8u);
+  for (std::size_t k = 0; k < 8; ++k) EXPECT_EQ(with[k], without[k]);
+}
+
+// The best criterion of the original eight starts: the fit the default
+// search would return without its moment candidates.
+double best_original_start(const mixed::MultiStartReport& report) {
+  return *std::min_element(report.start_values.begin(),
+                           report.start_values.begin() + 8);
+}
+
 TEST(MomentStarts, LmmIterationCountsDoNotRegress) {
   const auto data = balanced_lmm_data();
-  mixed::FitOptions without;
-  without.moment_starts = false;
-  const mixed::LmmFit base = mixed::fit_lmm(data, without);
-  const mixed::LmmFit with = mixed::fit_lmm(data);
-  // Adding candidates can only improve (or tie) the criterion ...
-  EXPECT_LE(with.reml_criterion, base.reml_criterion + 1e-9);
-  ASSERT_EQ(with.multi_start.start_evaluations.size(), kDefaultStarts);
-  ASSERT_EQ(base.multi_start.start_evaluations.size(), 8u);
-  // ... leaves the original candidates' searches untouched ...
-  for (std::size_t k = 0; k < 8; ++k)
-    EXPECT_EQ(with.multi_start.start_evaluations[k],
-              base.multi_start.start_evaluations[k]);
+  const mixed::LmmFit fit = mixed::fit_lmm(data);
+  const mixed::MultiStartReport& report = fit.multi_start;
+  ASSERT_EQ(report.start_evaluations.size(), kDefaultStarts);
+  // The original candidates are untouched ...
+  expect_original_starts_untouched(
+      {1.0, 1.0}, mixed::moment_theta_starts(data, /*binary_response=*/false));
+  // ... so adding the moment candidates can only improve (or tie) the
+  // criterion ...
+  EXPECT_LE(fit.reml_criterion, best_original_start(report) + 1e-9);
   // ... and the moment start, sitting near the optimum, converges in
   // about the evaluations of the heuristic start 0 or fewer (+5 absorbs
   // simplex tie-breaking noise without masking a real regression).
-  EXPECT_LE(with.multi_start.start_evaluations[8],
-            with.multi_start.start_evaluations[0] + 5);
+  EXPECT_LE(report.start_evaluations[8], report.start_evaluations[0] + 5);
 }
 
 TEST(MomentStarts, GlmmIterationCountsDoNotRegress) {
   const auto data = glmm_data();
-  mixed::FitOptions without;
-  without.moment_starts = false;
-  const mixed::GlmmFit base = mixed::fit_logistic_glmm(data, without);
-  const mixed::GlmmFit with = mixed::fit_logistic_glmm(data);
-  EXPECT_LE(with.deviance, base.deviance + 1e-9);
-  ASSERT_EQ(with.multi_start.start_evaluations.size(), kDefaultStarts);
-  for (std::size_t k = 0; k < 8; ++k)
-    EXPECT_EQ(with.multi_start.start_evaluations[k],
-              base.multi_start.start_evaluations[k]);
-  EXPECT_LE(with.multi_start.start_evaluations[8],
-            with.multi_start.start_evaluations[0] + 5);
+  const mixed::GlmmFit fit = mixed::fit_logistic_glmm(data);
+  const mixed::MultiStartReport& report = fit.multi_start;
+  ASSERT_EQ(report.start_evaluations.size(), kDefaultStarts);
+  // The GLMM's start vector is [theta_u, theta_q, beta...]; only its
+  // shape matters to which points come first.
+  std::vector<double> x0(2 + data.n_fixed_effects(), 0.0);
+  x0[0] = x0[1] = 1.0;
+  expect_original_starts_untouched(
+      x0, mixed::moment_theta_starts(data, /*binary_response=*/true));
+  EXPECT_LE(fit.deviance, best_original_start(report) + 1e-9);
+  EXPECT_LE(report.start_evaluations[8], report.start_evaluations[0] + 5);
 }
 
 }  // namespace

@@ -4,8 +4,8 @@
 // KS test, bursty on/off occupancy, batching invariance), the windowed
 // state's counters, the headline determinism property (a streamed run is
 // bit-identical at threads 1/2/4 and replays bit-for-bit from the
-// backend journal), the warm-refit contract (a windowed refit equals a
-// from-scratch batch fit on the same window's tuples), the stream.*
+// backend journal), the cold-refit contract (a windowed refit equals a
+// from-scratch default fit of the same window's tuples), the stream.*
 // fault sites, and the cluster citizenship of the stream op family:
 // journaled writes that re-warm a restarted backend, stream-id routing,
 // ring replication, and the server_stats probe the server's loop thread
@@ -289,28 +289,30 @@ TEST(StreamEngineTest, YoungWindowDashboardsAnswerOk) {
   }
 }
 
+// The cold-refit contract: each refit is the default fit of its window,
+// so the engine's second refit equals a fresh fit of the window it ran
+// on with only n_starts set, bit for bit and start by start. Absorbing
+// exactly 2 * refit_every arrivals leaves the view's window the one the
+// second refit fitted. A stream that seeded each refit with the previous
+// winner fails here: at this cadence that seed wins the second LMM refit
+// (REML criterion, sigma and every coefficient differ), and both models'
+// searches report one more start.
 TEST(StreamEngineTest, WindowedRefitEqualsFromScratchBatchFit) {
+  constexpr std::uint64_t kRefitEvery = 200;
   StreamEngine engine;
-  ASSERT_EQ(engine.handle(open_request("s", /*refit_every=*/200))
+  ASSERT_EQ(engine.handle(open_request("s", kRefitEvery))
                 .get_string("status", ""),
             "ok");
-  // Absorb exactly 2 * refit_every arrivals: the second refit ran on the
-  // very window the view reports, warm-started from the first.
-  ASSERT_EQ(engine.handle(absorb_request("s", 400)).get_string("status", ""),
+  ASSERT_EQ(engine.handle(absorb_request("s", 2 * kRefitEvery))
+                .get_string("status", ""),
             "ok");
   const SessionView view = engine.view("s");
   ASSERT_TRUE(view.have_glmm);
   ASSERT_TRUE(view.have_lmm);
   ASSERT_EQ(view.refits_run, 2u);
-  // The second refit was warm (the first fit existed by then).
-  EXPECT_FALSE(view.glmm_warm_used.empty());
-  EXPECT_FALSE(view.lmm_warm_used.empty());
 
-  // From-scratch batch fit on the same window tuples, same options, same
-  // warm vector: must agree bit-for-bit with the engine's windowed fit.
   mixed::FitOptions options;
   options.n_starts = view.fit_starts;
-  options.warm_start = view.glmm_warm_used;
   const mixed::GlmmFit glmm = mixed::fit_logistic_glmm(
       analysis::build_model_data(view.window_data, /*timing_model=*/false),
       options);
@@ -322,8 +324,9 @@ TEST(StreamEngineTest, WindowedRefitEqualsFromScratchBatchFit) {
     EXPECT_EQ(glmm.coefficients[i].estimate,
               view.glmm.coefficients[i].estimate)
         << "beta " << i;
+  EXPECT_EQ(glmm.multi_start.start_values, view.glmm.multi_start.start_values);
+  EXPECT_EQ(glmm.multi_start.best_start, view.glmm.multi_start.best_start);
 
-  options.warm_start = view.lmm_warm_used;
   const mixed::LmmFit lmm = mixed::fit_lmm(
       analysis::build_model_data(view.window_data, /*timing_model=*/true),
       options);
@@ -333,6 +336,8 @@ TEST(StreamEngineTest, WindowedRefitEqualsFromScratchBatchFit) {
   for (std::size_t i = 0; i < lmm.coefficients.size(); ++i)
     EXPECT_EQ(lmm.coefficients[i].estimate, view.lmm.coefficients[i].estimate)
         << "beta " << i;
+  EXPECT_EQ(lmm.multi_start.start_values, view.lmm.multi_start.start_values);
+  EXPECT_EQ(lmm.multi_start.best_start, view.lmm.multi_start.best_start);
 }
 
 TEST(StreamEngineTest, AbsorbFaultDropsArrivalsAndReplaysIdentically) {

@@ -857,6 +857,72 @@ StreamReading bench_stream(std::size_t n_backends, bool refits) {
   return reading;
 }
 
+// Replicated stream writes: one stream on 3 backends at replication
+// factor 2, shaped like clusterbench's stream_ingest set-up and first
+// window absorb. Each run builds a fresh cluster, opens the stream at
+// default options with a refit point 100 arrivals past a 40,000-arrival
+// "upto" fill, and times the fill and then the one absorb that crosses the
+// refit point, which the primary and its replica both run. Each time is
+// the median of kRuns runs. The primary's and the replica's digests are
+// read from their own sockets and must match.
+struct ReplicatedStreamReading {
+  double fill_ms = 0.0;
+  double refit_absorb_ms = 0.0;
+  bool replica_identical = true;
+};
+
+ReplicatedStreamReading bench_stream_r2() {
+  using service::Json;
+  constexpr std::uint64_t kFill = 40000;
+  constexpr std::uint64_t kRefitEvery = kFill + 100;
+  constexpr std::size_t kRuns = 5;
+  const auto stream_op = [](const char* op) {
+    Json r = Json::object();
+    r.set("op", Json::string(op));
+    r.set("stream", Json::string("r2"));
+    return r;
+  };
+  ReplicatedStreamReading reading;
+  std::vector<double> fill_ms, refit_ms;
+  for (std::size_t run = 0; run < kRuns; ++run) {
+    BenchCluster bench("stream-r2", 3, /*replication_factor=*/2,
+                       /*hedge_delay_ms=*/0.0,
+                       /*response_cache_capacity=*/0);
+    cluster::Dispatcher& dispatcher = *bench.dispatcher;
+    Json open = stream_op("stream_open");
+    open.set("refit_every", Json::number(static_cast<double>(kRefitEvery)));
+    benchmark::DoNotOptimize(dispatcher.handle(open, nullptr));
+    const auto absorb_ms = [&](std::uint64_t upto) {
+      Json absorb = stream_op("stream_absorb");
+      absorb.set("upto", Json::number(static_cast<double>(upto)));
+      return time_ms(
+          [&] { benchmark::DoNotOptimize(dispatcher.handle(absorb, nullptr)); });
+    };
+    fill_ms.push_back(absorb_ms(kFill));
+    refit_ms.push_back(absorb_ms(kRefitEvery));
+
+    std::string key;
+    service::routing_key(open, key);
+    std::vector<std::string> digests;
+    for (const std::string& id : dispatcher.ring().replicas_for(key, 2))
+      for (std::size_t b = 0; b < bench.servers.size(); ++b) {
+        if (id != "bench-backend-" + std::to_string(b)) continue;
+        service::ServiceClient client;
+        client.connect(bench.servers[b]->socket_path());
+        digests.push_back(
+            client.call(stream_op("stream_stats")).get_string("digest", ""));
+      }
+    reading.replica_identical = reading.replica_identical &&
+                                digests.size() == 2 && !digests[0].empty() &&
+                                digests[0] == digests[1];
+  }
+  std::sort(fill_ms.begin(), fill_ms.end());
+  std::sort(refit_ms.begin(), refit_ms.end());
+  reading.fill_ms = fill_ms[kRuns / 2];
+  reading.refit_absorb_ms = refit_ms[kRuns / 2];
+  return reading;
+}
+
 // Cold metric battery: the four metric kernels over a fixed randomized
 // workload, timed with the rewritten kernels and again with the retained
 // reference implementations, results compared for exact equality. The
@@ -1158,6 +1224,9 @@ int main(int argc, char** argv) {
       stream_readings.push_back(bench_stream(n, /*refits=*/false));
       stream_refit_readings.push_back(bench_stream(n, /*refits=*/true));
     }
+    //     Then the replicated write path: a fill and a refit-crossing
+    //     absorb at R=2 on 3 backends, which the ladder (R=1) never sends.
+    const ReplicatedStreamReading stream_r2 = bench_stream_r2();
 
     // 6f. Degraded-peer ladder: hedging off vs on against a silent, slow,
     //     partitioned or overloaded peer. Which runs first alternates by
@@ -1294,6 +1363,7 @@ int main(int argc, char** argv) {
     for (const StreamReading& r : stream_refit_readings)
       stream_identical = stream_identical &&
                          r.digest == stream_readings.front().digest;
+    stream_identical = stream_identical && stream_r2.replica_identical;
     std::cout << "\nStreaming sustained absorb (4000 arrivals, dashboard "
                  "probe per 200-arrival batch):\n";
     for (std::size_t i = 0; i < backend_ladder.size(); ++i) {
@@ -1307,7 +1377,14 @@ int main(int argc, char** argv) {
                 << format_fixed(off.dash_p99_us, 1) << " us  with-refits="
                 << format_fixed(on.absorb_rps, 1) << " arrivals/s\n";
     }
-    std::cout << "  stream digests bit-identical across ladder and refits:  "
+    std::cout << "  R=2 on 3 backends (median of 5): 40,000-arrival fill="
+              << format_fixed(stream_r2.fill_ms, 1)
+              << " ms  refit-crossing absorb="
+              << format_fixed(stream_r2.refit_absorb_ms, 1)
+              << " ms  replica digest matches primary: "
+              << (stream_r2.replica_identical ? "yes" : "NO — BUG") << "\n";
+    std::cout << "  stream digests bit-identical across ladder, refits and "
+                 "replica:  "
               << (stream_identical ? "yes" : "NO — BUG") << "\n";
 
     bool degraded_identical = degraded_rig.prewarm_identical;
@@ -1485,7 +1562,11 @@ int main(int argc, char** argv) {
            << format_fixed(stream_readings[i].dash_p95_us, 3)
            << ", \"p99\": "
            << format_fixed(stream_readings[i].dash_p99_us, 3) << "}";
-    json << "},\n  \"stream_bit_identical\": "
+    json << "},\n  \"stream_r2_fill_ms\": "
+         << format_fixed(stream_r2.fill_ms, 3)
+         << ",\n  \"stream_r2_refit_absorb_ms\": "
+         << format_fixed(stream_r2.refit_absorb_ms, 3);
+    json << ",\n  \"stream_bit_identical\": "
          << (stream_identical ? "true" : "false");
     // An infinite percentile (more failures than the percentile's share)
     // is written as null.

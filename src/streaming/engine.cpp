@@ -39,6 +39,12 @@ Json error_response(const std::string& op, const std::string& message) {
   return r;
 }
 
+// The answer to a stream op on a stream that is not open.
+Json no_such_stream(const std::string& op, const std::string& id) {
+  if (id.empty()) return bad_request("stream ops need a string field 'stream'");
+  return error_response(op, "unknown stream '" + id + "'");
+}
+
 Json absorb_too_large() {
   return bad_request("stream_absorb may ask for at most " +
                      std::to_string(StreamEngine::kMaxAbsorbPerRequest) +
@@ -62,9 +68,11 @@ struct StreamOptions {
 };
 
 /// Caps on the stream_open fields that size a stream's work: the whole
-/// cohort is built at open, and every refit runs `fit_starts` simplex
-/// fits per model.
+/// cohort is built at open, every refit fits both models on up to
+/// `window_events` rows (16× the 4,096 default), and runs `fit_starts`
+/// simplex fits per model.
 constexpr std::uint64_t kMaxPopulation = 100000;
+constexpr std::uint64_t kMaxWindowEvents = 65536;
 constexpr std::uint64_t kMaxFitStarts = 64;
 
 /// Throws service::JsonError — a "bad_request" — for a count field out of
@@ -89,7 +97,8 @@ StreamOptions parse_stream_options(const Json& request) {
   o.workload.opinion_probability =
       request.get_number("opinion_probability", 0.35);
   o.workload.seed = request.get_count("seed", 68);
-  o.window.max_events = request.get_count("window_events", 4096);
+  o.window.max_events =
+      request.get_positive_count("window_events", 4096, kMaxWindowEvents);
   o.window.max_age_us =
       request.get_count("window_age_ms", 0, UINT64_MAX / 1000) * 1000;
   o.refit_every = request.get_count("refit_every", 0);
@@ -624,41 +633,34 @@ bool StreamEngine::canonicalize(service::Json& request, service::Json* error) {
     if (op != "stream_absorb") return true;
     // Refuse here what handle() would refuse, so it is never journaled.
     request.get_count("threads", 0);
-    if (request.get("upto") != nullptr) {
-      const std::uint64_t upto = request.get_count("upto", 0);
-      const StreamSession* session = find(request.get_string("stream", ""));
-      if (session == nullptr) return true;
-      std::optional<Json> refusal = session->refuse_absorb(upto);
-      if (refusal && error != nullptr) *error = std::move(*refusal);
-      return !refusal;
-    }
-    if (request.get("count") == nullptr) {
+    const bool relative = request.get("upto") == nullptr;
+    if (relative && request.get("count") == nullptr) {
       if (error != nullptr)
         *error = bad_request(
             "stream_absorb needs a non-negative 'upto' or 'count'");
       return false;
     }
-    const std::uint64_t count = request.get_count("count", 0);
-    if (count > kMaxAbsorbPerRequest) {
+    const std::uint64_t target =
+        request.get_count(relative ? "count" : "upto", 0);
+    if (relative && target > kMaxAbsorbPerRequest) {
       if (error != nullptr) *error = absorb_too_large();
       return false;
     }
-    StreamSession* session = find(request.get_string("stream", ""));
+    const std::string id = request.get_string("stream", "");
+    const StreamSession* session = find(id);
     if (session == nullptr) {
-      if (error != nullptr)
-        *error = error_response("stream_absorb",
-                                "unknown stream '" +
-                                    request.get_string("stream", "") + "'");
+      if (error != nullptr) *error = no_such_stream(op, id);
       return false;
     }
-    const std::uint64_t upto = session->emitted_target_base() + count;
+    const std::uint64_t upto =
+        relative ? session->emitted_target_base() + target : target;
     if (std::optional<Json> refusal = session->refuse_absorb(upto)) {
       if (error != nullptr) *error = std::move(*refusal);
       return false;
     }
-    // Rebuild without the relative field: the journaled command must be
-    // the absolute, idempotent form.
-    request = with_upto(request, static_cast<double>(upto));
+    // Rebuild a relative absorb without its relative field: the journaled
+    // command must be the absolute, idempotent form.
+    if (relative) request = with_upto(request, static_cast<double>(upto));
     return true;
   } catch (const service::JsonError& e) {
     if (error != nullptr) *error = bad_request(e.what());
@@ -681,11 +683,8 @@ service::Json StreamEngine::handle(const service::Json& request) {
   try {
     if (op == "stream_open") return open_op(request);
     const std::string id = request.get_string("stream", "");
-    if (id.empty())
-      return bad_request("stream ops need a string field 'stream'");
     StreamSession* session = find(id);
-    if (session == nullptr)
-      return error_response(op, "unknown stream '" + id + "'");
+    if (session == nullptr) return no_such_stream(op, id);
     if (op == "stream_absorb") {
       if (request.get("upto") == nullptr)
         return bad_request("stream_absorb needs a non-negative 'upto'");

@@ -12,9 +12,10 @@
 //                      ("window_events", "window_age_ms"), refit cadence
 //                      ("refit_every", "fit_starts"). Every count field is
 //                      a non-negative integer; "population" (at most
-//                      100,000) and "fit_starts" (at most 64) are also at
-//                      least 1. An open that breaks a rule is a
-//                      "bad_request", refused before it is journaled.
+//                      100,000), "window_events" (at most 65,536) and
+//                      "fit_starts" (at most 64) are also at least 1. An
+//                      open that breaks a rule is a "bad_request", refused
+//                      before it is journaled.
 //   "stream_absorb"    generate + absorb arrivals up to an absolute
 //                      target ("upto"; the relative "count" form is
 //                      canonicalized to "upto" before journaling, so the
@@ -23,7 +24,8 @@
 //                      request asks for at most kMaxAbsorbPerRequest
 //                      arrivals and crosses at most kMaxRefitsPerAbsorb
 //                      refit points past "emitted"; a larger one is a
-//                      "bad_request", refused before it is journaled.
+//                      "bad_request", and an absorb on a stream that is not
+//                      open an "error", both refused before journaling.
 //   "stream_stats"     O(1) counters + the state digest (the
 //                      bit-identity probe).
 //   "stream_dashboard" windowed RQ1–RQ5 summaries recomputed from the
@@ -122,7 +124,7 @@ class StreamEngine {
   /// *error — for an invalid open or absorb ("bad_request" for a count
   /// field out of range or an absorb over kMaxAbsorbPerRequest or
   /// kMaxRefitsPerAbsorb, "error" for an unknown arrival process) and for
-  /// a relative absorb on an unknown stream ("error").
+  /// an absorb on a stream that is not open (handle()'s own answer).
   bool canonicalize(service::Json& request, service::Json* error);
 
   /// The command form of a stream write a primary already answered, for

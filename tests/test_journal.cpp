@@ -10,8 +10,9 @@
 // at threads 1/2/4 rebuild byte-identical streams), and a backend's
 // replay: it skips records that are not stream writes and leaves a
 // stream write that arrives meanwhile journaled. An invalid stream_open
-// and an absorb over the per-request cap are refused before they reach
-// the journal.
+// (a window bound outside 1..65,536 included), an absorb over the
+// per-request cap and an absorb on a stream that is not open are refused
+// before they reach the journal.
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -430,6 +431,69 @@ TEST(JournalReplayTest, InvalidStreamOpenIsRefusedBeforeItIsJournaled) {
   open.set("fit_starts", Json::number(2));
   EXPECT_EQ(status_of(backend.handle(open, nullptr)), "ok");
   EXPECT_EQ(appends(), appends_before + 1);
+  std::remove(path.c_str());
+}
+
+// "window_events" sizes every refit's fit, so it is at least 1 (0 once
+// turned the event bound off, fitting every row absorbed so far) and at
+// most 65,536, 16× its default. An open outside those bounds is refused
+// before it is journaled; one at the cap opens.
+TEST(JournalReplayTest, StreamOpenOutsideTheWindowBoundsIsRefused) {
+  const std::string path = fresh_journal_path("window-bound");
+  ClusterBackendOptions options;
+  options.journal.path = path;
+  ClusterBackend backend(options);
+  Json stats_request = Json::object();
+  stats_request.set("op", Json::string("journal_stats"));
+  const auto appends = [&] {
+    return backend.handle(stats_request, nullptr).get_number("appends", -1);
+  };
+  const double appends_before = appends();
+  ASSERT_GE(appends_before, 0.0);
+  for (const double events : {0.0, 65537.0}) {
+    SCOPED_TRACE(events);
+    Json open = stream_op("stream_open", "s");
+    open.set("window_events", Json::number(events));
+    EXPECT_EQ(status_of(backend.handle(open, nullptr)), "bad_request");
+    EXPECT_EQ(appends(), appends_before);
+    EXPECT_EQ(backend.streaming().open_streams(), 0u);
+  }
+  Json open = stream_op("stream_open", "s");
+  open.set("population", Json::number(24));
+  open.set("window_events", Json::number(65536));
+  EXPECT_EQ(status_of(backend.handle(open, nullptr)), "ok");
+  EXPECT_EQ(appends(), appends_before + 1);
+  std::remove(path.c_str());
+}
+
+// An absolute absorb on a stream that is not open is refused before it is
+// journaled, with the answer the engine itself gives. Before, the backend
+// journaled each such absorb and every journal_replay re-ran it as a
+// failure; a replica that was down when its stream was opened would
+// journal every later absorb it was sent.
+TEST(JournalReplayTest, AbsorbOnAStreamThatIsNotOpenIsNeverJournaled) {
+  const std::string path = fresh_journal_path("unopened-absorb");
+  ClusterBackendOptions options;
+  options.journal.path = path;
+  ClusterBackend backend(options);
+  Json stats_request = Json::object();
+  stats_request.set("op", Json::string("journal_stats"));
+  for (const double upto : {10.0, 20.0, 30.0}) {
+    Json absorb = stream_op("stream_absorb", "ghost");
+    absorb.set("upto", Json::number(upto));
+    const Json answer = backend.handle(absorb, nullptr);
+    EXPECT_EQ(answer.dump(), backend.streaming().handle(absorb).dump());
+    EXPECT_EQ(answer.get_string("status", ""), "error");
+    EXPECT_EQ(answer.get_string("error", ""), "unknown stream 'ghost'");
+  }
+  EXPECT_EQ(backend.handle(stats_request, nullptr).get_number("appends", -1),
+            0.0);
+  Json replay = Json::object();
+  replay.set("op", Json::string("journal_replay"));
+  const Json report = backend.handle(replay, nullptr);
+  EXPECT_EQ(report.get_number("replayed", -1), 0.0);
+  EXPECT_EQ(report.get_number("failures", -1), 0.0);
+  EXPECT_EQ(backend.streaming().open_streams(), 0u);
   std::remove(path.c_str());
 }
 

@@ -137,23 +137,19 @@ std::vector<service::Json> study_requests(std::uint64_t seeds) {
 
 // One cluster throughput reading: `n_backends` socket-served backends
 // (each with a fresh disk cache and its rendered-line fast path wired
-// into the server) behind a dispatcher with its response cache enabled,
-// driven with a 12-seed run_study sweep.
+// into the server) behind a dispatcher, driven with a 12-seed run_study
+// sweep.
 //
-//   cold          — every request computed end to end (serve_line,
-//                   populating every cache on the way out)
-//   warm          — served from the dispatcher's rendered-line cache;
-//                   many passes, per-request latencies recorded for the
-//                   p50/p95/p99 columns
-//   warm forwarded — dispatcher cache bypassed (handle()), so each
-//                   request crosses the socket and is answered by the
-//                   backend's rendered-line fast path on the server's
-//                   loop thread
+//   cold           — every request computed end to end (serve_line,
+//                    populating the backend's caches on the way out)
+//   warm forwarded — each request crosses the socket and is answered by
+//                    the backend's rendered-line fast path on the server's
+//                    loop thread; per-request latencies recorded for the
+//                    p50/p95/p99 columns
 //
 // The cold and warm response lines must match byte for byte.
 struct ClusterReading {
   double cold_rps = 0.0;
-  double warm_rps = 0.0;
   double warm_forwarded_rps = 0.0;
   double warm_p50_us = 0.0;
   double warm_p95_us = 0.0;
@@ -169,15 +165,10 @@ struct BenchCluster {
   std::vector<std::unique_ptr<service::ReplicationServer>> servers;
   std::vector<std::string> dirs;
   std::unique_ptr<cluster::Dispatcher> dispatcher;
-  std::function<service::Json(const service::Json&,
-                              const std::atomic<bool>*)>
-      handler;
 
   BenchCluster(const std::string& prefix, std::size_t n_backends,
-               std::size_t replication_factor, double hedge_delay_ms = 0.0,
-               std::size_t response_cache_capacity = 256) {
+               std::size_t replication_factor, double hedge_delay_ms = 0.0) {
     cluster::DispatcherOptions dispatch;
-    dispatch.response_cache_capacity = response_cache_capacity;
     dispatch.replication_factor = replication_factor;
     dispatch.hedge_delay_ms = hedge_delay_ms;
     for (std::size_t i = 0; i < n_backends; ++i) {
@@ -208,15 +199,12 @@ struct BenchCluster {
     }
     dispatcher = std::make_unique<cluster::Dispatcher>(dispatch);
     dispatcher->start();
-    handler = dispatcher->handler();
   }
 
-  // One request the way a dispatcher front server answers it: the
-  // response-cache fast path, else the forwarding handler (which fills
-  // the cache), rendered into `out`.
+  // One request the way a dispatcher front server answers it: forwarded,
+  // and rendered into `out`.
   void serve_line(const service::Json& request, std::string& out) {
-    if (!dispatcher->try_serve_cached_line(request, out))
-      handler(request, nullptr).dump_to(out);
+    dispatcher->handle(request, nullptr).dump_to(out);
   }
 
   ~BenchCluster() {
@@ -233,7 +221,6 @@ ClusterReading bench_cluster(std::size_t n_backends,
                              std::size_t forward_passes) {
   using service::Json;
   constexpr std::uint64_t kSeeds = 12;
-  constexpr std::size_t kWarmPasses = 200;
 
   BenchCluster bench("study", n_backends, replication_factor);
   cluster::Dispatcher& dispatcher = *bench.dispatcher;
@@ -252,30 +239,34 @@ ClusterReading bench_cluster(std::size_t n_backends,
   std::vector<std::string> cold, warm;
   const double cold_ms = time_ms([&] { line_sweep(&cold); });
   reading.cold_rps = kSeeds / (cold_ms / 1000.0);
-
-  // Warm passes: the first is bit-identity checked against the cold
-  // responses, the rest accumulate per-request latency samples.
+  // The first warm pass is bit-identity checked against the cold lines.
   line_sweep(&warm);
   reading.bit_identical = cold == warm;
+
+  // Forwarded warm passes: every request crosses a socket and exercises
+  // the backend fast path. The passes are timed in equal chunks and the
+  // median chunk rate is the reading, so one scheduler stall cannot set
+  // it; every request's latency feeds the percentiles.
+  constexpr std::size_t kForwardChunks = 5;
+  const std::size_t chunk_passes = forward_passes / kForwardChunks;
+  std::vector<double> chunk_rps;
   std::vector<double> latencies_us;
-  latencies_us.reserve(kSeeds * kWarmPasses);
-  std::string out;
-  const auto warm_begin = std::chrono::steady_clock::now();
-  for (std::size_t pass = 0; pass < kWarmPasses; ++pass) {
-    for (const Json& req : requests) {
-      out.clear();
-      const auto t0 = std::chrono::steady_clock::now();
-      bench.serve_line(req, out);
-      const auto t1 = std::chrono::steady_clock::now();
-      latencies_us.push_back(
-          std::chrono::duration<double, std::micro>(t1 - t0).count());
-    }
+  latencies_us.reserve(kSeeds * chunk_passes * kForwardChunks);
+  for (std::size_t chunk = 0; chunk < kForwardChunks; ++chunk) {
+    const double chunk_ms = time_ms([&] {
+      for (std::size_t pass = 0; pass < chunk_passes; ++pass)
+        for (const Json& req : requests) {
+          const auto t0 = std::chrono::steady_clock::now();
+          benchmark::DoNotOptimize(dispatcher.handle(req, nullptr));
+          const auto t1 = std::chrono::steady_clock::now();
+          latencies_us.push_back(
+              std::chrono::duration<double, std::micro>(t1 - t0).count());
+        }
+    });
+    chunk_rps.push_back((kSeeds * chunk_passes) / (chunk_ms / 1000.0));
   }
-  const auto warm_stop = std::chrono::steady_clock::now();
-  const double warm_ms =
-      std::chrono::duration<double, std::milli>(warm_stop - warm_begin)
-          .count();
-  reading.warm_rps = (kSeeds * kWarmPasses) / (warm_ms / 1000.0);
+  std::sort(chunk_rps.begin(), chunk_rps.end());
+  reading.warm_forwarded_rps = chunk_rps[kForwardChunks / 2];
   std::sort(latencies_us.begin(), latencies_us.end());
   const auto percentile = [&](double p) {
     const std::size_t rank = static_cast<std::size_t>(
@@ -285,25 +276,6 @@ ClusterReading bench_cluster(std::size_t n_backends,
   reading.warm_p50_us = percentile(0.50);
   reading.warm_p95_us = percentile(0.95);
   reading.warm_p99_us = percentile(0.99);
-
-  // Forwarded warm passes: handle() skips the dispatcher's line cache, so
-  // every request crosses a socket and exercises the backend fast path.
-  // The passes are timed in equal chunks and the median chunk rate is the
-  // reading, so one scheduler stall cannot set it.
-  constexpr std::size_t kForwardChunks = 5;
-  const std::size_t chunk_passes = forward_passes / kForwardChunks;
-  std::vector<double> chunk_rps;
-  for (std::size_t chunk = 0; chunk < kForwardChunks; ++chunk) {
-    const double chunk_ms = time_ms([&] {
-      for (std::size_t pass = 0; pass < chunk_passes; ++pass)
-        for (const Json& req : requests)
-          benchmark::DoNotOptimize(dispatcher.handle(req, nullptr));
-    });
-    chunk_rps.push_back((kSeeds * chunk_passes) / (chunk_ms / 1000.0));
-  }
-  std::sort(chunk_rps.begin(), chunk_rps.end());
-  reading.warm_forwarded_rps = chunk_rps[kForwardChunks / 2];
-
   return reading;
 }
 
@@ -444,12 +416,11 @@ AnnotateReading bench_annotate(std::size_t n_backends) {
 // run_study request every 10 ms (400 req/s offered in total, independent
 // of how fast responses come back), for one second, against 1/2/4
 // socket-served backends — once with hedging off and once with a 5 ms
-// hedge delay armed. The dispatcher's own response cache is disabled so
-// every request crosses a socket; the comparison isolates what arming
-// hedged reads costs on an all-healthy cluster (it should be ~nothing:
-// warm forwards answer far inside the hedge delay, so hedges rarely
-// fire) while the degraded-peer ladder below measures what hedging buys
-// when a peer misbehaves.
+// hedge delay armed. Every request crosses a socket; the comparison
+// isolates what arming hedged reads costs on an all-healthy cluster (it
+// should be ~nothing: warm forwards answer far inside the hedge delay, so
+// hedges rarely fire) while the degraded-peer ladder below measures what
+// hedging buys when a peer misbehaves.
 struct OfferedLoadReading {
   double p50_us = 0.0;
   double p95_us = 0.0;
@@ -518,8 +489,7 @@ OfferedLoadReading bench_offered_load(std::size_t n_backends, bool hedging) {
   constexpr auto kWindow = std::chrono::milliseconds(1000);
 
   BenchCluster bench("offered", n_backends, /*replication_factor=*/1,
-                     /*hedge_delay_ms=*/hedging ? 5.0 : 0.0,
-                     /*response_cache_capacity=*/0);
+                     /*hedge_delay_ms=*/hedging ? 5.0 : 0.0);
   cluster::Dispatcher& dispatcher = *bench.dispatcher;
 
   const std::vector<Json> requests = study_requests(kSeeds);
@@ -802,8 +772,7 @@ StreamReading bench_stream(std::size_t n_backends, bool refits) {
   constexpr std::uint64_t kBatch = 200;
 
   BenchCluster bench(refits ? "stream-refit" : "stream", n_backends,
-                     /*replication_factor=*/1, /*hedge_delay_ms=*/0.0,
-                     /*response_cache_capacity=*/0);
+                     /*replication_factor=*/1);
   cluster::Dispatcher& dispatcher = *bench.dispatcher;
 
   Json open = Json::object();
@@ -885,9 +854,7 @@ ReplicatedStreamReading bench_stream_r2() {
   ReplicatedStreamReading reading;
   std::vector<double> fill_ms, refit_ms;
   for (std::size_t run = 0; run < kRuns; ++run) {
-    BenchCluster bench("stream-r2", 3, /*replication_factor=*/2,
-                       /*hedge_delay_ms=*/0.0,
-                       /*response_cache_capacity=*/0);
+    BenchCluster bench("stream-r2", 3, /*replication_factor=*/2);
     cluster::Dispatcher& dispatcher = *bench.dispatcher;
     Json open = stream_op("stream_open");
     open.set("refit_every", Json::number(static_cast<double>(kRefitEvery)));
@@ -1287,8 +1254,7 @@ int main(int argc, char** argv) {
       const ClusterReading& r = cluster_readings[i];
       cluster_identical = cluster_identical && r.bit_identical;
       std::cout << "  backends=" << backend_ladder[i] << ":  cold="
-                << format_fixed(r.cold_rps, 1) << " req/s  warm="
-                << format_fixed(r.warm_rps, 1) << " req/s  warm-forwarded="
+                << format_fixed(r.cold_rps, 1) << " req/s  warm-forwarded="
                 << format_fixed(r.warm_forwarded_rps, 1)
                 << " req/s  p50/p95/p99=" << format_fixed(r.warm_p50_us, 1)
                 << "/" << format_fixed(r.warm_p95_us, 1) << "/"
@@ -1303,8 +1269,7 @@ int main(int argc, char** argv) {
       const ClusterReading& r = replication_readings[i];
       replication_identical = replication_identical && r.bit_identical;
       std::cout << "  R=" << replication_ladder[i] << ":  cold="
-                << format_fixed(r.cold_rps, 1) << " req/s  warm="
-                << format_fixed(r.warm_rps, 1) << " req/s  warm-forwarded="
+                << format_fixed(r.cold_rps, 1) << " req/s  warm-forwarded="
                 << format_fixed(r.warm_forwarded_rps, 1)
                 << " req/s  p50/p95/p99=" << format_fixed(r.warm_p50_us, 1)
                 << "/" << format_fixed(r.warm_p95_us, 1) << "/"
@@ -1466,10 +1431,6 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < backend_ladder.size(); ++i)
       json << (i ? ", " : "") << "\"" << backend_ladder[i]
            << "\": " << format_fixed(cluster_readings[i].cold_rps, 3);
-    json << "},\n  \"cluster_warm_rps\": {";
-    for (std::size_t i = 0; i < backend_ladder.size(); ++i)
-      json << (i ? ", " : "") << "\"" << backend_ladder[i]
-           << "\": " << format_fixed(cluster_readings[i].warm_rps, 3);
     json << "},\n  \"cluster_warm_forwarded_rps\": {";
     for (std::size_t i = 0; i < backend_ladder.size(); ++i)
       json << (i ? ", " : "") << "\"" << backend_ladder[i] << "\": "

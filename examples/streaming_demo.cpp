@@ -42,11 +42,13 @@ Json open_request() {
   return req;
 }
 
-Json absorb_request(std::uint64_t count) {
+// Absorbs up to the absolute target `upto`, the only form an absorb takes:
+// a retried or replayed one asks for nothing twice.
+Json absorb_request(std::uint64_t upto) {
   Json req = Json::object();
   req.set("op", Json::string("stream_absorb"));
   req.set("stream", Json::string("live"));
-  req.set("count", Json::number(static_cast<double>(count)));
+  req.set("upto", Json::number(static_cast<double>(upto)));
   return req;
 }
 
@@ -106,7 +108,7 @@ int main(int argc, char** argv) {
             << " (bursty arrivals, 256-event window, refit every 200)\n";
 
   for (int wave = 1; wave <= 3; ++wave) {
-    const Json r = backend->handle(absorb_request(250), nullptr);
+    const Json r = backend->handle(absorb_request(250 * wave), nullptr);
     std::cout << "\n--- wave " << wave << ": absorbed up to "
               << r.get_number("emitted", 0) << " arrivals (refits run: "
               << r.get_number("refits_run", 0) << ") ---\n";
@@ -146,7 +148,7 @@ int main(int argc, char** argv) {
             << "\n";
 
   // The rebuilt stream keeps absorbing from where the journal left off.
-  const Json more = backend->handle(absorb_request(100), nullptr);
+  const Json more = backend->handle(absorb_request(850), nullptr);
   std::cout << "\nabsorbed 100 more after replay: emitted="
             << more.get_number("emitted", 0)
             << " status=" << more.get_string("status", "?") << "\n";

@@ -48,7 +48,8 @@
 # Several suites fork/exec real cluster_backend processes. Leaking one
 # would poison every later stage (port/socket collisions, stray writes
 # to /tmp caches), so after each stage that runs them we fail fast if
-# any orphaned backend survived.
+# any orphaned backend survived, or if the stage left a test socket
+# (/tmp/decompeval-*.sock) that was not there before it.
 #
 # Usage: scripts/check.sh [--sanitizers-only] [--soak]
 set -euo pipefail
@@ -92,24 +93,47 @@ assert_no_orphaned_backends() {
   fi
 }
 
+# Fail on leaked test sockets: each test removes the sockets it binds,
+# including one a SIGKILLed backend could not unlink. snapshot_sockets
+# records the ones already there before a stage.
+test_sockets() {
+  find /tmp -maxdepth 1 -name 'decompeval-*.sock' | sort
+}
+snapshot_sockets() {
+  SOCKETS_BEFORE="$(test_sockets)"
+}
+assert_no_leaked_sockets() {
+  local leaked
+  leaked="$(comm -13 <(echo "$SOCKETS_BEFORE") <(test_sockets))"
+  if [[ -n "$leaked" ]]; then
+    echo "FATAL: test socket(s) left in /tmp after $1:" >&2
+    echo "$leaked" >&2
+    exit 1
+  fi
+}
+
 if [[ "$RUN_REGULAR" == 1 ]]; then
   echo "=== regular build (warnings are errors) + full test suite ==="
   cmake -B build -S . -DDECOMPEVAL_WARNINGS_AS_ERRORS=ON
   cmake --build build -j "$JOBS"
+  snapshot_sockets
   ctest --test-dir build --output-on-failure -j "$JOBS" -LE soak
   echo "=== streaming walkthrough: crash, journal replay, same bytes ==="
   # The walkthrough exits non-zero when the replayed stream's digest or
   # dashboard bytes differ from those before its simulated crash.
   ./build/examples/streaming_demo
   assert_no_orphaned_backends "the regular test suite"
+  assert_no_leaked_sockets "the regular test suite"
 
   echo "=== cluster benchmark smoke: every workload, untraced and traced ==="
   python3 clusterbench/smoke.py
 
   if [[ "$RUN_SOAK" == 1 ]]; then
     echo "=== soak: restart endurance loop under load (label: soak) ==="
+    snapshot_sockets
     ctest --test-dir build --output-on-failure -L soak
     assert_no_orphaned_backends "the soak stage"
+    assert_no_leaked_sockets "the soak stage"
   fi
 fi
 
@@ -119,16 +143,22 @@ cmake --build build-tsan -j "$JOBS"
 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" -L 'tier1|chaos' -LE 'cluster|streaming|soak'
 
 echo "=== ThreadSanitizer: cluster tests (transports, dispatcher, cache) ==="
+snapshot_sockets
 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" -L cluster -LE 'streaming|soak'
 assert_no_orphaned_backends "the TSan cluster stage"
+assert_no_leaked_sockets "the TSan cluster stage"
 
 echo "=== ThreadSanitizer: overload suite (lanes, deadlines, hedged reads) ==="
+snapshot_sockets
 ctest --test-dir build-tsan --output-on-failure -L overload
 assert_no_orphaned_backends "the TSan overload stage"
+assert_no_leaked_sockets "the TSan overload stage"
 
 echo "=== ThreadSanitizer: streaming suite (arrivals, windows, refits) ==="
+snapshot_sockets
 ctest --test-dir build-tsan --output-on-failure -L streaming
 assert_no_orphaned_backends "the TSan streaming stage"
+assert_no_leaked_sockets "the TSan streaming stage"
 
 echo "=== AddressSanitizer build + tier-1 + chaos tests ==="
 cmake -B build-asan -S . -DDECOMPEVAL_SANITIZE=address
@@ -136,16 +166,22 @@ cmake --build build-asan -j "$JOBS"
 ctest --test-dir build-asan --output-on-failure -j "$JOBS" -L 'tier1|chaos' -LE 'cluster|streaming|soak'
 
 echo "=== AddressSanitizer: cluster tests (transports, dispatcher, cache) ==="
+snapshot_sockets
 ctest --test-dir build-asan --output-on-failure -j "$JOBS" -L cluster -LE 'streaming|soak'
 assert_no_orphaned_backends "the ASan cluster stage"
+assert_no_leaked_sockets "the ASan cluster stage"
 
 echo "=== AddressSanitizer: overload suite (lanes, deadlines, hedged reads) ==="
+snapshot_sockets
 ctest --test-dir build-asan --output-on-failure -L overload
 assert_no_orphaned_backends "the ASan overload stage"
+assert_no_leaked_sockets "the ASan overload stage"
 
 echo "=== AddressSanitizer: streaming suite (arrivals, windows, refits) ==="
+snapshot_sockets
 ctest --test-dir build-asan --output-on-failure -L streaming
 assert_no_orphaned_backends "the ASan streaming stage"
+assert_no_leaked_sockets "the ASan streaming stage"
 
 echo "=== UndefinedBehaviorSanitizer build + tier-1 tests ==="
 cmake -B build-ubsan -S . -DDECOMPEVAL_SANITIZE=undefined

@@ -1,5 +1,6 @@
 #include "cluster/backend.h"
 
+#include <optional>
 #include <unordered_set>
 #include <vector>
 
@@ -73,8 +74,7 @@ JournalReplayReport ClusterBackend::replay_journal(
     if (!seen_keys.insert(service::canonical_request_key(command)).second)
       continue;
     ++report.replayed;
-    // Straight to the engine: the record is already journaled, in the
-    // absolute form handle_stream_op gave it.
+    // Straight to the engine: the record is already journaled.
     const std::string status =
         streaming_.handle(command).get_string("status", "");
     if (status == "ok" || status == "degraded")
@@ -132,26 +132,27 @@ service::Json ClusterBackend::journal_replay_op(
 }
 
 service::Json ClusterBackend::handle_stream_op(const service::Json& request) {
-  // Stream writes journal in *absolute* form only: a relative "count"
-  // absorb is canonicalized to "upto" first, so the durable record is
-  // idempotent under replay dedup and replica fan-out. Volatile fields
-  // are stripped, so the record replays to the same canonical key (and
+  // A stream write is journaled as it arrived, minus its volatile fields,
+  // once the engine's refusal() has passed it: every absorb carries its
+  // absolute "upto", so the record is idempotent under replay dedup and
+  // replica fan-out, and it replays to the same canonical key (and
   // bit-identical state) at any thread count; Json objects are
   // insertion-ordered and dump() is deterministic. Stream results are
   // time-varying and never touch the disk or memory tiers.
-  service::Json canonical = request;
-  service::Json error;
-  if (!streaming_.canonicalize(canonical, &error)) return error;
-  if (journal_.enabled() && service::find_op(canonical)->stream_write &&
-      !journal_.append(service::strip_volatile_fields(canonical).dump())) {
+  if (!service::find_op(request)->stream_write)
+    return streaming_.handle(request);
+  if (std::optional<service::Json> refused = streaming_.refusal(request))
+    return *refused;
+  if (journal_.enabled() &&
+      !journal_.append(service::strip_volatile_fields(request).dump())) {
     const std::lock_guard<std::mutex> lock(journal_warn_mutex_);
     if (journal_warnings_.size() >= kMaxJournalWarnings)
       journal_warnings_.erase(journal_warnings_.begin());
     journal_warnings_.push_back("journal append failed for key '" +
-                                service::canonical_request_key(canonical) +
+                                service::canonical_request_key(request) +
                                 "': stream write applied but not durable");
   }
-  return streaming_.handle(canonical);
+  return streaming_.handle(request);
 }
 
 service::Json ClusterBackend::handle(const service::Json& request,

@@ -55,14 +55,7 @@ struct Dispatcher::Leg {
 };
 
 Dispatcher::Dispatcher(DispatcherOptions options)
-    : options_(std::move(options)),
-      faults_(options_.fault_plan),
-      // A fault plan disables the response fast lane: a cached answer
-      // would skip "cluster.backend"/"cluster.forward" hits and shift
-      // their deterministic sequences.
-      response_cache_(options_.fault_plan.empty()
-                          ? options_.response_cache_capacity
-                          : 0) {
+    : options_(std::move(options)), faults_(options_.fault_plan) {
   DE_EXPECTS_MSG(!options_.backends.empty(),
                  "Dispatcher needs at least one backend");
   for (const BackendEndpoint& endpoint : options_.backends) {
@@ -260,7 +253,6 @@ service::Json Dispatcher::handle(const service::Json& request,
     set_count(r, "overloaded_retries", s.overloaded_retries);
     set_count(r, "down_skips", s.down_skips);
     set_count(r, "exhausted", s.exhausted);
-    set_count(r, "response_cache_hits", s.response_cache_hits);
     set_count(r, "replication_factor", options_.replication_factor);
     set_count(r, "replicated", s.replicated);
     set_count(r, "replication_failures", s.replication_failures);
@@ -333,26 +325,6 @@ void Dispatcher::replicate(const service::Json& request,
   }
 }
 
-bool Dispatcher::try_serve_cached_line(const service::Json& request,
-                                       std::string& out) {
-  if (!service::cacheable_request(request) ||
-      !response_cache_.find(request, out))
-    return false;
-  bump(&DispatcherStats::response_cache_hits);
-  return true;
-}
-
-void Dispatcher::maybe_store_response(const service::Json& request,
-                                      const service::Json& response) {
-  // One extra render per cold cacheable request — trivial next to the
-  // forwarding round-trip it lets every warm repeat skip. Json::dump is
-  // deterministic, so the stored line is byte-identical to what the
-  // server sends for this response.
-  if (service::cacheable_request(request) &&
-      response.get_string("status", "") == "ok")
-    response_cache_.put(request, response);
-}
-
 service::Json Dispatcher::forward(const service::Json& request,
                                   const std::atomic<bool>* cancel) {
   // Routing and leg scratch is thread-local: forward() runs on every server
@@ -386,14 +358,11 @@ service::Json Dispatcher::forward(const service::Json& request,
                          options_.fault_plan.empty() &&
                          backends_.size() >= 2 &&
                          service::cacheable_request(request);
-  // Only stream writes are replicated. One whose replica command no answer
-  // changes (an open, or an absorb that carries "upto") goes to its
-  // replicas with the first attempt.
+  // Only stream writes are replicated, each to its replicas with the first
+  // attempt.
   const service::OpSpec* spec =
       options_.replication_factor > 1 ? service::find_op(request) : nullptr;
   const bool replicated = spec != nullptr && spec->stream_write;
-  const bool copy_now = replicated && (spec->name == "stream_open" ||
-                                       request.get("upto") != nullptr);
   // Connects, sends and waits leave the front's compute slot to others.
   const service::BlockingWait wait;
 
@@ -443,14 +412,14 @@ service::Json Dispatcher::forward(const service::Json& request,
     }
     leg.copy = false;
     ++tried;
-    if (tried == 1 && copy_now) {
-      const service::Json copy = service::strip_volatile_fields(request);
+    // A copy is the very line the first attempt was sent, so each replica
+    // refuses what the primary refuses.
+    if (tried == 1 && replicated)
       for (std::size_t i = 0;
            i < std::min(options_.replication_factor, candidates.size()); ++i)
         if (legs[candidates[i]].state == Leg::kUnsent &&
             backends_[candidates[i]]->up.load())
-          launch(legs, candidates[i], copy, /*copy=*/true);
-    }
+          launch(legs, candidates[i], *outbound, /*copy=*/true);
     // Only the first (non-retry) attempt may hedge: later attempts ARE
     // the retry path already. An overloaded or failed attempt walks on.
     served =

@@ -21,20 +21,21 @@
 //
 // Replication (replication_factor = R > 1) applies stream writes only
 // (their op rows say so, see service/ops.h), as commands on the live
-// members of HashRing::replicas_for(key, R). An open, or an absorb that
-// carries "upto", goes to all of them at once: two legs that apply the
-// same absolute target converge in either order. A relative "count" goes
-// to the replicas once the primary's answer fixes its target. The client's
-// answer waits for every replica leg, and stream writes never hedge, so
-// one run leaves a deterministic set of replicas (see replicate()). A
-// cacheable answer is never copied: it is a pure function of its request,
-// so the backend that answers a read computes and stores it, and a read
-// whose primary is down walks on along the ring, where the next backend
-// recomputes it bit-identically. Reads keep the full ring walk: the first
-// live walk candidate serves (deterministic preference order), and
-// because the walk is a prefix-stable extension of the replica set,
-// killing a stream's owner lands its next op on the replica that applied
-// its writes.
+// members of HashRing::replicas_for(key, R). Every stream write (an open,
+// or an absorb, which always carries its absolute "upto") goes to all of
+// them at once, each sent the very line the primary is sent: two legs
+// that apply the same absolute target converge in either order, and a
+// line the primary refuses, its replicas refuse too. The client's answer
+// waits for every replica leg, and stream writes never hedge, so one run
+// leaves a deterministic set of replicas (see replicate()). The dispatcher
+// holds no answers, and a cacheable answer is never copied: it is a pure
+// function of its request, so the backend that answers a read computes
+// and stores it, and a read whose primary is down walks on along the
+// ring, where the next backend recomputes it bit-identically. Reads keep
+// the full ring walk: the first live walk candidate serves (deterministic
+// preference order), and because the walk is a prefix-stable extension
+// of the replica set, killing a stream's owner lands its next op on the
+// replica that applied its writes.
 //
 // handle() plugs into ServerOptions::handler, so the dispatcher front-end
 // reuses ReplicationServer's bounded queue, backpressure, watchdog, and
@@ -82,7 +83,6 @@
 #include <vector>
 
 #include "cluster/hash_ring.h"
-#include "service/line_cache.h"
 #include "service/server.h"
 #include "util/fault.h"
 
@@ -110,12 +110,6 @@ struct DispatcherOptions {
   std::size_t replication_factor = 1;
   /// Schedules for the "cluster.forward" / "cluster.backend" sites.
   util::FaultPlan fault_plan;
-  /// LRU bound on the dispatcher-side response cache (a RenderedLineCache)
-  /// behind try_serve_cached_line (entries). Opt-in: 0 (the default)
-  /// disables it, so every request exercises real forwarding —
-  /// kill/failover tests rely on that. Forced to 0 when a fault plan is
-  /// active.
-  std::size_t response_cache_capacity = 0;
   /// Hedged reads: how long a quiet primary waits before the next ring
   /// replica is tried too (<= 0 disables hedging).
   double hedge_delay_ms = 0.0;
@@ -134,7 +128,6 @@ struct DispatcherStats {
   std::uint64_t overloaded_retries = 0;
   std::uint64_t down_skips = 0;
   std::uint64_t exhausted = 0;         ///< no backend could answer
-  std::uint64_t response_cache_hits = 0;  ///< answered without forwarding
   std::uint64_t replicated = 0;  ///< stream writes a replica applied
   std::uint64_t replication_failures = 0;  ///< replica writes refused or lost
   std::uint64_t deadline_refusals = 0;  ///< deadline budget already spent
@@ -160,30 +153,20 @@ class Dispatcher {
   service::Json handle(const service::Json& request,
                        const std::atomic<bool>* cancel);
 
-  /// Warm-path fast lane (only when response_cache_capacity > 0): appends
-  /// the cached rendered response of an identical earlier "ok" request —
-  /// byte-identical to forwarding again, since backends are bit-identical
-  /// and Json::dump is deterministic — and returns true.
-  bool try_serve_cached_line(const service::Json& request, std::string& out);
-
-  /// Handler to plug into ServerOptions::handler. Populates the response
-  /// cache on cacheable "ok" responses so the companion fast_path() can
-  /// answer the warm repeat on the front server's loop thread.
+  /// Handler to plug into ServerOptions::handler.
   std::function<service::Json(const service::Json&, const std::atomic<bool>*)>
   handler() {
     return [this](const service::Json& request,
                   const std::atomic<bool>* cancel) {
-      service::Json response = handle(request, cancel);
-      maybe_store_response(request, response);
-      return response;
+      return handle(request, cancel);
     };
   }
 
-  /// Fast path to plug into ServerOptions::fast_path alongside handler().
+  /// A front fast path that never answers: the dispatcher holds no
+  /// answers, so every request is forwarded. An empty
+  /// ServerOptions::fast_path does the same.
   std::function<bool(const service::Json&, std::string&)> fast_path() {
-    return [this](const service::Json& request, std::string& out) {
-      return try_serve_cached_line(request, out);
-    };
+    return [](const service::Json&, std::string&) { return false; };
   }
 
   const HashRing& ring() const { return ring_; }
@@ -239,8 +222,6 @@ class Dispatcher {
   void replicate(const service::Json& request, const service::Json& response,
                  const std::vector<std::size_t>& walk, std::size_t served,
                  std::vector<Leg>& legs);
-  void maybe_store_response(const service::Json& request,
-                            const service::Json& response);
 
   DispatcherOptions options_;
   util::FaultInjector faults_;
@@ -253,10 +234,6 @@ class Dispatcher {
 
   mutable std::mutex stats_mutex_;
   DispatcherStats stats_;
-
-  /// Rendered "ok" response lines of cacheable requests (internally
-  /// synchronized); capacity 0 unless response_cache_capacity opts in.
-  service::RenderedLineCache response_cache_;
 };
 
 }  // namespace decompeval::cluster

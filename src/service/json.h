@@ -120,9 +120,9 @@ void echo_op(Json& response, const Json& request);
 /// Canonical request key: the request's non-volatile fields ("threads",
 /// "no_cache", "deadline_ms" and "baseline" are excluded — they shape how
 /// a request is served, never what it computes), sorted by key, rendered
-/// as `key=value;...`. Routing, the disk cache, and the in-memory rendered
-/// response caches all key on this, so a logical request always lands on
-/// the same backend and the same cache slots. The append form reuses the
+/// as `key=value;...`. Routing, the disk cache, and the in-memory result
+/// tier all key on this, so a logical request always lands on the same
+/// backend and the same cache slots. The append form reuses the
 /// caller's buffer; the hot path calls it with a reused scratch string.
 void canonical_request_key(const Json& request, std::string& out);
 std::string canonical_request_key(const Json& request);

@@ -5,10 +5,9 @@
 namespace decompeval::service {
 
 RenderedLineCache::RenderedLineCache(std::size_t capacity)
-    : capacity_(capacity), lines_(capacity) {}
+    : lines_(capacity) {}
 
 bool RenderedLineCache::find(const Json& request, std::string& out) {
-  if (capacity_ == 0) return false;
   thread_local std::string key;
   key.clear();
   canonical_request_key(request, key);
@@ -20,7 +19,6 @@ bool RenderedLineCache::find(const Json& request, std::string& out) {
 }
 
 void RenderedLineCache::put(const Json& request, const Json& response) {
-  if (capacity_ == 0) return;
   thread_local std::string key;
   key.clear();
   canonical_request_key(request, key);

@@ -1,13 +1,12 @@
-// RenderedLineCache: the in-memory result tier, one class for every layer.
+// RenderedLineCache: the in-memory result tier.
 //
 // An LRU from a request's canonical key (the key the disk cache digests)
 // to its rendered response line, no newline. Json::dump is deterministic,
 // so a cached line is byte-for-byte what the server would write, and a
 // hit is appended straight to a connection's write buffer.
 //
-// Users: ServiceCore's result tier (read by the server's fast path and by
-// ClusterBackend in front of its disk) and the dispatcher's opt-in
-// response cache. Thread-safe.
+// Its one user is ServiceCore's result tier, read by the server's fast
+// path and by ClusterBackend in front of its disk. Thread-safe.
 #pragma once
 
 #include <cstddef>
@@ -22,7 +21,7 @@ namespace decompeval::service {
 
 class RenderedLineCache {
  public:
-  /// Capacity in entries; 0 disables the cache.
+  /// Capacity in entries.
   explicit RenderedLineCache(std::size_t capacity);
 
   /// Appends the line cached for `request` to `out` and returns true;
@@ -32,12 +31,11 @@ class RenderedLineCache {
   /// past capacity).
   void put(const Json& request, const Json& response);
 
-  std::size_t capacity() const { return capacity_; }
+  std::size_t capacity() const { return lines_.capacity(); }
   std::size_t size() const;
   std::uint64_t evictions() const;
 
  private:
-  const std::size_t capacity_;
   mutable std::mutex mutex_;
   util::LruCache<std::string, std::string> lines_;
 };

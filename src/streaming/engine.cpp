@@ -45,21 +45,6 @@ Json no_such_stream(const std::string& op, const std::string& id) {
   return error_response(op, "unknown stream '" + id + "'");
 }
 
-Json absorb_too_large() {
-  return bad_request("stream_absorb may ask for at most " +
-                     std::to_string(StreamEngine::kMaxAbsorbPerRequest) +
-                     " arrivals past the stream's 'emitted'");
-}
-
-// The absorb command with its target replaced by the absolute "upto".
-Json with_upto(const Json& absorb, double upto) {
-  Json absolute = Json::object();
-  for (const auto& [key, value] : absorb.members())
-    if (key != "count" && key != "upto") absolute.set(key, value);
-  absolute.set("upto", Json::number(upto));
-  return absolute;
-}
-
 struct StreamOptions {
   WorkloadConfig workload;
   WindowOptions window;
@@ -162,23 +147,21 @@ class StreamSession {
     return r;
   }
 
-  /// Absolute absorb target base for canonicalizing relative requests.
-  std::uint64_t emitted_target_base() const {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return generator_.emitted();
-  }
-
   /// The bad_request refusing an absorb to `upto` that asks for more than
   /// one request may past "emitted": over kMaxAbsorbPerRequest arrivals,
   /// or over kMaxRefitsPerAbsorb refit points crossed (a refit runs after
   /// every arrival that brings "emitted" to a multiple of refit_every).
-  /// Empty when the absorb is within both caps. "emitted" only grows, so a
-  /// concurrent absorb can only shrink what this one asks for.
+  /// Empty when the absorb is within both caps. "emitted" only grows, so an
+  /// absorb that runs between this check and the one it passes can only
+  /// shrink what that one asks for.
   std::optional<Json> refuse_absorb(std::uint64_t upto) const {
-    const std::uint64_t emitted = emitted_target_base();
+    const std::lock_guard<std::mutex> lock(mutex_);
+    const std::uint64_t emitted = generator_.emitted();
     if (upto <= emitted) return std::nullopt;
     if (upto - emitted > StreamEngine::kMaxAbsorbPerRequest)
-      return absorb_too_large();
+      return bad_request("stream_absorb may ask for at most " +
+                         std::to_string(StreamEngine::kMaxAbsorbPerRequest) +
+                         " arrivals past the stream's 'emitted'");
     const std::uint64_t every = options_.refit_every;
     if (every != 0 &&
         upto / every - emitted / every > StreamEngine::kMaxRefitsPerAbsorb)
@@ -622,77 +605,48 @@ StreamSession* StreamEngine::find(const std::string& id) const {
   return it == sessions_.end() ? nullptr : it->second.get();
 }
 
-bool StreamEngine::canonicalize(service::Json& request, service::Json* error) {
-  if (!request.is_object()) return true;
-  const std::string op = request.get_string("op", "");
+std::optional<service::Json> StreamEngine::refusal(
+    const service::Json& request) const {
+  const std::string op =
+      request.is_object() ? request.get_string("op", "") : "";
   try {
-    if (op == "stream_open") {
-      parse_stream_options(request);
-      return true;
-    }
-    if (op != "stream_absorb") return true;
-    // Refuse here what handle() would refuse, so it is never journaled.
-    request.get_count("threads", 0);
-    const bool relative = request.get("upto") == nullptr;
-    if (relative && request.get("count") == nullptr) {
-      if (error != nullptr)
-        *error = bad_request(
-            "stream_absorb needs a non-negative 'upto' or 'count'");
-      return false;
-    }
-    const std::uint64_t target =
-        request.get_count(relative ? "count" : "upto", 0);
-    if (relative && target > kMaxAbsorbPerRequest) {
-      if (error != nullptr) *error = absorb_too_large();
-      return false;
-    }
     const std::string id = request.get_string("stream", "");
+    if (op == "stream_open") {
+      if (id.empty())
+        return bad_request("stream_open needs a string field 'stream'");
+      parse_stream_options(request);
+      return std::nullopt;
+    }
     const StreamSession* session = find(id);
-    if (session == nullptr) {
-      if (error != nullptr) *error = no_such_stream(op, id);
-      return false;
-    }
-    const std::uint64_t upto =
-        relative ? session->emitted_target_base() + target : target;
-    if (std::optional<Json> refusal = session->refuse_absorb(upto)) {
-      if (error != nullptr) *error = std::move(*refusal);
-      return false;
-    }
-    // Rebuild a relative absorb without its relative field: the journaled
-    // command must be the absolute, idempotent form.
-    if (relative) request = with_upto(request, static_cast<double>(upto));
-    return true;
+    if (session == nullptr) return no_such_stream(op, id);
+    if (op != "stream_absorb") return std::nullopt;
+    if (request.get("upto") == nullptr)
+      return bad_request("stream_absorb needs a non-negative 'upto'");
+    request.get_count("threads", 0);
+    return session->refuse_absorb(request.get_count("upto", 0));
   } catch (const service::JsonError& e) {
-    if (error != nullptr) *error = bad_request(e.what());
-    return false;
+    return bad_request(e.what());
   } catch (const std::exception& e) {
-    if (error != nullptr) *error = error_response(op, e.what());
-    return false;
+    return error_response(op, e.what());
   }
 }
 
 service::Json StreamEngine::pinned_command(service::Json command,
                                            const service::Json& answer) {
-  if (command.get_string("op", "") != "stream_absorb") return command;
-  return with_upto(command, answer.get_number("emitted", 0.0));
+  if (command.get_string("op", "") == "stream_absorb")
+    command.set("upto", Json::number(answer.get_number("emitted", 0.0)));
+  return command;
 }
 
 service::Json StreamEngine::handle(const service::Json& request) {
-  const std::string op =
-      request.is_object() ? request.get_string("op", "") : "";
+  if (std::optional<Json> refused = refusal(request)) return *refused;
+  const std::string op = request.get_string("op", "");
   try {
     if (op == "stream_open") return open_op(request);
-    const std::string id = request.get_string("stream", "");
-    StreamSession* session = find(id);
-    if (session == nullptr) return no_such_stream(op, id);
-    if (op == "stream_absorb") {
-      if (request.get("upto") == nullptr)
-        return bad_request("stream_absorb needs a non-negative 'upto'");
-      const std::uint64_t upto = request.get_count("upto", 0);
-      if (std::optional<Json> refusal = session->refuse_absorb(upto))
-        return *refusal;
-      return session->absorb(upto, request.get_count("threads", 0));
-    }
+    StreamSession* session = find(request.get_string("stream", ""));
+    if (op == "stream_absorb")
+      return session->absorb(request.get_count("upto", 0),
+                             request.get_count("threads", 0));
     if (op == "stream_stats") return session->stats();
     if (op == "stream_dashboard") return session->dashboard();
     return bad_request("unknown stream op '" + op + "'");
@@ -705,8 +659,6 @@ service::Json StreamEngine::handle(const service::Json& request) {
 
 service::Json StreamEngine::open_op(const service::Json& request) {
   const std::string id = request.get_string("stream", "");
-  if (id.empty())
-    return bad_request("stream_open needs a string field 'stream'");
   {
     // Idempotent re-open (journal replays re-issue the command): the
     // existing session answers; its config stays authoritative.

@@ -17,15 +17,15 @@
 //                      open that breaks a rule is a "bad_request", refused
 //                      before it is journaled.
 //   "stream_absorb"    generate + absorb arrivals up to an absolute
-//                      target ("upto"; the relative "count" form is
-//                      canonicalized to "upto" before journaling, so the
-//                      durable command is idempotent). Runs refits at
-//                      the every-N-arrivals cadence as targets pass. One
-//                      request asks for at most kMaxAbsorbPerRequest
-//                      arrivals and crosses at most kMaxRefitsPerAbsorb
-//                      refit points past "emitted"; a larger one is a
+//                      target ("upto", required: the only form, so every
+//                      journaled or replicated absorb is idempotent). Runs
+//                      refits at the every-N-arrivals cadence as targets
+//                      pass. One request asks for at most
+//                      kMaxAbsorbPerRequest arrivals and crosses at most
+//                      kMaxRefitsPerAbsorb refit points past "emitted"; a
+//                      larger one, or one without "upto", is a
 //                      "bad_request", and an absorb on a stream that is not
-//                      open an "error", both refused before journaling.
+//                      open an "error", all refused before journaling.
 //   "stream_stats"     O(1) counters + the state digest (the
 //                      bit-identity probe).
 //   "stream_dashboard" windowed RQ1–RQ5 summaries recomputed from the
@@ -37,13 +37,14 @@
 //
 // Cluster citizenship: stream ops are routed by stream id (see
 // service::routing_key), the write ops (stream_write rows) are journaled
-// in absolute form and replayed with the usual dedup, writes are
-// forwarded to R−1 ring replicas by the dispatcher, and results are
+// as they arrive (minus volatile fields) once refusal() passes them and
+// replayed with the usual dedup, writes are sent to R−1 ring replicas
+// beside the primary by the dispatcher, and results are
 // cache-exempt everywhere (they are time-varying by design; no stream
 // row is cacheable). The backend's journal is the only durable record
 // of a stream: the engine keeps everything in memory, and a restarted
 // backend rebuilds each stream by replaying its journaled stream_open
-// and absolute absorbs (ClusterBackend's "journal_replay").
+// and absorbs (ClusterBackend's "journal_replay").
 //
 // Fault sites (served from the owning ServiceCore's injector):
 //   "stream.absorb"  hit = arrival seq. The arrival is dropped (not
@@ -64,6 +65,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -98,11 +100,10 @@ struct SessionView {
 
 class StreamEngine {
  public:
-  /// Most arrivals one stream_absorb may ask for: an absolute "upto" at
-  /// most this far past the stream's "emitted", a relative "count" at
-  /// most this large. 20× the largest fill the cluster benchmark sends
-  /// (49,900 arrivals). The cap bounds how long one request holds its
-  /// session's lock, and how long replaying it takes.
+  /// Most arrivals one stream_absorb may ask for: an "upto" at most this
+  /// far past the stream's "emitted". 20× the largest fill the cluster
+  /// benchmark sends (49,900 arrivals). The cap bounds how long one
+  /// request holds its session's lock, and how long replaying it takes.
   static constexpr std::uint64_t kMaxAbsorbPerRequest = 1'000'000;
   /// Most refit points one stream_absorb may cross past "emitted",
   /// counted as upto/refit_every − emitted/refit_every. A stream opened at
@@ -118,21 +119,19 @@ class StreamEngine {
                         const std::vector<snippets::Snippet>* pool = nullptr);
   ~StreamEngine();
 
-  /// Checks a stream write before it may be journaled, and rewrites a
-  /// relative "count" absorb into the absolute, idempotent "upto" form
-  /// (the only form that may be journaled). Returns false — filling
-  /// *error — for an invalid open or absorb ("bad_request" for a count
-  /// field out of range or an absorb over kMaxAbsorbPerRequest or
-  /// kMaxRefitsPerAbsorb, "error" for an unknown arrival process) and for
-  /// an absorb on a stream that is not open (handle()'s own answer).
-  bool canonicalize(service::Json& request, service::Json* error);
+  /// The answer handle() gives `request` without applying it, or nullopt
+  /// when handle() serves it. The backend asks before it journals a stream
+  /// write, so a refused write is never journaled: "bad_request" for a
+  /// count field out of range, an open without a stream id, or an absorb
+  /// without "upto" or over kMaxAbsorbPerRequest or kMaxRefitsPerAbsorb;
+  /// "error" for an unknown arrival process or a stream that is not open.
+  std::optional<service::Json> refusal(const service::Json& request) const;
 
   /// The command form of a stream write a primary already answered, for
-  /// its ring replicas: an absorb is pinned to the primary's absolute
-  /// "emitted" target (whatever "count" or "upto" it carried), so a
-  /// replica that fell behind (or raced ahead via an earlier failover)
-  /// converges on the same arrival prefix instead of drifting by a
-  /// relative amount. Other writes are returned unchanged.
+  /// its ring replicas: an absorb is pinned to the primary's "emitted"
+  /// (whatever "upto" it carried), so a replica that fell behind (or raced
+  /// ahead via an earlier failover) converges on the same arrival prefix.
+  /// Other writes are returned unchanged.
   static service::Json pinned_command(service::Json command,
                                       const service::Json& answer);
 

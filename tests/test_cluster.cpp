@@ -403,12 +403,10 @@ struct TestCluster : BackendSet {
 
   explicit TestCluster(const std::string& tag, std::size_t n,
                        util::FaultPlan dispatcher_faults = {},
-                       std::size_t response_cache_capacity = 0,
                        std::size_t replication_factor = 1)
       : BackendSet(tag, n) {
     dispatch.fault_plan = std::move(dispatcher_faults);
     dispatch.health_interval_ms = 20;
-    dispatch.response_cache_capacity = response_cache_capacity;
     dispatch.replication_factor = replication_factor;
     dispatcher = std::make_unique<Dispatcher>(dispatch);
     dispatcher->start();
@@ -419,8 +417,6 @@ struct TestCluster : BackendSet {
     front_options.workers = 2;
     front_options.max_queue = 16;
     front_options.handler = dispatcher->handler();
-    if (response_cache_capacity > 0)
-      front_options.fast_path = dispatcher->fast_path();
     front = std::make_unique<service::ReplicationServer>(front_options);
     front->start();
   }
@@ -467,26 +463,6 @@ TEST(ClusterTest, DispatcherMatchesDirectBackendAndOfflineBitForBit) {
     direct.connect(cluster.servers[i]->socket_path());
     EXPECT_EQ(direct.call(replication_request(1)).dump(), dispatcher_dump);
   }
-}
-
-TEST(ClusterTest, FrontServerWarmRepeatHitsDispatcherResponseCache) {
-  // The dispatcher's response cache must fill through the handler() a real
-  // server front-end runs — not only through handle_line(), which only
-  // in-process callers use. Regression: the cache used to be populated
-  // exclusively by handle_line(), so fast_path() behind a ReplicationServer
-  // never hit and every warm repeat was forwarded again.
-  TestCluster cluster("warmfront", 2, {}, /*response_cache_capacity=*/64);
-  service::ServiceClient client;
-  client.connect(cluster.front_socket);
-
-  const Json cold = client.call(replication_request(1));
-  ASSERT_EQ(cold.get_string("status", ""), "ok");
-  const Json warm = client.call(replication_request(1));
-  EXPECT_EQ(warm.dump(), cold.dump());  // byte-identical to forwarding
-
-  const cluster::DispatcherStats stats = cluster.dispatcher->stats();
-  EXPECT_EQ(stats.response_cache_hits, 1u);
-  EXPECT_EQ(stats.forwarded, 1u);  // only the cold request reached a backend
 }
 
 TEST(ClusterTest, AnnotateThroughDispatcherMatchesDirectCoreBitForBit) {
@@ -715,8 +691,7 @@ Json call_at(const std::string& socket_path, const Json& request) {
 }
 
 TEST(ClusterTest, CacheableReadsReachOnlyThePrimaryAndFailOverBitIdentically) {
-  TestCluster cluster("replfan", 3, {}, /*response_cache_capacity=*/0,
-                      /*replication_factor=*/2);
+  TestCluster cluster("replfan", 3, {}, /*replication_factor=*/2);
   service::ServiceClient client;
   client.connect(cluster.front_socket);
 
@@ -763,8 +738,7 @@ TEST(ClusterTest, CacheableReadsReachOnlyThePrimaryAndFailOverBitIdentically) {
 }
 
 TEST(ClusterTest, ForgedCacheInstallIsABadRequestAndNeverServed) {
-  TestCluster cluster("forged", 2, {}, /*response_cache_capacity=*/0,
-                      /*replication_factor=*/2);
+  TestCluster cluster("forged", 2, {}, /*replication_factor=*/2);
   const Json read = study_request(23);
   // The retired install op's exact shape, carrying a made-up answer for a
   // key nobody has computed yet.
@@ -901,7 +875,7 @@ TEST(ClusterTest, StalledStreamWriteCountsAsAFailureAndLeavesTheReplicaUp) {
   Json absorb = Json::object();
   absorb.set("op", Json::string("stream_absorb"));
   absorb.set("stream", Json::string(stream));
-  absorb.set("count", Json::number(20));
+  absorb.set("upto", Json::number(20));
   EXPECT_EQ(dispatcher.handle(absorb, nullptr).get_string("status", ""),
             "ok");
   stats = dispatcher.stats();
@@ -1114,16 +1088,14 @@ std::function<BackendSet::Handler(BackendSet::Handler)> shed_on_first(
 }
 
 TEST(ClusterTest, PrimaryThatShedsAStreamWriteIsSentItAfterTheReplicaServes) {
-  // The primary sheds the open and the first relative absorb. It applied
-  // neither and stays up, so each reaches it once the replica has served.
+  // The primary sheds the open and the first absorb. It applied neither
+  // and stays up, so each reaches it once the replica has served.
   std::atomic<bool> open_shed{false};
-  std::atomic<bool> count_shed{false};
+  std::atomic<bool> absorb_shed{false};
   BackendSet set("shedprimary", 2, shed_on_first([&](const Json& request) {
                    const std::string op = request.get_string("op", "");
                    if (op == "stream_open") return !open_shed.exchange(true);
-                   return op == "stream_absorb" &&
-                          request.get("count") != nullptr &&
-                          !count_shed.exchange(true);
+                   return op == "stream_absorb" && !absorb_shed.exchange(true);
                  }));
   set.dispatch.replication_factor = 2;
   Dispatcher dispatcher(set.dispatch);
@@ -1145,18 +1117,17 @@ TEST(ClusterTest, PrimaryThatShedsAStreamWriteIsSentItAfterTheReplicaServes) {
   EXPECT_EQ(dispatcher.stats().replicated, 1u);
   expect_in_step(0);
 
-  // The replica serves the count; its answer fixes the primary's target.
-  Json absorb = stream_op("stream_absorb", stream);
-  absorb.set("count", Json::number(120));
-  EXPECT_EQ(dispatcher.handle(absorb, nullptr).get_number("emitted", -1),
+  // The replica's copy of the absorb serves; the primary is sent it after.
+  EXPECT_EQ(dispatcher.handle(absorb_upto(stream, 120), nullptr)
+                .get_number("emitted", -1),
             120.0);
   EXPECT_EQ(dispatcher.stats().overloaded_retries, 2u);
   EXPECT_EQ(dispatcher.stats().replicated, 2u);
   expect_in_step(120);
 
-  // So the next count, on the primary, starts where both stand.
-  absorb.set("count", Json::number(30));
-  EXPECT_EQ(dispatcher.handle(absorb, nullptr).get_number("emitted", -1),
+  // So the next absorb, on the primary, starts where both stand.
+  EXPECT_EQ(dispatcher.handle(absorb_upto(stream, 150), nullptr)
+                .get_number("emitted", -1),
             150.0);
   expect_in_step(150);
   const cluster::DispatcherStats stats = dispatcher.stats();

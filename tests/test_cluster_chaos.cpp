@@ -414,6 +414,8 @@ TEST(ClusterChaos, CrashLoopingBackendKeepsTheStreamWhole) {
   assert_cache_dir_clean(dir_b);
   cleanup_shard(dir_a);
   cleanup_shard(dir_b);
+  std::remove(socket_a.c_str());  // a backend that _Exit()s leaves it
+  std::remove(socket_b.c_str());
 }
 
 TEST(ClusterChaos, DegradedBackendResultsAreNeverWrittenToDisk) {

@@ -396,9 +396,10 @@ TEST(JournalReplayIdentityTest, ReplayIsBitIdenticalAcrossThreadCounts) {
 }
 
 // An invalid stream_open is refused before it is journaled, so no replay
-// ever re-runs it. Each field that sizes a stream must be a non-negative
-// integer, and "population" and "fit_starts" at least 1 and under their
-// caps; a valid open after them is journaled as usual.
+// ever re-runs it. Its "stream" id must be a non-empty string, each field
+// that sizes a stream a non-negative integer, and "population" and
+// "fit_starts" at least 1 and under their caps; a valid open after them is
+// journaled as usual.
 TEST(JournalReplayTest, InvalidStreamOpenIsRefusedBeforeItIsJournaled) {
   const std::string path = fresh_journal_path("invalid-open");
   ClusterBackendOptions options;
@@ -416,7 +417,7 @@ TEST(JournalReplayTest, InvalidStreamOpenIsRefusedBeforeItIsJournaled) {
   const std::vector<std::pair<const char*, double>> invalid = {
       {"population", 0},   {"fit_starts", 0},   {"window_events", 2.5},
       {"population", 5e7}, {"fit_starts", 5e7}, {"refit_every", -1},
-      {"seed", inf},       {"window_age_ms", 0.5}};
+      {"seed", inf},       {"window_age_ms", 0.5}, {"stream", 0}};
   for (const auto& [field, value] : invalid) {
     SCOPED_TRACE(std::string(field) + "=" + std::to_string(value));
     Json open = stream_op("stream_open", "s");
@@ -499,9 +500,9 @@ TEST(JournalReplayTest, AbsorbOnAStreamThatIsNotOpenIsNeverJournaled) {
 
 // An absorb that asks for more than kMaxAbsorbPerRequest arrivals is
 // refused before it is journaled and before any arrival is generated: an
-// absolute "upto" one past the cap, a relative "count" one over it, and a
-// target no stream could reach in a week. The engine's own handle()
-// refuses the same target. An absorb under the cap then runs as usual.
+// "upto" one past the cap, and a target no stream could reach in a week.
+// The engine's own handle() refuses the same target. An absorb under the
+// cap then runs as usual.
 TEST(JournalReplayTest, OversizedAbsorbIsRefusedBeforeItIsJournaled) {
   const std::string path = fresh_journal_path("oversized-absorb");
   ClusterBackendOptions options;
@@ -527,12 +528,10 @@ TEST(JournalReplayTest, OversizedAbsorbIsRefusedBeforeItIsJournaled) {
 
   const double cap = static_cast<double>(
       streaming::StreamEngine::kMaxAbsorbPerRequest);
-  const std::vector<std::pair<const char*, double>> oversized = {
-      {"upto", 50.0 + cap + 1.0}, {"count", cap + 1.0}, {"upto", 1e12}};
-  for (const auto& [field, value] : oversized) {
-    SCOPED_TRACE(std::string(field) + "=" + std::to_string(value));
+  for (const double upto : {50.0 + cap + 1.0, 1e12}) {
+    SCOPED_TRACE("upto=" + std::to_string(upto));
     Json absorb = stream_op("stream_absorb", "s");
-    absorb.set(field, Json::number(value));
+    absorb.set("upto", Json::number(upto));
     EXPECT_EQ(status_of(backend.handle(absorb, nullptr)), "bad_request");
     EXPECT_EQ(appends(), appends_before);
     EXPECT_EQ(emitted(), 50.0);
@@ -543,7 +542,7 @@ TEST(JournalReplayTest, OversizedAbsorbIsRefusedBeforeItIsJournaled) {
   EXPECT_EQ(emitted(), 50.0);
 
   Json absorb = stream_op("stream_absorb", "s");
-  absorb.set("count", Json::number(100));
+  absorb.set("upto", Json::number(150));
   EXPECT_EQ(status_of(backend.handle(absorb, nullptr)), "ok");
   EXPECT_EQ(appends(), appends_before + 1);
   EXPECT_EQ(emitted(), 150.0);
@@ -552,10 +551,10 @@ TEST(JournalReplayTest, OversizedAbsorbIsRefusedBeforeItIsJournaled) {
 
 // An absorb that would cross more than kMaxRefitsPerAbsorb refit points
 // past "emitted" is refused before it is journaled and before any arrival
-// is generated, in both the absolute and the relative form, and by the
-// engine's own handle(). At "refit_every" 1 every arrival is a refit
-// point; an 8-event window never has the rows to fit, so each refit here
-// is a cheap "sparse" one. An absorb exactly at the cap runs as usual.
+// is generated, and by the engine's own handle(). At "refit_every" 1
+// every arrival is a refit point; an 8-event window never has the rows to
+// fit, so each refit here is a cheap "sparse" one. An absorb exactly at
+// the cap runs as usual.
 TEST(JournalReplayTest, AbsorbOverTheRefitCapIsRefusedBeforeItIsJournaled) {
   const std::string path = fresh_journal_path("refit-cap");
   ClusterBackendOptions options;
@@ -578,14 +577,11 @@ TEST(JournalReplayTest, AbsorbOverTheRefitCapIsRefusedBeforeItIsJournaled) {
 
   const double cap =
       static_cast<double>(streaming::StreamEngine::kMaxRefitsPerAbsorb);
-  for (const char* field : {"upto", "count"}) {
-    SCOPED_TRACE(field);
-    Json absorb = stream_op("stream_absorb", "s");
-    absorb.set(field, Json::number(cap + 1.0));
-    EXPECT_EQ(status_of(backend.handle(absorb, nullptr)), "bad_request");
-    EXPECT_EQ(appends(), appends_before);
-    EXPECT_EQ(stream_stats().get_number("emitted", -1), 0.0);
-  }
+  Json absorb = stream_op("stream_absorb", "s");
+  absorb.set("upto", Json::number(cap + 1.0));
+  EXPECT_EQ(status_of(backend.handle(absorb, nullptr)), "bad_request");
+  EXPECT_EQ(appends(), appends_before);
+  EXPECT_EQ(stream_stats().get_number("emitted", -1), 0.0);
   Json direct = stream_op("stream_absorb", "s");
   direct.set("upto", Json::number(cap + 1.0));
   EXPECT_EQ(status_of(backend.streaming().handle(direct)), "bad_request");

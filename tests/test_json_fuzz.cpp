@@ -52,7 +52,7 @@ const std::map<std::string_view, std::string>& op_fields() {
       {"stream_open",
        R"("stream":"s-1","seed":9,"refit_every":50,"process":"bursty",)"
        R"("window":200)"},
-      {"stream_absorb", R"("stream":"s-1","count":10,"lane":"batch")"},
+      {"stream_absorb", R"("stream":"s-1","upto":10,"lane":"batch")"},
       {"stream_stats", R"("stream":"s-1")"},
       {"stream_dashboard", R"("stream":"s-1")"},
   };

@@ -164,7 +164,7 @@ Json exercise_request(const OpSpec& spec) {
       r.set("population", Json::number(24));
       r.set("window_events", Json::number(256));
     } else if (spec.name == "stream_absorb") {
-      r.set("count", Json::number(40));  // relative: must journal as "upto"
+      r.set("upto", Json::number(40));
     }
   }
   return r;
@@ -329,6 +329,56 @@ TEST(OpTable, BadThreadsAreBadRequestsEverywhere) {
     EXPECT_EQ(core.handle(request).get_string("status", ""), "ok")
         << "threads=" << threads;
   }
+}
+
+// An absorb without "upto", such as one with a relative "count", is a bad
+// request, refused before it is journaled, whether it is sent straight to
+// a backend or through the dispatcher at R=2: no backend journals it or
+// moves the stream, and no replica applies it.
+TEST(OpTable, CountAbsorbIsRefusedBeforeItIsJournaled) {
+  OpCluster cluster("count");
+  for (const char* name : {"stream_open", "stream_absorb"})
+    ASSERT_EQ(cluster.dispatcher
+                  ->handle(exercise_request(*service::find_op(name)), nullptr)
+                  .get_string("status", ""),
+              "ok")
+        << name;
+  const auto appends = [&](std::size_t b) {
+    return cluster.backends[b]
+        ->handle(op_request("journal_stats"), nullptr)
+        .get_number("appends", -1);
+  };
+  const auto emitted = [&](std::size_t b) {
+    Json stats = op_request("stream_stats");
+    stats.set("stream", Json::string("s"));
+    return cluster.backends[b]->handle(stats, nullptr).get_number("emitted",
+                                                                  -1);
+  };
+  const double appends_before[] = {appends(0), appends(1)};
+  const std::uint64_t installs_before = cluster.installs();
+  const auto expect_untouched = [&] {
+    for (std::size_t b = 0; b < 2; ++b) {
+      EXPECT_EQ(appends(b), appends_before[b]) << "backend " << b;
+      EXPECT_EQ(emitted(b), 40.0) << "backend " << b;
+    }
+    EXPECT_EQ(cluster.installs(), installs_before);
+  };
+
+  Json count = op_request("stream_absorb");
+  count.set("stream", Json::string("s"));
+  count.set("count", Json::number(10));
+  for (std::size_t b = 0; b < 2; ++b) {
+    SCOPED_TRACE("backend " + std::to_string(b));
+    EXPECT_EQ(cluster.backends[b]->handle(count, nullptr).get_string(
+                  "status", ""),
+              "bad_request");
+    expect_untouched();
+  }
+  SCOPED_TRACE("dispatcher");
+  EXPECT_EQ(
+      cluster.dispatcher->handle(count, nullptr).get_string("status", ""),
+      "bad_request");
+  expect_untouched();
 }
 
 TEST(OpTable, UnknownNamesAreBadRequestsEverywhere) {

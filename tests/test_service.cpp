@@ -1147,12 +1147,6 @@ TEST(ServiceCoreTest, ResultCacheIsLruBounded) {
   ASSERT_TRUE(cache.find(request(3), out));
   EXPECT_EQ(out, response("a2").dump() + response("c").dump());
 
-  // Capacity 0 disables the cache.
-  service::RenderedLineCache disabled(0);
-  disabled.put(request(1), response("a"));
-  EXPECT_EQ(disabled.size(), 0u);
-  EXPECT_FALSE(disabled.find(request(1), out));
-
   // The core's tier: a warm repeat is a hit, under the constant bound.
   ServiceCore core;
   ASSERT_EQ(core.handle(request(1)).get_string("status", ""), "ok");

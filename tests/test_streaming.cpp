@@ -19,6 +19,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -423,27 +424,28 @@ TEST(StreamEngineTest, BadRequestsAnswerStructuredErrors) {
   bad_process.set("process", Json::string("fractal"));
   EXPECT_EQ(engine.handle(bad_process).get_string("status", ""), "error");
 
-  // canonicalize: relative count on an unknown stream is an error...
-  Json relative = Json::object();
-  relative.set("op", Json::string("stream_absorb"));
-  relative.set("stream", Json::string("nope"));
-  relative.set("count", Json::number(5));
-  Json error;
-  EXPECT_FALSE(engine.canonicalize(relative, &error));
-  EXPECT_EQ(error.get_string("status", ""), "error");
-  // ...and on a live stream rewrites to the absolute form.
+  // refusal: an absorb on an unknown stream is an error...
+  const std::optional<Json> unknown =
+      engine.refusal(absorb_request("nope", 5));
+  ASSERT_TRUE(unknown.has_value());
+  EXPECT_EQ(unknown->get_string("status", ""), "error");
+  // ...one on a live stream passes...
   ASSERT_EQ(engine.handle(open_request("live")).get_string("status", ""),
             "ok");
   ASSERT_EQ(
       engine.handle(absorb_request("live", 10)).get_string("status", ""),
       "ok");
+  EXPECT_FALSE(engine.refusal(absorb_request("live", 15)).has_value());
+  // ...unless it has no "upto": a relative "count" is a bad request.
   Json rel = Json::object();
   rel.set("op", Json::string("stream_absorb"));
   rel.set("stream", Json::string("live"));
   rel.set("count", Json::number(5));
-  ASSERT_TRUE(engine.canonicalize(rel, &error));
-  EXPECT_EQ(rel.get("count"), nullptr);
-  EXPECT_EQ(rel.get_number("upto", 0.0), 15.0);
+  const std::optional<Json> relative = engine.refusal(rel);
+  ASSERT_TRUE(relative.has_value());
+  EXPECT_EQ(relative->get_string("status", ""), "bad_request");
+  EXPECT_EQ(engine.handle(rel).dump(), relative->dump());
+  EXPECT_EQ(engine.view("live").absorbed, 10u);
 }
 
 // ---------------------------------------------------------------------------
@@ -494,12 +496,8 @@ TEST(StreamingCluster, BackendJournalsWritesAndReplayRewarmsTheStream) {
     ASSERT_EQ(backend.handle(open_request("s", 150), nullptr)
                   .get_string("status", ""),
               "ok");
-    // Relative absorb: the backend canonicalizes before journaling.
-    Json relative = Json::object();
-    relative.set("op", Json::string("stream_absorb"));
-    relative.set("stream", Json::string("s"));
-    relative.set("count", Json::number(300));
-    ASSERT_EQ(backend.handle(relative, nullptr).get_string("status", ""),
+    ASSERT_EQ(backend.handle(absorb_request("s", 300), nullptr)
+                  .get_string("status", ""),
               "ok");
     stats_before_restart =
         backend.handle(stream_request("stream_stats", "s"), nullptr).dump();

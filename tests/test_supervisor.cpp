@@ -202,6 +202,7 @@ TEST(SupervisorTest, MaxRestartsZeroMeansGiveUpAndStayDown) {
   supervisor.stop();
   EXPECT_TRUE(no_children_left());
   cleanup_shard(shard_dir);
+  std::remove(socket_path.c_str());  // SIGKILL left it behind
 }
 
 TEST(SupervisorTest, WedgedBackendIsPingKilledAndRestarted) {
@@ -268,6 +269,8 @@ TEST(SupervisorTest, StopAfterAbruptKillLeavesNoZombies) {
   EXPECT_NE(::kill(pid_b, 0), 0);
   cleanup_shard(dir_a);
   cleanup_shard(dir_b);
+  std::remove(socket_a.c_str());  // SIGKILL left it behind
+  std::remove(socket_b.c_str());
 }
 
 }  // namespace
